@@ -6,7 +6,7 @@ scores are comparable across metrics.
 
 import math
 import re
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 
 from ..errors import ContractError
@@ -31,10 +31,7 @@ def tokenize(text: str) -> list[str]:
 
 def _ngram_counts(tokens: list[str], max_n: int) -> list[Counter]:
     """Counters for n = 1..max_n (index 0 holds unigrams)."""
-    return [
-        Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
-        for n in range(1, max_n + 1)
-    ]
+    return [Counter(zip(*(tokens[k:] for k in range(n)))) for n in range(1, max_n + 1)]
 
 
 def cider(items, max_n: int = 4, sigma: float = 6.0) -> tuple[float, list[float]]:
@@ -50,23 +47,20 @@ def cider(items, max_n: int = 4, sigma: float = 6.0) -> tuple[float, list[float]
     cand_tokens = [tokenize(it.candidate) for it in items]
     ref_tokens = [[tokenize(r) for r in it.references] for it in items]
 
-    # document frequency: number of items whose references contain the n-gram
-    doc_freq: dict = defaultdict(float)
+    # document frequency: number of items whose references contain the
+    # n-gram, turned in place into log(N / df); an n-gram that no reference
+    # contains counts as df = 1
+    idf: Counter = Counter()
     for refs in ref_tokens:
-        seen = set()
-        for counts in (c for ref in refs for c in _ngram_counts(ref, max_n)):
-            seen.update(counts)
-        for ngram in seen:
-            doc_freq[ngram] += 1.0
+        idf.update({ng for ref in refs for counts in _ngram_counts(ref, max_n) for ng in counts})
     log_corpus = math.log(float(len(items)))
+    for ngram, df in idf.items():
+        idf[ngram] = log_corpus - math.log(df)
 
     def tfidf_vec(tokens: list[str]):
         vecs, norms = [], []
         for counts in _ngram_counts(tokens, max_n):
-            vec = {
-                ng: count * (log_corpus - math.log(max(1.0, doc_freq[ng])))
-                for ng, count in counts.items()
-            }
+            vec = {ng: count * idf.get(ng, log_corpus) for ng, count in counts.items()}
             vecs.append(vec)
             norms.append(math.sqrt(sum(w * w for w in vec.values())))
         return vecs, norms
@@ -108,13 +102,13 @@ def bleu4(items, max_n: int = 4) -> float:
         ref_len += min((abs(len(r) - len(cand)), len(r)) for r in refs)[1]
 
         cand_counts = _ngram_counts(cand, max_n)
+        ref_counts = [_ngram_counts(r, max_n) for r in refs]
         for n in range(max_n):
             max_ref: Counter = Counter()
-            for r in refs:
-                for ng, c in _ngram_counts(r, max_n)[n].items():
-                    max_ref[ng] = max(max_ref[ng], c)
+            for counts in ref_counts:
+                max_ref |= counts[n]
             totals[n] += sum(cand_counts[n].values())
-            matched[n] += sum(min(c, max_ref[ng]) for ng, c in cand_counts[n].items())
+            matched[n] += sum((cand_counts[n] & max_ref).values())
 
     if any(t == 0 or m == 0 for m, t in zip(matched, totals)):
         return 0.0

@@ -4,7 +4,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 
-from ..errors import AlignmentError, ContractError
+from ..errors import AlignmentError, ContractError, ParseError
 from .captioning import CaptionItem, bleu4, cider, rouge_l
 from .vqa import VqaItem, anls, vqa_accuracy
 
@@ -44,6 +44,12 @@ def _align(predictions: dict[str, str], golds: dict[str, dict]) -> list[str]:
     return sorted(golds)
 
 
+def _gold_texts(ex_id: str, texts, what: str) -> list[str]:
+    if not isinstance(texts, (list, tuple)) or not texts or not all(isinstance(t, str) for t in texts):
+        raise ContractError(f"{ex_id}: gold entry needs a non-empty list of string {what}")
+    return texts
+
+
 def evaluate(predictions: dict[str, str], golds: dict[str, dict],
              task: EvalTask, tau: float = 0.5) -> MetricReport:
     """Score aligned predictions against gold entries.
@@ -53,27 +59,28 @@ def evaluate(predictions: dict[str, str], golds: dict[str, dict],
     ids = _align(predictions, golds)
 
     if task in (EvalTask.VQA, EvalTask.VQA_ANLS):
+        answer_lists = [_gold_texts(ex_id, golds[ex_id].get("answers"), "answers") for ex_id in ids]
+        # VQA accuracy is defined on ten answers (TextVQA, VizWiz); ST-VQA
+        # golds carry one or two, so VQA_ANLS scores accuracy only when
+        # every gold has ten, and VQA lets VqaItem reject the rest.
+        with_accuracy = task is EvalTask.VQA or all(len(a) == 10 for a in answer_lists)
         per_item = []
-        for ex_id in ids:
-            answers = golds[ex_id].get("answers")
-            if not answers:
-                raise ContractError(f"{ex_id}: gold entry has no answers")
+        for ex_id, answers in zip(ids, answer_lists):
             row = {"example_id": ex_id}
-            row["accuracy"] = vqa_accuracy(VqaItem(predictions[ex_id], tuple(answers)))
+            if with_accuracy:
+                row["accuracy"] = vqa_accuracy(VqaItem(predictions[ex_id], tuple(answers)))
             if task is EvalTask.VQA_ANLS:
                 row["anls"] = anls(predictions[ex_id], answers, tau=tau)
             per_item.append(row)
-        aggregate = {"accuracy": sum(r["accuracy"] for r in per_item) / len(per_item)}
-        if task is EvalTask.VQA_ANLS:
-            aggregate["anls"] = sum(r["anls"] for r in per_item) / len(per_item)
+        aggregate = {metric: sum(r[metric] for r in per_item) / len(per_item)
+                     for metric in per_item[0] if metric != "example_id"}
         return MetricReport(aggregate=aggregate, per_item=per_item)
 
     if task is EvalTask.CAPTION:
         items = []
         for ex_id in ids:
-            refs = golds[ex_id].get("references") or golds[ex_id].get("answers")
-            if not refs:
-                raise ContractError(f"{ex_id}: gold entry has no references")
+            gold = golds[ex_id]
+            refs = _gold_texts(ex_id, gold.get("references") or gold.get("answers"), "references")
             items.append(CaptionItem(predictions[ex_id], tuple(refs)))
         cider_corpus, cider_items = cider(items)
         per_item = [
@@ -90,23 +97,39 @@ def evaluate(predictions: dict[str, str], golds: dict[str, dict],
     raise ContractError(f"unknown evaluation task {task!r}")
 
 
+def _read_jsonl(path, fields: tuple[str, ...]) -> dict[str, dict]:
+    """Objects keyed by example_id; every one must carry `fields` as strings.
+
+    A malformed line raises ParseError and a repeated example_id raises
+    AlignmentError, both naming the file and line.
+    """
+    rows = {}
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:
+                raise ParseError(f"{where}: malformed JSON: {exc}") from None
+            if not isinstance(obj, dict) or not all(isinstance(obj.get(f), str) for f in fields):
+                raise ParseError(f"{where}: expected a JSON object with string "
+                                 + " and ".join(f'"{f}"' for f in fields))
+            ex_id = obj["example_id"]
+            if ex_id in rows:
+                raise AlignmentError(f"{where}: duplicate example_id {ex_id!r}", orphans=[ex_id])
+            rows[ex_id] = obj
+    return rows
+
+
 def read_predictions(path) -> dict[str, str]:
     """Predictions JSONL: {"example_id": str, "prediction": str}."""
-    preds = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                obj = json.loads(line)
-                preds[obj["example_id"]] = obj["prediction"]
-    return preds
+    return {ex_id: obj["prediction"]
+            for ex_id, obj in _read_jsonl(path, ("example_id", "prediction")).items()}
 
 
 def read_golds(path) -> dict[str, dict]:
     """Gold JSONL: fine-tune eval examples or {"example_id", "answers"/"references"}."""
-    golds = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                obj = json.loads(line)
-                golds[obj["example_id"]] = obj
-    return golds
+    return _read_jsonl(path, ("example_id",))

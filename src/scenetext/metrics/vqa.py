@@ -46,16 +46,22 @@ def normalize_answer(text: str) -> str:
     return " ".join(words)
 
 
+# Closed form in the match count m: m of the ten leave-one-out subsets hold
+# m-1 matches and 10-m hold m. Rational arithmetic, so each entry equals
+# the subset enumeration bit-for-bit.
+_ACCURACY_BY_MATCHES = tuple(
+    float((m * min(Fraction(max(m - 1, 0), 3), Fraction(1))
+           + (10 - m) * min(Fraction(m, 3), Fraction(1))) / 10)
+    for m in range(11)
+)
+
+
 def vqa_accuracy(item: VqaItem) -> float:
     """Mean of min(matches/3, 1) over the ten leave-one-out nine-answer
-    subsets; closed form in the total match count m."""
+    subsets, looked up by the total match count m."""
     pred = normalize_answer(item.prediction)
     m = sum(1 for a in item.answers if normalize_answer(a) == pred)
-    # exact rational arithmetic so the closed form equals the subset
-    # enumeration bit-for-bit
-    score = m * min(Fraction(max(m - 1, 0), 3), Fraction(1)) \
-        + (10 - m) * min(Fraction(m, 3), Fraction(1))
-    return float(score / 10)
+    return _ACCURACY_BY_MATCHES[m]
 
 
 def _anls_normalize(text: str) -> str:

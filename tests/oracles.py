@@ -25,6 +25,18 @@ def levenshtein_memo(a: str, b: str) -> int:
     return dist(len(a), len(b))
 
 
+def oracle_lcs_length(seq_a, seq_b) -> int:
+    """Longest common subsequence length by the row-by-row DP."""
+    row = [0] * (len(seq_b) + 1)
+    for ta in seq_a:
+        diag = 0
+        for j, tb in enumerate(seq_b, 1):
+            above = row[j]
+            row[j] = diag + 1 if ta == tb else max(above, row[j - 1])
+            diag = above
+    return row[-1]
+
+
 def vqa_accuracy_leave_one_out(prediction_norm: str, answers_norm: list[str]) -> float:
     """Brute-force enumeration over all ten leave-one-out nine-answer
     subsets, in exact rational arithmetic."""

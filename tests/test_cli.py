@@ -166,3 +166,77 @@ def test_missing_input_exits_1(tmp_path, capsys):
     code, _, err = run_cli(capsys, "validate", "--in", tmp_path / "nope.jsonl")
     assert code == 1
     assert "error" in err
+
+
+def test_evaluate_vqa_anls_short_golds_score_anls_only(tmp_path, capsys):
+    gold = tmp_path / "gold.jsonl"
+    pred = tmp_path / "pred.jsonl"
+    gold.write_text(json.dumps({"example_id": "e0", "answers": ["hallo"]}) + "\n"
+                    + json.dumps({"example_id": "e1", "answers": ["stop", "halt"]}) + "\n")
+    pred.write_text(json.dumps({"example_id": "e0", "prediction": "hello"}) + "\n"
+                    + json.dumps({"example_id": "e1", "prediction": "halt"}) + "\n")
+    code, out, _ = run_cli(capsys, "--json", "evaluate", "--task", "vqa_anls", "--per-item",
+                           "--pred", pred, "--gold", gold)
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload["aggregate"]) == {"anls"}
+    assert payload["aggregate"]["anls"] == pytest.approx(0.9)
+    assert [set(row) for row in payload["per_item"]] == [{"example_id", "anls"}] * 2
+
+    code, _, err = run_cli(capsys, "evaluate", "--task", "vqa", "--pred", pred, "--gold", gold)
+    assert code == 1
+    assert "exactly 10 answers" in err
+
+
+@pytest.mark.parametrize("which,bad_line", [
+    ("pred", b'{"example_id": "e1", "prediction": '),
+    ("gold", b'{"example_id": "e1", "answers": ['),
+    ("pred", b'{"prediction": "go"}'),
+    ("gold", b'{"answers": ["go"]}'),
+    ("pred", b'{"example_id": "e1"}'),
+    ("pred", b'["e1", "go"]'),
+    ("gold", b'\xff'),
+])
+def test_evaluate_malformed_line_exits_1_with_location(tmp_path, capsys, which, bad_line):
+    files = {
+        "gold": json.dumps({"example_id": "e0", "answers": ["stop"] * 10}).encode(),
+        "pred": json.dumps({"example_id": "e0", "prediction": "stop"}).encode(),
+    }
+    files[which] += b"\n" + bad_line
+    for name, data in files.items():
+        (tmp_path / f"{name}.jsonl").write_bytes(data + b"\n")
+    code, _, err = run_cli(capsys, "evaluate", "--task", "vqa",
+                           "--pred", tmp_path / "pred.jsonl", "--gold", tmp_path / "gold.jsonl")
+    assert code == 1
+    assert err.startswith(f"error: {tmp_path / which}.jsonl:2: ")
+
+
+@pytest.mark.parametrize("which", ["pred", "gold"])
+def test_evaluate_duplicate_example_id_exits_1(tmp_path, capsys, which):
+    gold = [json.dumps({"example_id": "a", "answers": ["x"] * 10})]
+    pred = [json.dumps({"example_id": "a", "prediction": "x"})]
+    if which == "pred":
+        pred.append(json.dumps({"example_id": "a", "prediction": "y"}))
+    else:
+        gold.append(json.dumps({"example_id": "a", "answers": ["y"] * 10}))
+    (tmp_path / "gold.jsonl").write_text("\n".join(gold) + "\n")
+    (tmp_path / "pred.jsonl").write_text("\n".join(pred) + "\n")
+    code, out, err = run_cli(capsys, "--json", "evaluate", "--task", "vqa",
+                             "--pred", tmp_path / "pred.jsonl", "--gold", tmp_path / "gold.jsonl")
+    assert code == 1
+    assert out == ""
+    assert f"{which}.jsonl:2: duplicate example_id 'a'" in err
+
+
+@pytest.mark.parametrize("task", ["vqa", "vqa_anls", "caption"])
+@pytest.mark.parametrize("texts", ["stop", [1] * 10, []])
+def test_evaluate_malformed_gold_texts_exit_1(tmp_path, capsys, task, texts):
+    key = "references" if task == "caption" else "answers"
+    (tmp_path / "gold.jsonl").write_text(
+        "".join(json.dumps({"example_id": ex_id, key: texts}) + "\n" for ex_id in ("e0", "e1")))
+    (tmp_path / "pred.jsonl").write_text(
+        "".join(json.dumps({"example_id": ex_id, "prediction": "stop"}) + "\n" for ex_id in ("e0", "e1")))
+    code, _, err = run_cli(capsys, "evaluate", "--task", task,
+                           "--pred", tmp_path / "pred.jsonl", "--gold", tmp_path / "gold.jsonl")
+    assert code == 1
+    assert err == f"error: e0: gold entry needs a non-empty list of string {key}\n"

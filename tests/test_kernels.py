@@ -1,34 +1,75 @@
+"""The bit-parallel kernels against the oracles in tests/oracles.py."""
+
 import random
-import string
-import subprocess
-import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scenetext.kernels import BACKEND, _pyfallback, lcs_length, levenshtein
+from oracles import levenshtein_memo, oracle_lcs_length
+from scenetext.kernels import lcs_length, levenshtein
 
-
-def random_pairs(n, max_len=40, seed=5):
-    rng = random.Random(seed)
-    alphabet = string.ascii_lowercase + "äöü日本語 "
-    for _ in range(n):
-        yield (
-            "".join(rng.choice(alphabet) for _ in range(rng.randint(0, max_len))),
-            "".join(rng.choice(alphabet) for _ in range(rng.randint(0, max_len))),
-        )
+# several symbols each, so random strings repeat them; two outside the BMP
+ALPHABET = "abcäö日本 😀𝄞"
 
 
-def test_backends_agree_on_levenshtein():
-    for a, b in random_pairs(500):
-        assert levenshtein(a, b) == _pyfallback.levenshtein(a, b)
+def random_text(rng, max_len):
+    return "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, max_len)))
 
 
-def test_backends_agree_on_lcs():
+def random_ids(rng, max_len, vocab=6):
+    return [rng.randrange(vocab) for _ in range(rng.randint(0, max_len))]
+
+
+def test_levenshtein_matches_oracle_on_random_pairs():
+    rng = random.Random(5)
+    for _ in range(500):
+        a, b = random_text(rng, 40), random_text(rng, 40)
+        assert levenshtein(a, b) == levenshtein_memo(a, b), (a, b)
+
+
+def test_lcs_matches_oracle_on_random_pairs():
     rng = random.Random(6)
     for _ in range(500):
-        a = [rng.randint(0, 9) for _ in range(rng.randint(0, 30))]
-        b = [rng.randint(0, 9) for _ in range(rng.randint(0, 30))]
-        assert lcs_length(a, b) == _pyfallback.lcs_length(a, b)
+        a, b = random_ids(rng, 30), random_ids(rng, 30)
+        assert lcs_length(a, b) == oracle_lcs_length(a, b), (a, b)
+
+
+@pytest.mark.parametrize("length", [63, 64, 65, 127, 128, 129, 200])
+def test_kernels_across_machine_words(length):
+    rng = random.Random(length)
+    for _ in range(5):
+        a = "".join(rng.choice(ALPHABET) for _ in range(length))
+        b = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(length // 2, length + 10)))
+        assert levenshtein(a, b) == levenshtein_memo(a, b)
+        assert levenshtein(b, a) == levenshtein_memo(a, b)
+        x = [rng.randrange(4) for _ in range(length)]
+        y = [rng.randrange(4) for _ in range(rng.randint(length // 2, length + 10))]
+        assert lcs_length(x, y) == lcs_length(y, x) == oracle_lcs_length(x, y)
+
+
+def test_empty_and_equal_inputs():
+    for s in ["", "a", "😀", "abcabc" * 30]:
+        assert levenshtein(s, s) == 0
+        assert levenshtein(s, "") == levenshtein("", s) == len(s)
+        ids = [ord(c) for c in s]
+        assert lcs_length(ids, ids) == len(ids)
+        assert lcs_length(ids, []) == lcs_length([], ids) == 0
+
+
+def test_repeated_symbols():
+    assert levenshtein("a" * 100, "a" * 70) == 30
+    assert levenshtein("ab" * 50, "ba" * 50) == 2
+    assert levenshtein("a" * 130, "b" * 130) == 130
+    assert lcs_length([1] * 100, [1] * 70) == 70
+    assert lcs_length([1, 2] * 50, [2, 1] * 50) == 99
+    assert lcs_length([1] * 130, [2] * 130) == 0
+
+
+def test_non_bmp_characters():
+    assert levenshtein("😀😀", "😀") == 1
+    assert levenshtein("𝄞a😀", "a😀𝄞") == 2
+    assert lcs_length("𝄞a😀", "a😀𝄞") == 2
 
 
 def test_lcs_basics():
@@ -36,6 +77,7 @@ def test_lcs_basics():
     assert lcs_length([1, 2, 3], [1, 2, 3]) == 3
     assert lcs_length([1, 2, 3, 4], [2, 4]) == 2
     assert lcs_length([1, 2], [3, 4]) == 0
+    assert lcs_length(["a", "b", "c"], ["b", "c", "d"]) == 2
 
 
 def test_levenshtein_unicode():
@@ -43,11 +85,13 @@ def test_levenshtein_unicode():
     assert levenshtein("naïve", "naive") == 1
 
 
-@pytest.mark.skipif(BACKEND != "cython", reason="compiled extension not built")
-def test_env_var_forces_pure_python():
-    out = subprocess.run(
-        [sys.executable, "-c", "from scenetext.kernels import BACKEND; print(BACKEND)"],
-        env={"SCENETEXT_PURE_PYTHON": "1", "PATH": "/usr/bin:/bin"},
-        capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "python"
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=80), st.text(max_size=80))
+def test_levenshtein_property(a, b):
+    assert levenshtein(a, b) == levenshtein_memo(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=80), st.text(max_size=80))
+def test_lcs_property(a, b):
+    assert lcs_length(a, b) == oracle_lcs_length(a, b)
