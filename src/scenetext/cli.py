@@ -8,29 +8,22 @@ stdout when --json is set. Exit codes: 0 success, 1 runtime failure,
 
 import argparse
 import json
-import os
 import sys
+from collections import Counter
 
 from .errors import SceneTextError
-from .hashing import keep_fraction
 from .metrics import EvalTask, evaluate, read_golds, read_predictions
 from .pipeline import (
     PipelineConfig,
     compute_stats,
-    iter_lines,
+    ingest,
     load_records,
     run,
     run_finetune,
+    subsample,
 )
 from .pretrain import Objective
-from .records import CorpusValidator, parse_record
-from .errors import ParseError, SchemaError
 from .finetune import Task
-from .textformat import TextFormat
-
-
-def _default_threads() -> int:
-    return int(os.environ.get("SCENETEXT_THREADS", "1"))
 
 
 def _add_io(parser, needs_out=False):
@@ -47,7 +40,8 @@ def _add_build_flags(parser):
     parser.add_argument("--shards", type=int, default=1)
     parser.add_argument("--overlap-threshold", type=float, default=0.5,
                         help="vertical overlap fraction for line grouping")
-    parser.add_argument("--threads", type=int, default=_default_threads())
+    parser.add_argument("--threads", type=int, default=1,
+                        help="recorded in the manifest; builds run in one thread")
     parser.add_argument("--compress", action="store_true",
                         help="gzip-compress output shards")
     parser.add_argument("--resolution", type=int, default=None,
@@ -110,24 +104,13 @@ def _emit(summary: str, payload: dict, as_json: bool) -> None:
 
 
 def _cmd_validate(args) -> dict:
-    validator = CorpusValidator()
-    counts = {"lines": 0, "parse_errors": 0, "valid": 0, "invalid": 0}
-    violations: dict[str, int] = {}
-    for line in iter_lines(args.inputs):
-        counts["lines"] += 1
-        try:
-            record = parse_record(line)
-        except (ParseError, SchemaError):
-            counts["parse_errors"] += 1
-            continue
-        report = validator.validate(record)
-        if report.ok:
-            counts["valid"] += 1
-        else:
-            counts["invalid"] += 1
-            for v in report.violations:
-                violations[v] = violations.get(v, 0) + 1
-    return {"counts": counts, "violations": violations}
+    counters: Counter = Counter()
+    violations: Counter = Counter()
+    for _ in ingest(args.inputs, counters, violations):
+        pass
+    counts = {"lines": counters["lines"], "parse_errors": counters["parse_errors"],
+              "valid": counters["valid_records"], "invalid": counters["validation_skips"]}
+    return {"counts": counts, "violations": dict(violations)}
 
 
 def _pipeline_config(args, stages=None) -> PipelineConfig:
@@ -139,7 +122,6 @@ def _pipeline_config(args, stages=None) -> PipelineConfig:
         fraction=args.fraction,
         shard_count=args.shards,
         overlap_threshold=args.overlap_threshold,
-        fmt=TextFormat(),
         passes=getattr(args, "passes", 1),
         threads=args.threads,
         compress=args.compress,
@@ -160,12 +142,8 @@ def main(argv=None) -> int:
                   payload, args.json)
 
         elif args.command == "stats":
-            from collections import Counter
-
             counters: Counter = Counter()
-            config = PipelineConfig(inputs=tuple(args.inputs), out_dir=".",
-                                    seed=args.seed, fraction=args.fraction)
-            records = load_records(config, counters)
+            records = load_records(args.inputs, args.fraction, args.seed, counters)
             stats = compute_stats(records)
             payload = {"counters": dict(counters), "stats": stats.to_dict()}
             _emit(f"{stats.record_count} records, "
@@ -190,16 +168,17 @@ def main(argv=None) -> int:
                   f"-> {args.out_dir}", manifest, args.json)
 
         elif args.command == "subsample":
-            kept = total = 0
+            counters = Counter()
+            pairs = subsample(ingest(args.inputs, counters), args.fraction, args.seed,
+                              key=lambda pair: pair[1].image_id)
+            kept = 0
             with open(args.out, "w", encoding="utf-8") as out:
-                for line in iter_lines(args.inputs):
-                    total += 1
-                    record = parse_record(line)
-                    if keep_fraction(args.seed, record.image_id, args.fraction):
-                        out.write(line if line.endswith("\n") else line + "\n")
-                        kept += 1
-            payload = {"total": total, "kept": kept, "fraction": args.fraction,
-                       "seed": args.seed, "out": args.out}
+                for line, _ in pairs:
+                    out.write(line if line.endswith("\n") else line + "\n")
+                    kept += 1
+            total = counters["lines"]
+            payload = {"total": total, "kept": kept, "counters": dict(counters),
+                       "fraction": args.fraction, "seed": args.seed, "out": args.out}
             _emit(f"kept {kept}/{total} records at fraction {args.fraction}",
                   payload, args.json)
 

@@ -12,8 +12,8 @@ import hashlib
 import json
 import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from . import __version__
@@ -36,7 +36,7 @@ class PipelineConfig:
     overlap_threshold: float = 0.5
     fmt: TextFormat = TextFormat()
     passes: int = 1
-    threads: int = 1
+    threads: int = 1  # recorded in the manifest; builds run in one thread
     compress: bool = False
     resolution: int | None = None  # image-resolution tag, manifest metadata only
 
@@ -78,28 +78,65 @@ class DatasetStats:
         }
 
 
-def iter_lines(paths: Iterable[str]) -> Iterator[str]:
+def iter_lines(paths: Iterable[str]) -> Iterator[bytes]:
+    """Non-blank lines of plain or gzip (.gz) files, undecoded."""
     for path in paths:
         opener = gzip.open if str(path).endswith(".gz") else open
-        with opener(path, "rt", encoding="utf-8") as fh:
+        with opener(path, "rb") as fh:
             for line in fh:
                 if line.strip():
                     yield line
 
 
-def subsample(records: Iterable[Record], fraction: float, seed: int) -> Iterator[Record]:
-    """Keep a record iff hash64(seed, image_id)/2^64 < fraction.
+def ingest(paths: Iterable[str], counters: Counter,
+           violations: Counter | None = None) -> Iterator[tuple[str, Record]]:
+    """Yield (line, record) for each valid record of the inputs, in order.
+
+    Each line is decoded on its own, so a bad byte costs one line. A line
+    that does not decode or parse counts as a parse error, a record the
+    validator rejects as a validation skip; neither stops the stream.
+    `violations`, when given, counts the validator's findings by name.
+    """
+    validator = CorpusValidator()
+    for raw in iter_lines(paths):
+        counters["lines"] += 1
+        try:
+            line = raw.decode("utf-8")
+            record = parse_record(line)
+        except (UnicodeDecodeError, ParseError, SchemaError):
+            counters["parse_errors"] += 1
+            continue
+        report = validator.validate(record)
+        if not report.ok:
+            counters["validation_skips"] += 1
+            if violations is not None:
+                violations.update(report.violations)
+            continue
+        counters["valid_records"] += 1
+        yield line, record
+
+
+def subsample(records: Iterable, fraction: float, seed: int,
+              key=attrgetter("image_id")) -> Iterator:
+    """Keep a record iff hash64(seed, key(record))/2^64 < fraction.
 
     Order-independent, and nested across fractions under the same seed.
+    The fraction is checked at once; the records are filtered lazily.
     """
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
     if fraction == 1.0:
-        yield from records
-        return
-    for record in records:
-        if keep_fraction(seed, record.image_id, fraction):
-            yield record
+        return iter(records)
+    return (r for r in records if keep_fraction(seed, key(r), fraction))
+
+
+def load_records(paths: Iterable[str], fraction: float, seed: int,
+                 counters: Counter) -> list[Record]:
+    """Ingest and subsample; only the kept records are held in memory."""
+    kept = list(subsample((record for _, record in ingest(paths, counters)), fraction, seed))
+    counters.setdefault("valid_records", 0)  # reported even when no line is valid
+    counters["subsampled_records"] = len(kept)
+    return kept
 
 
 def compute_stats(records: Iterable[Record]) -> DatasetStats:
@@ -135,51 +172,22 @@ def shuffle_and_shard(examples: list[tuple[str, str]], seed: int,
     return shards
 
 
-def _build_pretrain_examples(records, objective, config: PipelineConfig):
-    obj_config = ObjectiveConfig(fmt=config.fmt, overlap_threshold=config.overlap_threshold)
-    built = []
-
-    def one(record):
-        out = []
-        for pass_index in range(config.passes):
-            cfg = dataclasses.replace(obj_config, pass_index=pass_index)
-            try:
-                ex = build_example(record, objective, config.seed, cfg)
-            except SkipRecord:
-                return out
-            out.append((ex.example_id, ex.to_json()))
-        return out
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            for chunk in pool.map(one, records, chunksize=256):
-                built.extend(chunk)
-    else:
-        for record in records:
-            built.extend(one(record))
-    built.sort(key=lambda e: e[0])
-    return built
-
-
-def _build_finetune_examples(records, task: Task, ocr_included: bool,
-                             config: PipelineConfig):
-    obj_config = ObjectiveConfig(fmt=config.fmt, overlap_threshold=config.overlap_threshold)
+def _build_examples(records: Iterable[Record], build) -> list[tuple[str, str]]:
+    """(example_id, JSON line) for each example build(record) returns;
+    a record it raises SkipRecord for is left out."""
     built = []
     for record in records:
         try:
-            if task is Task.VQA:
-                examples = build_vqa_examples(record, ocr_included, obj_config)
-            else:
-                examples = build_caption_examples(record, ocr_included, obj_config)
+            examples = build(record)
         except SkipRecord:
             continue
         built.extend((ex.example_id, ex.to_json()) for ex in examples)
-    built.sort(key=lambda e: e[0])
     return built
 
 
 def _write_shards(shards: list[list[str]], out_dir: str, dataset: str,
-                  compress: bool) -> list[dict]:
+                  compress: bool, written: list[str]) -> list[dict]:
+    """Write one file per shard; each path joins `written` once opened."""
     infos = []
     suffix = ".jsonl.gz" if compress else ".jsonl"
     for i, lines in enumerate(shards):
@@ -192,6 +200,7 @@ def _write_shards(shards: list[list[str]], out_dir: str, dataset: str,
         else:
             data = payload
         with open(path, "wb") as fh:
+            written.append(path)
             fh.write(data)
         infos.append({
             "file": name,
@@ -206,54 +215,22 @@ def _config_hash(config: PipelineConfig) -> str:
     return hashlib.sha256(canon).hexdigest()
 
 
-def load_records(config: PipelineConfig, counters: Counter) -> list[Record]:
-    """Ingest, validate, and subsample; invalid records are counted and
-    skipped, never fatal."""
-    validator = CorpusValidator()
-    records = []
-    for line in iter_lines(config.inputs):
-        counters["lines"] += 1
-        try:
-            record = parse_record(line)
-        except (ParseError, SchemaError):
-            counters["parse_errors"] += 1
-            continue
-        report = validator.validate(record)
-        if not report.ok:
-            counters["validation_skips"] += 1
-            continue
-        records.append(record)
-    counters["valid_records"] = len(records)
-    kept = list(subsample(records, config.fraction, config.seed))
-    counters["subsampled_records"] = len(kept)
-    return kept
-
-
-def run(config: PipelineConfig) -> dict:
-    """Execute ingest -> validate -> subsample -> per-stage build ->
-    shuffle/shard -> stats, and write a reproducibility manifest."""
-    build_stage_plan(config.stages, corpus_ref=",".join(config.inputs))
+def _build(config: PipelineConfig, datasets, manifest_name: str, describe) -> dict:
+    """The one build path: ingest and subsample, then build, shuffle/shard
+    and write each (name, build) dataset, then write the manifest: the
+    common head plus describe(records, [(example_count, shard_infos), ...]).
+    Every file this run wrote is removed if any step fails."""
     os.makedirs(config.out_dir, exist_ok=True)
     written: list[str] = []
-    counters: Counter = Counter()
     try:
-        records = load_records(config, counters)
-        stats = compute_stats(records)
-
-        stage_infos = []
-        for stage_index, objective in enumerate(config.stages):
-            examples = _build_pretrain_examples(records, objective, config)
+        counters: Counter = Counter()
+        records = load_records(config.inputs, config.fraction, config.seed, counters)
+        built = []
+        for name, build in datasets:
+            examples = _build_examples(records, build)
             shards = shuffle_and_shard(examples, config.seed, config.shard_count)
-            dataset = f"stage{stage_index}_{objective.value.lower()}"
-            shard_infos = _write_shards(shards, config.out_dir, dataset, config.compress)
-            written.extend(os.path.join(config.out_dir, s["file"]) for s in shard_infos)
-            stage_infos.append({
-                "stage": stage_index,
-                "objective": objective.value,
-                "example_count": len(examples),
-                "shards": shard_infos,
-            })
-
+            built.append((len(examples),
+                          _write_shards(shards, config.out_dir, name, config.compress, written)))
         manifest = {
             "tool": "scenetext",
             "version": __version__,
@@ -261,43 +238,54 @@ def run(config: PipelineConfig) -> dict:
             "config_hash": _config_hash(config),
             "seed": config.seed,
             "counters": dict(counters),
-            "stats": stats.to_dict(),
-            "stages": stage_infos,
+            **describe(records, built),
         }
-        manifest_path = os.path.join(config.out_dir, "manifest.json")
+        manifest_path = os.path.join(config.out_dir, manifest_name)
         with open(manifest_path, "w", encoding="utf-8") as fh:
+            written.append(manifest_path)
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return manifest
-    except Exception:
+    except BaseException:
         for path in written:
             if os.path.exists(path):
                 os.remove(path)
         raise
 
 
+def run(config: PipelineConfig) -> dict:
+    """Execute ingest -> validate -> subsample -> per-stage build ->
+    shuffle/shard -> stats, and write a reproducibility manifest."""
+    plan = build_stage_plan(config.stages)
+    configs = [ObjectiveConfig(fmt=config.fmt, overlap_threshold=config.overlap_threshold,
+                               pass_index=p) for p in range(config.passes)]
+
+    def stage_build(objective):
+        return lambda record: [build_example(record, objective, config.seed, c) for c in configs]
+
+    def describe(records, built):
+        return {
+            "stats": compute_stats(records).to_dict(),
+            "stages": [{"stage": i, "objective": objective.value, "example_count": count,
+                        "shards": shards}
+                       for i, (objective, (count, shards)) in enumerate(zip(plan.stages, built))],
+        }
+
+    datasets = [(name, stage_build(objective))
+                for name, objective in zip(plan.dataset_names, plan.stages)]
+    return _build(config, datasets, "manifest.json", describe)
+
+
 def run_finetune(config: PipelineConfig, task: Task, ocr_included: bool = True) -> dict:
     """Fine-tuning variant of run(): one dataset instead of stage datasets."""
-    os.makedirs(config.out_dir, exist_ok=True)
-    counters: Counter = Counter()
-    records = load_records(config, counters)
-    examples = _build_finetune_examples(records, task, ocr_included, config)
-    shards = shuffle_and_shard(examples, config.seed, config.shard_count)
+    obj_config = ObjectiveConfig(fmt=config.fmt, overlap_threshold=config.overlap_threshold)
+    builder = build_vqa_examples if task is Task.VQA else build_caption_examples
     dataset = f"finetune_{task.value.lower()}"
-    shard_infos = _write_shards(shards, config.out_dir, dataset, config.compress)
-    manifest = {
-        "tool": "scenetext",
-        "version": __version__,
-        "config": config.to_dict(),
-        "config_hash": _config_hash(config),
-        "seed": config.seed,
-        "task": task.value,
-        "ocr_included": ocr_included,
-        "counters": dict(counters),
-        "example_count": len(examples),
-        "shards": shard_infos,
-    }
-    with open(os.path.join(config.out_dir, f"{dataset}_manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return manifest
+
+    def describe(records, built):
+        [(count, shards)] = built
+        return {"task": task.value, "ocr_included": ocr_included, "example_count": count,
+                "shards": shards}
+
+    return _build(config, [(dataset, lambda record: builder(record, ocr_included, obj_config))],
+                  f"{dataset}_manifest.json", describe)

@@ -9,7 +9,7 @@ prefix and targets the remainder.
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ConfigError, SkipRecord
@@ -183,21 +183,15 @@ class StagePlan:
     """Ordered list of per-objective dataset builds for sequential training."""
 
     stages: tuple[Objective, ...]
-    corpus_ref: str
-    dataset_names: tuple[str, ...] = field(default=())
 
-    def __post_init__(self):
-        if not self.dataset_names:
-            object.__setattr__(
-                self,
-                "dataset_names",
-                tuple(f"stage{i}_{obj.value.lower()}" for i, obj in enumerate(self.stages)),
-            )
+    @property
+    def dataset_names(self) -> tuple[str, ...]:
+        """One output dataset name per stage, in training order."""
+        return tuple(f"stage{i}_{obj.value.lower()}" for i, obj in enumerate(self.stages))
 
 
-def build_stage_plan(stages, corpus_ref: str) -> StagePlan:
-    """Validate and name the per-stage output datasets, in training order."""
+def build_stage_plan(stages) -> StagePlan:
+    """Validate the stage objectives, given as Objectives or tags."""
     if not stages:
         raise ConfigError("stage plan must contain at least one objective")
-    resolved = tuple(s if isinstance(s, Objective) else Objective.from_tag(s) for s in stages)
-    return StagePlan(stages=resolved, corpus_ref=corpus_ref)
+    return StagePlan(tuple(s if isinstance(s, Objective) else Objective.from_tag(s) for s in stages))

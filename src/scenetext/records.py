@@ -7,6 +7,8 @@ Input is one JSON object per line:
 """
 
 import json
+import math
+import re
 from dataclasses import dataclass, field
 
 from .errors import ParseError, SchemaError
@@ -22,10 +24,14 @@ class BBox:
     h: float
 
     def __post_init__(self):
-        if self.w <= 0 or self.h <= 0:
+        # Written so that NaN fails each test. Finite right and bottom edges
+        # keep every reading-order computation finite, so the order is total.
+        if not (self.w > 0 and self.h > 0):
             raise SchemaError(f"bbox width/height must be positive, got {self}")
-        if self.x < 0 or self.y < 0:
+        if not (self.x >= 0 and self.y >= 0):
             raise SchemaError(f"bbox origin must be non-negative, got {self}")
+        if not (self.x + self.w < math.inf and self.y + self.h < math.inf):
+            raise SchemaError(f"bbox edges must be finite, got {self}")
 
     @property
     def y_center(self) -> float:
@@ -102,23 +108,16 @@ def _parse_token(raw) -> OcrToken:
 def _parse_qa(raw) -> QaAnnotation:
     if not isinstance(raw, dict) or "question" not in raw or "answers" not in raw:
         raise SchemaError("qa entry requires 'question' and 'answers'")
+    if not isinstance(raw["question"], str):
+        raise SchemaError("question must be a string")
     answers = raw["answers"]
     if not isinstance(answers, list) or not all(isinstance(a, str) for a in answers):
         raise SchemaError("answers must be a list of strings")
     return QaAnnotation(question=raw["question"], answers=tuple(answers))
 
 
-def parse_record(line: str) -> Record:
-    """Parse one JSONL line into a Record.
-
-    Unknown fields are ignored. Raises ParseError for malformed JSON (with
-    the byte offset) and SchemaError for schema violations.
-    """
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        offset = len(line[: exc.pos].encode("utf-8"))
-        raise ParseError(f"malformed JSON: {exc.msg}", offset=offset) from exc
+def _record(obj) -> Record:
+    """The Record a decoded JSON value describes; SchemaError if it breaks the schema."""
     if not isinstance(obj, dict):
         raise SchemaError("record must be a JSON object")
     if "image_id" not in obj or not isinstance(obj["image_id"], str) or not obj["image_id"]:
@@ -129,6 +128,9 @@ def parse_record(line: str) -> Record:
         raw = obj["image_size"]
         if not isinstance(raw, (list, tuple)) or len(raw) != 2:
             raise SchemaError("image_size must be [width, height]")
+        for v in raw:
+            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+                raise SchemaError("image_size values must be finite numbers")
         image_size = (int(raw[0]), int(raw[1]))
 
     ocr_raw = obj.get("ocr", [])
@@ -144,15 +146,50 @@ def parse_record(line: str) -> Record:
     caption = obj.get("caption")
     if caption is not None and not isinstance(caption, str):
         raise SchemaError("caption must be a string")
+    image_uri = obj.get("image_uri")
+    if image_uri is not None and not isinstance(image_uri, str):
+        raise SchemaError("image_uri must be a string")
 
     return Record(
         image_id=obj["image_id"],
-        image_uri=obj.get("image_uri"),
+        image_uri=image_uri,
         image_size=image_size,
         caption=caption,
         ocr=tuple(_parse_token(t) for t in ocr_raw),
         qa=qa,
     )
+
+
+# A lone surrogate can only come from a \uD800-\uDFFF escape in UTF-8 input.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def parse_record(line: str) -> Record:
+    """Parse one JSONL line into a Record.
+
+    Unknown fields are ignored. Raises ParseError for malformed JSON (with
+    the byte offset when the decoder gives one) and SchemaError for schema
+    violations; no other exception escapes for any input string.
+    """
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        offset = len(line[: exc.pos].encode("utf-8", "surrogatepass"))
+        raise ParseError(f"malformed JSON: {exc.msg}", offset=offset) from exc
+    except (RecursionError, ValueError) as exc:
+        # nesting deeper than the decoder's recursion limit, or an integer
+        # literal longer than int() converts
+        raise ParseError(f"malformed JSON: {exc}") from None
+    try:
+        record = _record(obj)
+    except OverflowError:  # an integer beyond the float range
+        raise SchemaError("numbers must be within the float range") from None
+    if _SURROGATE_ESCAPE.search(line):
+        try:
+            serialize_record(record).encode("utf-8")
+        except UnicodeEncodeError:
+            raise SchemaError("strings must not contain lone surrogates") from None
+    return record
 
 
 def serialize_record(record: Record) -> str:

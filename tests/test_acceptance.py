@@ -27,7 +27,7 @@ from scenetext.metrics import (
     vqa_accuracy,
 )
 from scenetext.ordering import order_tokens
-from scenetext.pipeline import PipelineConfig, _build_pretrain_examples, run
+from scenetext.pipeline import PipelineConfig, _build_examples, run, shuffle_and_shard
 from scenetext.pretrain import Objective, build_example, sample_split_point
 from scenetext.records import QaAnnotation, serialize_record
 
@@ -130,17 +130,18 @@ def test_criterion_splitocr_contract_suite():
     p = chisquare(counts).pvalue
     uniform_ok = p > 0.01 and all(abs(c / 100_000 - 0.25) < 0.015 for c in counts)
 
-    # (c) identical (seed, image_id) across 1- and 8-thread runs
-    records = [random_layout_record(rng, image_id=f"thr{i}") for i in range(2000)]
-    base = dict(inputs=("x",), out_dir=".", stages=(Objective.SPLITOCR,), seed=seed)
-    one = _build_pretrain_examples(records, Objective.SPLITOCR,
-                                   PipelineConfig(**base, threads=1))
-    eight = _build_pretrain_examples(list(reversed(records)), Objective.SPLITOCR,
-                                     PipelineConfig(**base, threads=8))
-    threads_ok = one == eight
+    # (c) identical shards from (seed, image_id) whatever the record order
+    records = [random_layout_record(rng, image_id=f"ord{i}") for i in range(2000)]
 
-    report("SplitOCR contract suite", uniform_ok and threads_ok,
-           f"chi-square p={p:.3f}; 1-thread == 8-thread")
+    def build(record):
+        return [build_example(record, Objective.SPLITOCR, seed)]
+
+    forward = shuffle_and_shard(_build_examples(records, build), seed, 4)
+    backward = shuffle_and_shard(_build_examples(list(reversed(records)), build), seed, 4)
+    order_ok = forward == backward
+
+    report("SplitOCR contract suite", uniform_ok and order_ok,
+           f"chi-square p={p:.3f}; forward == reversed record order")
 
 
 def test_criterion_ordering_suite():

@@ -240,3 +240,82 @@ def test_evaluate_malformed_gold_texts_exit_1(tmp_path, capsys, task, texts):
                            "--pred", tmp_path / "pred.jsonl", "--gold", tmp_path / "gold.jsonl")
     assert code == 1
     assert err == f"error: e0: gold entry needs a non-empty list of string {key}\n"
+
+
+@pytest.fixture
+def corpus_with_bad_lines(corpus, tmp_path):
+    """The corpus with an undecodable byte, a malformed line and a
+    schema-invalid line spliced in; its 60 valid records are unchanged."""
+    lines = corpus.read_bytes().splitlines(keepends=True)
+    bad = [b'{"image_id": "bad-byte", "caption": "\xff"}\n', b"{not json\n", b'{"ocr": []}\n']
+    path = tmp_path / "with_bad_lines.jsonl"
+    path.write_bytes(b"".join(lines[:5] + bad[:1] + lines[5:30] + bad[1:] + lines[30:]))
+    return path
+
+
+def test_validate_counts_undecodable_line_as_parse_error(corpus_with_bad_lines, capsys):
+    code, out, _ = run_cli(capsys, "--json", "validate", "--in", corpus_with_bad_lines)
+    assert code == 0
+    assert json.loads(out)["counts"] == {"lines": 63, "parse_errors": 3, "valid": 60, "invalid": 0}
+
+
+def test_build_pretrain_counts_undecodable_line_as_parse_error(corpus_with_bad_lines, tmp_path,
+                                                                capsys):
+    code, out, _ = run_cli(capsys, "--json", "build-pretrain", "--objective", "ocr",
+                           "--in", corpus_with_bad_lines, "--out-dir", tmp_path / "out")
+    assert code == 0
+    counters = json.loads(out)["counters"]
+    assert counters["lines"] == 63
+    assert counters["parse_errors"] == 3
+    assert counters["valid_records"] == 60
+
+
+@pytest.mark.parametrize("fraction", ["5", "0", "-1"])
+def test_subsample_rejects_fraction_outside_unit_interval(corpus, tmp_path, capsys, fraction):
+    out_file = tmp_path / "sub.jsonl"
+    code, _, err = run_cli(capsys, "subsample", "--in", corpus, "--out", out_file,
+                           "--fraction", fraction)
+    assert code == 1
+    assert err.startswith("error: fraction must be in (0, 1]")
+    assert not out_file.exists()
+
+
+def test_subsample_skips_and_counts_bad_lines(corpus, corpus_with_bad_lines, tmp_path, capsys):
+    out_file = tmp_path / "sub.jsonl"
+    code, out, _ = run_cli(capsys, "--json", "subsample", "--in", corpus_with_bad_lines,
+                           "--out", out_file, "--fraction", 1.0)
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["total"], payload["kept"]) == (63, 60)
+    assert payload["counters"]["parse_errors"] == 3
+    assert out_file.read_bytes() == corpus.read_bytes()
+
+
+def test_subsample_output_builds_the_same_shards(corpus_with_bad_lines, tmp_path, capsys):
+    sub = tmp_path / "sub.jsonl"
+    code, _, _ = run_cli(capsys, "subsample", "--in", corpus_with_bad_lines, "--out", sub,
+                         "--fraction", 0.3, "--seed", 7)
+    assert code == 0
+    build = ["--json", "build-pretrain", "--stages", "splitocr,cap", "--shards", 3, "--seed", 7]
+    _, from_sub, _ = run_cli(capsys, *build, "--in", sub, "--out-dir", tmp_path / "a")
+    _, from_full, _ = run_cli(capsys, *build, "--fraction", 0.3, "--in", corpus_with_bad_lines,
+                              "--out-dir", tmp_path / "b")
+
+    def digests(out):
+        return [[s["sha256"] for s in stage["shards"]] for stage in json.loads(out)["stages"]]
+
+    assert json.loads(from_full)["counters"]["subsampled_records"] > 0
+    assert digests(from_sub) == digests(from_full)
+
+
+@pytest.mark.parametrize("argv,blocked", [
+    (["build-pretrain", "--stages", "splitocr,cap"], "stage1_cap-00001-of-00002.jsonl"),
+    (["build-finetune", "--task", "vqa"], "finetune_vqa-00001-of-00002.jsonl"),
+], ids=["build-pretrain", "build-finetune"])
+def test_failed_build_removes_its_shards(corpus, tmp_path, capsys, argv, blocked):
+    out_dir = tmp_path / "out"
+    (out_dir / blocked).mkdir(parents=True)
+    code, _, err = run_cli(capsys, *argv, "--shards", 2, "--in", corpus, "--out-dir", out_dir)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert [p.name for p in out_dir.iterdir()] == [blocked]

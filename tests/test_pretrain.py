@@ -186,21 +186,21 @@ def test_splitocr_target_is_suffix_of_ocr_target(rng):
 
 
 def test_stage_plan():
-    plan = build_stage_plan([Objective.SPLITOCR, Objective.CAP], "corpus.jsonl")
+    plan = build_stage_plan([Objective.SPLITOCR, Objective.CAP])
     assert plan.stages == (Objective.SPLITOCR, Objective.CAP)
     assert plan.dataset_names == ("stage0_splitocr", "stage1_cap")
 
 
 def test_stage_plan_from_tags():
-    plan = build_stage_plan(["ocr", "cap"], "c")
+    plan = build_stage_plan(["ocr", "cap"])
     assert plan.stages == (Objective.OCR, Objective.CAP)
 
 
 def test_stage_plan_rejects_empty_and_unknown():
     with pytest.raises(ConfigError):
-        build_stage_plan([], "c")
+        build_stage_plan([])
     with pytest.raises(ConfigError):
-        build_stage_plan(["bogus"], "c")
+        build_stage_plan(["bogus"])
 
 
 def test_example_json_schema():

@@ -1,6 +1,11 @@
+import json
+import math
+
 import pytest
+from hypothesis import given, strategies as st
 
 from scenetext.errors import ParseError, SchemaError
+from scenetext.ordering import order_tokens
 from scenetext.records import (
     BBox,
     CorpusValidator,
@@ -109,3 +114,98 @@ def test_validator_flags_duplicate_image_id():
 def test_token_rejects_interior_newline():
     with pytest.raises(SchemaError):
         OcrToken(text="a\nb", bbox=BBox(0, 0, 1, 1))
+
+
+_TOKEN = '{"image_id":"a","ocr":[{"text":"x","bbox":%s}]}'
+_HOSTILE = {
+    "image_size_text": ('{"image_id":"a","image_size":["a",1]}', SchemaError),
+    "image_size_list": ('{"image_id":"a","image_size":[[1],2]}', SchemaError),
+    "image_size_1e400": ('{"image_id":"a","image_size":[1e400,2]}', SchemaError),
+    "image_size_nan": ('{"image_id":"a","image_size":[NaN,2]}', SchemaError),
+    "image_size_bool": ('{"image_id":"a","image_size":[true,2]}', SchemaError),
+    "bbox_x_nan": (_TOKEN % "[NaN,0,1,1]", SchemaError),
+    "bbox_w_nan": (_TOKEN % "[0,0,NaN,1]", SchemaError),
+    "bbox_x_1e400": (_TOKEN % "[1e400,0,1,1]", SchemaError),
+    "bbox_h_infinity": (_TOKEN % "[0,0,1,Infinity]", SchemaError),
+    "bbox_right_edge_overflows": (_TOKEN % "[1e308,0,1e308,1]", SchemaError),
+    "bbox_int_beyond_float": (_TOKEN % f"[1{'0' * 400},0,1,1]", SchemaError),
+    "confidence_int_beyond_float": (
+        '{"image_id":"a","ocr":[{"text":"x","bbox":[0,0,1,1],"confidence":1%s}]}' % ("0" * 400),
+        SchemaError),
+    "image_uri_number": ('{"image_id":"a","image_uri":5}', SchemaError),
+    "question_number": ('{"image_id":"a","qa":[{"question":5,"answers":["x"]}]}', SchemaError),
+    "image_id_lone_surrogate": ('{"image_id":"\\ud800"}', SchemaError),
+    "caption_lone_surrogate": ('{"image_id":"a","caption":"x\\udfff"}', SchemaError),
+    "nesting_too_deep": ('{"image_id":"a","caption":%s}' % ("[" * 100_000 + "]" * 100_000),
+                         ParseError),
+    "int_literal_too_long": ('{"image_id":"a","image_size":[1%s,1]}' % ("0" * 5000), ParseError),
+}
+
+
+@pytest.mark.parametrize("line,error", _HOSTILE.values(), ids=_HOSTILE.keys())
+def test_parse_rejects_hostile_values_with_package_errors(line, error):
+    with pytest.raises(error):
+        parse_record(line)
+
+
+def test_parse_keeps_escaped_surrogate_pairs():
+    rec = parse_record('{"image_id":"a","caption":"\\ud83d\\ude00"}')
+    assert rec.caption == "\U0001F600"
+
+
+def test_bbox_rejects_nan_and_infinite_edges():
+    for coords in ([math.nan, 0, 1, 1], [0, 0, 1, math.nan], [0, 0, math.inf, 1], [1e308, 0, 1e308, 1]):
+        with pytest.raises(SchemaError):
+            BBox(*coords)
+
+
+def _assert_record_or_package_error(line):
+    """parse_record either rejects the line with a package error or returns
+    a record that validation, reading order and serialization all accept."""
+    try:
+        record = parse_record(line)
+    except (ParseError, SchemaError):
+        return
+    validate_record(record)
+    order_tokens(record.ocr)
+    serialize_record(record).encode("utf-8")
+    for tok in record.ocr:
+        assert all(math.isfinite(v) for v in (tok.bbox.x, tok.bbox.y, tok.bbox.w, tok.bbox.h))
+
+
+_VALID = {
+    "image_id": "a", "image_uri": "u", "image_size": [100, 100], "caption": "c",
+    "ocr": [{"text": "GO", "bbox": [1, 2, 3, 4], "confidence": 0.5}],
+    "qa": [{"question": "q", "answers": ["x"]}],
+}
+# every position of _VALID that a hostile value can take
+_POSITIONS = [
+    ("image_id",), ("image_uri",), ("image_size",), ("image_size", 0), ("image_size", 1),
+    ("caption",), ("ocr",), ("ocr", 0), ("ocr", 0, "text"), ("ocr", 0, "bbox"),
+    ("ocr", 0, "bbox", 0), ("ocr", 0, "bbox", 1), ("ocr", 0, "bbox", 2), ("ocr", 0, "bbox", 3),
+    ("ocr", 0, "confidence"), ("qa",), ("qa", 0), ("qa", 0, "question"), ("qa", 0, "answers"),
+    ("qa", 0, "answers", 0),
+]
+_ANY_TEXT = st.text(st.characters(exclude_categories=()), max_size=8)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([10**400, -(10**400)])
+    | st.floats() | _ANY_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_ANY_TEXT, inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@given(st.sampled_from(_POSITIONS), _JSON_VALUES)
+def test_parse_any_value_in_any_field_gives_record_or_package_error(position, value):
+    obj = json.loads(json.dumps(_VALID))
+    *parents, last = position
+    target = obj
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    _assert_record_or_package_error(json.dumps(obj))
+
+
+@given(st.text(st.characters(exclude_categories=())))
+def test_parse_any_text_gives_record_or_package_error(line):
+    _assert_record_or_package_error(line)
