@@ -8,6 +8,7 @@ stdout when --json is set. Exit codes: 0 success, 1 runtime failure,
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 
@@ -17,7 +18,7 @@ from .pipeline import (
     PipelineConfig,
     compute_stats,
     ingest,
-    load_records,
+    kept_records,
     run,
     run_finetune,
     subsample,
@@ -143,8 +144,7 @@ def main(argv=None) -> int:
 
         elif args.command == "stats":
             counters: Counter = Counter()
-            records = load_records(args.inputs, args.fraction, args.seed, counters)
-            stats = compute_stats(records)
+            stats = compute_stats(kept_records(args.inputs, args.fraction, args.seed, counters))
             payload = {"counters": dict(counters), "stats": stats.to_dict()}
             _emit(f"{stats.record_count} records, "
                   f"empty-OCR fraction {stats.empty_ocr_fraction:.4f}",
@@ -172,10 +172,15 @@ def main(argv=None) -> int:
             pairs = subsample(ingest(args.inputs, counters), args.fraction, args.seed,
                               key=lambda pair: pair[1].image_id)
             kept = 0
-            with open(args.out, "w", encoding="utf-8") as out:
-                for line, _ in pairs:
-                    out.write(line if line.endswith("\n") else line + "\n")
-                    kept += 1
+            out = open(args.out, "w", encoding="utf-8")
+            try:
+                with out:
+                    for line, _ in pairs:
+                        out.write(line if line.endswith("\n") else line + "\n")
+                        kept += 1
+            except BaseException:
+                os.remove(args.out)  # no partial sample is left behind
+                raise
             total = counters["lines"]
             payload = {"total": total, "kept": kept, "counters": dict(counters),
                        "fraction": args.fraction, "seed": args.seed, "out": args.out}

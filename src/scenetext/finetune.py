@@ -1,8 +1,9 @@
 """Fine-tuning example builders for scene-text VQA and captioning.
 
 Both tasks are open-ended generation: input is prompt [+ question]
-[+ ordered OCR], target is the answer or caption. The ocr_included switch
-drops the OCR segment entirely for the no-OCR-input ablation.
+[+ ordered OCR], target is the answer or caption. The builders take the
+record's OCR texts in reading order; texts=None drops the OCR segment
+entirely for the no-OCR-input ablation.
 """
 
 import json
@@ -11,7 +12,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import SkipRecord
-from .ordering import order_tokens
 from .pretrain import DEFAULT_CONFIG, ObjectiveConfig
 from .records import Record
 from .textformat import render_input
@@ -53,19 +53,16 @@ def majority_answer(answers) -> str:
     return min(a for a, c in counts.items() if c == top)
 
 
-def _ocr_text(record: Record, ocr_included: bool, config: ObjectiveConfig) -> str | None:
-    if not ocr_included:
-        return None
-    texts = order_tokens(record.ocr, config.overlap_threshold).texts
-    return config.fmt.token_separator.join(texts)
+def _ocr_text(texts: list[str] | None, config: ObjectiveConfig) -> str | None:
+    return None if texts is None else config.fmt.token_separator.join(texts)
 
 
-def build_vqa_examples(record: Record, ocr_included: bool = True,
+def build_vqa_examples(record: Record, texts: list[str] | None,
                        config: ObjectiveConfig = DEFAULT_CONFIG) -> list[FinetuneExample]:
     """One example per question; training target is the majority answer."""
     if not record.qa:
         raise SkipRecord(f"{record.image_id}: no QA annotations")
-    ocr_text = _ocr_text(record, ocr_included, config)
+    ocr_text = _ocr_text(texts, config)
     examples = []
     for i, qa in enumerate(record.qa):
         input_text = render_input(
@@ -78,20 +75,19 @@ def build_vqa_examples(record: Record, ocr_included: bool = True,
                 task=Task.VQA,
                 input_text=input_text,
                 target=majority_answer(qa.answers),
-                ocr_included=ocr_included,
+                ocr_included=texts is not None,
                 answers=qa.answers,
             )
         )
     return examples
 
 
-def build_caption_examples(record: Record, ocr_included: bool = True,
+def build_caption_examples(record: Record, texts: list[str] | None,
                            config: ObjectiveConfig = DEFAULT_CONFIG) -> list[FinetuneExample]:
     if not record.caption:
         raise SkipRecord(f"{record.image_id}: no caption")
     input_text = render_input(
-        config.fmt.caption_prompt, config.fmt,
-        ocr_text=_ocr_text(record, ocr_included, config),
+        config.fmt.caption_prompt, config.fmt, ocr_text=_ocr_text(texts, config)
     )
     return [
         FinetuneExample(
@@ -100,6 +96,6 @@ def build_caption_examples(record: Record, ocr_included: bool = True,
             task=Task.CAPTION,
             input_text=input_text,
             target=record.caption,
-            ocr_included=ocr_included,
+            ocr_included=texts is not None,
         )
     ]

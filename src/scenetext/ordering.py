@@ -1,30 +1,18 @@
 """Canonical reading order for OCR tokens.
 
 Tokens are grouped into visual lines by vertical-interval overlap, lines are
-emitted top to bottom, and tokens within a line left to right. This is the
-one ordering every objective builder uses.
+emitted top to bottom, and tokens within a line left to right. A build
+orders each record once and hands the ordered texts to every builder.
 """
 
-from dataclasses import dataclass
-
 from .records import OcrToken
-
-
-@dataclass(frozen=True)
-class OrderedOcr:
-    tokens: tuple[OcrToken, ...]
-    line_index: tuple[int, ...]
-
-    @property
-    def texts(self) -> list[str]:
-        return [t.text for t in self.tokens]
 
 
 def _overlap(lo1: float, hi1: float, lo2: float, hi2: float) -> float:
     return min(hi1, hi2) - max(lo1, lo2)
 
 
-def order_tokens(tokens, overlap_threshold: float = 0.5) -> OrderedOcr:
+def order_tokens(tokens, overlap_threshold: float = 0.5) -> tuple[OcrToken, ...]:
     """Order tokens top-left to bottom-right.
 
     Tokens are first sorted by vertical center (y + h/2), then consecutive
@@ -34,7 +22,7 @@ def order_tokens(tokens, overlap_threshold: float = 0.5) -> OrderedOcr:
     sorted by x. Ties break on (x, y, text) so the order is a total one.
     """
     if not tokens:
-        return OrderedOcr(tokens=(), line_index=())
+        return ()
 
     # (x, y, text) is the stated tie order; trailing keys only make the
     # order total for tokens that still collide on all three
@@ -57,14 +45,7 @@ def order_tokens(tokens, overlap_threshold: float = 0.5) -> OrderedOcr:
         line_lo, line_hi = lo, hi
 
     ordered: list[OcrToken] = []
-    line_index: list[int] = []
-    for i, line in enumerate(lines):
+    for line in lines:
         line.sort(key=tiebreak)
         ordered.extend(line)
-        line_index.extend([i] * len(line))
-    return OrderedOcr(tokens=tuple(ordered), line_index=tuple(line_index))
-
-
-def join_tokens(ordered: OrderedOcr, separator: str = " ") -> str:
-    """Concatenate ordered token texts; empty input gives an empty string."""
-    return separator.join(t.text for t in ordered.tokens)
+    return tuple(ordered)

@@ -1,5 +1,10 @@
 """End-to-end corpus builds: stream, validate, subsample, build, shard.
 
+A build makes one pass over the kept records. Each record is counted,
+ordered once (`ordering.order_tokens`), handed with its ordered OCR texts
+to every dataset's builder, and then dropped; only the built examples are
+held until they are shuffled into shards.
+
 Every output is a pure function of (inputs, config): subsampling and
 shuffling key off stable hashes of record ids, per-record RNGs are derived
 from (seed, image_id), and shards plus manifest are byte-reproducible
@@ -20,6 +25,7 @@ from . import __version__
 from .errors import ConfigError, ParseError, SchemaError, SkipRecord
 from .finetune import Task, build_caption_examples, build_vqa_examples
 from .hashing import hash64, keep_fraction
+from .ordering import order_tokens
 from .pretrain import Objective, ObjectiveConfig, build_example, build_stage_plan
 from .records import CorpusValidator, Record, parse_record
 from .textformat import TextFormat
@@ -47,6 +53,8 @@ class PipelineConfig:
             raise ConfigError(f"shard count must be >= 1, got {self.shard_count}")
         if self.passes < 1:
             raise ConfigError("passes must be >= 1")
+        if not 0.0 <= self.overlap_threshold <= 1.0:  # NaN fails too
+            raise ConfigError(f"overlap threshold must be in [0, 1], got {self.overlap_threshold}")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -62,6 +70,23 @@ class DatasetStats:
     ocr_token_histogram: Counter = field(default_factory=Counter)
     caption_length_histogram: Counter = field(default_factory=Counter)
     empty_ocr_count: int = 0
+
+    def add(self, record: Record) -> None:
+        """Count one record."""
+        self.record_count += 1
+        n_ocr = len(record.ocr)
+        self.ocr_token_histogram[n_ocr] += 1
+        if n_ocr == 0:
+            self.empty_ocr_count += 1
+        else:
+            self.eligible[Objective.OCR.value] += 1
+            self.eligible[Objective.SPLITOCR.value] += 1
+        if record.caption:
+            n_words = len(record.caption.split())
+            self.caption_length_histogram[n_words] += 1
+            self.eligible[Objective.CAP.value] += 1
+            if n_words:
+                self.eligible[Objective.SPLITCAP.value] += 1
 
     @property
     def empty_ocr_fraction(self) -> float:
@@ -130,32 +155,25 @@ def subsample(records: Iterable, fraction: float, seed: int,
     return (r for r in records if keep_fraction(seed, key(r), fraction))
 
 
-def load_records(paths: Iterable[str], fraction: float, seed: int,
-                 counters: Counter) -> list[Record]:
-    """Ingest and subsample; only the kept records are held in memory."""
-    kept = list(subsample((record for _, record in ingest(paths, counters)), fraction, seed))
-    counters.setdefault("valid_records", 0)  # reported even when no line is valid
-    counters["subsampled_records"] = len(kept)
-    return kept
+def kept_records(paths: Iterable[str], fraction: float, seed: int,
+                 counters: Counter) -> Iterator[Record]:
+    """Ingest and subsample, yielding each kept record as it is read.
+
+    The one place that sets the `valid_records` counter (reported even when
+    no line is valid) and the `subsampled_records` counter.
+    """
+    counters.setdefault("valid_records", 0)
+    counters["subsampled_records"] = 0
+    for record in subsample((record for _, record in ingest(paths, counters)), fraction, seed):
+        counters["subsampled_records"] += 1
+        yield record
 
 
 def compute_stats(records: Iterable[Record]) -> DatasetStats:
     """Single streaming pass of exact counts."""
     stats = DatasetStats()
-    for r in records:
-        stats.record_count += 1
-        n_ocr = len(r.ocr)
-        stats.ocr_token_histogram[n_ocr] += 1
-        if n_ocr == 0:
-            stats.empty_ocr_count += 1
-        else:
-            stats.eligible[Objective.OCR.value] += 1
-            stats.eligible[Objective.SPLITOCR.value] += 1
-        if r.caption:
-            stats.caption_length_histogram[len(r.caption.split())] += 1
-            stats.eligible[Objective.CAP.value] += 1
-            if r.caption.split():
-                stats.eligible[Objective.SPLITCAP.value] += 1
+    for record in records:
+        stats.add(record)
     return stats
 
 
@@ -170,19 +188,6 @@ def shuffle_and_shard(examples: list[tuple[str, str]], seed: int,
     for i, (_, line) in enumerate(permuted):
         shards[i % shard_count].append(line)
     return shards
-
-
-def _build_examples(records: Iterable[Record], build) -> list[tuple[str, str]]:
-    """(example_id, JSON line) for each example build(record) returns;
-    a record it raises SkipRecord for is left out."""
-    built = []
-    for record in records:
-        try:
-            examples = build(record)
-        except SkipRecord:
-            continue
-        built.extend((ex.example_id, ex.to_json()) for ex in examples)
-    return built
 
 
 def _write_shards(shards: list[list[str]], out_dir: str, dataset: str,
@@ -215,21 +220,34 @@ def _config_hash(config: PipelineConfig) -> str:
     return hashlib.sha256(canon).hexdigest()
 
 
-def _build(config: PipelineConfig, datasets, manifest_name: str, describe) -> dict:
-    """The one build path: ingest and subsample, then build, shuffle/shard
-    and write each (name, build) dataset, then write the manifest: the
-    common head plus describe(records, [(example_count, shard_infos), ...]).
+def _build(config: PipelineConfig, datasets, manifest_name: str, describe,
+           order_ocr: bool = True) -> dict:
+    """The one build path. One pass over the kept records adds each to the
+    stats, orders its OCR once into texts (None unless order_ocr) and gives
+    every (name, build) dataset the examples of build(record, texts); a
+    SkipRecord leaves the record out of that dataset only. Then each dataset
+    is shuffled/sharded and written, and the manifest: the common head plus
+    describe(stats, [(example_count, shard_infos), ...]).
     Every file this run wrote is removed if any step fails."""
     os.makedirs(config.out_dir, exist_ok=True)
     written: list[str] = []
     try:
         counters: Counter = Counter()
-        records = load_records(config.inputs, config.fraction, config.seed, counters)
+        stats = DatasetStats()
+        examples: list[list[tuple[str, str]]] = [[] for _ in datasets]
+        for record in kept_records(config.inputs, config.fraction, config.seed, counters):
+            stats.add(record)
+            texts = ([t.text for t in order_tokens(record.ocr, config.overlap_threshold)]
+                     if order_ocr else None)
+            for (_, build), pairs in zip(datasets, examples):
+                try:
+                    pairs.extend((ex.example_id, ex.to_json()) for ex in build(record, texts))
+                except SkipRecord:
+                    pass
         built = []
-        for name, build in datasets:
-            examples = _build_examples(records, build)
-            shards = shuffle_and_shard(examples, config.seed, config.shard_count)
-            built.append((len(examples),
+        for (name, _), pairs in zip(datasets, examples):
+            shards = shuffle_and_shard(pairs, config.seed, config.shard_count)
+            built.append((len(pairs),
                           _write_shards(shards, config.out_dir, name, config.compress, written)))
         manifest = {
             "tool": "scenetext",
@@ -238,7 +256,7 @@ def _build(config: PipelineConfig, datasets, manifest_name: str, describe) -> di
             "config_hash": _config_hash(config),
             "seed": config.seed,
             "counters": dict(counters),
-            **describe(records, built),
+            **describe(stats, built),
         }
         manifest_path = os.path.join(config.out_dir, manifest_name)
         with open(manifest_path, "w", encoding="utf-8") as fh:
@@ -254,18 +272,18 @@ def _build(config: PipelineConfig, datasets, manifest_name: str, describe) -> di
 
 
 def run(config: PipelineConfig) -> dict:
-    """Execute ingest -> validate -> subsample -> per-stage build ->
-    shuffle/shard -> stats, and write a reproducibility manifest."""
+    """Build every stage dataset (and the stats) from one pass over the
+    kept records, shuffle/shard each, and write a reproducibility manifest."""
     plan = build_stage_plan(config.stages)
-    configs = [ObjectiveConfig(fmt=config.fmt, overlap_threshold=config.overlap_threshold,
-                               pass_index=p) for p in range(config.passes)]
+    configs = [ObjectiveConfig(fmt=config.fmt, pass_index=p) for p in range(config.passes)]
 
     def stage_build(objective):
-        return lambda record: [build_example(record, objective, config.seed, c) for c in configs]
+        return lambda record, texts: [build_example(record, texts, objective, config.seed, c)
+                                      for c in configs]
 
-    def describe(records, built):
+    def describe(stats, built):
         return {
-            "stats": compute_stats(records).to_dict(),
+            "stats": stats.to_dict(),
             "stages": [{"stage": i, "objective": objective.value, "example_count": count,
                         "shards": shards}
                        for i, (objective, (count, shards)) in enumerate(zip(plan.stages, built))],
@@ -278,14 +296,14 @@ def run(config: PipelineConfig) -> dict:
 
 def run_finetune(config: PipelineConfig, task: Task, ocr_included: bool = True) -> dict:
     """Fine-tuning variant of run(): one dataset instead of stage datasets."""
-    obj_config = ObjectiveConfig(fmt=config.fmt, overlap_threshold=config.overlap_threshold)
+    obj_config = ObjectiveConfig(fmt=config.fmt)
     builder = build_vqa_examples if task is Task.VQA else build_caption_examples
     dataset = f"finetune_{task.value.lower()}"
 
-    def describe(records, built):
+    def describe(stats, built):
         [(count, shards)] = built
         return {"task": task.value, "ocr_included": ocr_included, "example_count": count,
                 "shards": shards}
 
-    return _build(config, [(dataset, lambda record: builder(record, ocr_included, obj_config))],
-                  f"{dataset}_manifest.json", describe)
+    return _build(config, [(dataset, lambda record, texts: builder(record, texts, obj_config))],
+                  f"{dataset}_manifest.json", describe, order_ocr=ocr_included)

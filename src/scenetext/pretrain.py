@@ -1,10 +1,11 @@
 """Pre-training example builders: OCR, SPLITOCR, CAP, SPLITCAP.
 
-SPLITOCR splits the spatially ordered OCR tokens at a uniform random point;
-the prefix becomes extra model input and the suffix the generation target.
-OCR is the degenerate case with an empty prefix. CAP targets the caption
-conditioned on the full ordered OCR; SPLITCAP additionally feeds a caption
-prefix and targets the remainder.
+Each builder takes the record and its OCR texts in reading order (see
+`ordering.order_tokens`). SPLITOCR splits the ordered texts at a uniform
+random point; the prefix becomes extra model input and the suffix the
+generation target. OCR is the degenerate case with an empty prefix. CAP
+targets the caption conditioned on the full ordered OCR; SPLITCAP
+additionally feeds a caption prefix and targets the remainder.
 """
 
 import json
@@ -14,7 +15,6 @@ from enum import Enum
 
 from .errors import ConfigError, SkipRecord
 from .hashing import derive_rng
-from .ordering import order_tokens
 from .records import Record
 from .textformat import DEFAULT_FORMAT, TextFormat, render_input
 
@@ -37,7 +37,6 @@ class Objective(str, Enum):
 @dataclass(frozen=True)
 class ObjectiveConfig:
     fmt: TextFormat = DEFAULT_FORMAT
-    overlap_threshold: float = 0.5
     pass_index: int = 0
 
 
@@ -97,11 +96,10 @@ def _example_id(record: Record, objective: Objective, config: ObjectiveConfig) -
     return f"{record.image_id}/{objective.value.lower()}/{config.pass_index}"
 
 
-def build_splitocr(record: Record, rng: random.Random,
+def build_splitocr(record: Record, texts: list[str], rng: random.Random,
                    config: ObjectiveConfig = DEFAULT_CONFIG) -> PretrainExample:
-    if not record.ocr:
+    if not texts:
         raise SkipRecord(f"{record.image_id}: no OCR tokens for SPLITOCR")
-    texts = order_tokens(record.ocr, config.overlap_threshold).texts
     k = sample_split_point(len(texts), rng)
     sep = config.fmt.token_separator
     return PretrainExample(
@@ -115,10 +113,10 @@ def build_splitocr(record: Record, rng: random.Random,
     )
 
 
-def build_ocr(record: Record, config: ObjectiveConfig = DEFAULT_CONFIG) -> PretrainExample:
-    if not record.ocr:
+def build_ocr(record: Record, texts: list[str],
+              config: ObjectiveConfig = DEFAULT_CONFIG) -> PretrainExample:
+    if not texts:
         raise SkipRecord(f"{record.image_id}: no OCR tokens for OCR")
-    texts = order_tokens(record.ocr, config.overlap_threshold).texts
     return PretrainExample(
         example_id=_example_id(record, Objective.OCR, config),
         image_id=record.image_id,
@@ -130,10 +128,10 @@ def build_ocr(record: Record, config: ObjectiveConfig = DEFAULT_CONFIG) -> Pretr
     )
 
 
-def build_cap(record: Record, config: ObjectiveConfig = DEFAULT_CONFIG) -> PretrainExample:
+def build_cap(record: Record, texts: list[str],
+              config: ObjectiveConfig = DEFAULT_CONFIG) -> PretrainExample:
     if not record.caption:
         raise SkipRecord(f"{record.image_id}: no caption for CAP")
-    texts = order_tokens(record.ocr, config.overlap_threshold).texts
     return PretrainExample(
         example_id=_example_id(record, Objective.CAP, config),
         image_id=record.image_id,
@@ -145,13 +143,12 @@ def build_cap(record: Record, config: ObjectiveConfig = DEFAULT_CONFIG) -> Pretr
     )
 
 
-def build_splitcap(record: Record, rng: random.Random,
+def build_splitcap(record: Record, texts: list[str], rng: random.Random,
                    config: ObjectiveConfig = DEFAULT_CONFIG) -> PretrainExample:
     if not record.caption or not record.caption.split():
         raise SkipRecord(f"{record.image_id}: no caption for SPLITCAP")
     words = record.caption.split()
     k = sample_split_point(len(words), rng)
-    texts = order_tokens(record.ocr, config.overlap_threshold).texts
     return PretrainExample(
         example_id=_example_id(record, Objective.SPLITCAP, config),
         image_id=record.image_id,
@@ -163,18 +160,19 @@ def build_splitcap(record: Record, rng: random.Random,
     )
 
 
-def build_example(record: Record, objective: Objective, seed: int,
+def build_example(record: Record, texts: list[str], objective: Objective, seed: int,
                   config: ObjectiveConfig = DEFAULT_CONFIG) -> PretrainExample:
-    """Dispatch on objective with the per-record derived RNG."""
+    """Dispatch on objective; only the split objectives derive the
+    per-record RNG, because only they draw from it."""
+    if objective is Objective.OCR:
+        return build_ocr(record, texts, config)
+    if objective is Objective.CAP:
+        return build_cap(record, texts, config)
     rng = rng_for(seed, record.image_id, objective, config.pass_index)
     if objective is Objective.SPLITOCR:
-        return build_splitocr(record, rng, config)
-    if objective is Objective.OCR:
-        return build_ocr(record, config)
-    if objective is Objective.CAP:
-        return build_cap(record, config)
+        return build_splitocr(record, texts, rng, config)
     if objective is Objective.SPLITCAP:
-        return build_splitcap(record, rng, config)
+        return build_splitcap(record, texts, rng, config)
     raise ConfigError(f"unknown objective {objective!r}")
 
 

@@ -239,8 +239,3 @@ class CorpusValidator:
                 if tok.bbox.x + tok.bbox.w > width or tok.bbox.y + tok.bbox.h > height:
                     report.violations.append("bbox_out_of_bounds")
         return report
-
-
-def validate_record(record: Record) -> ValidationReport:
-    """Single-record validation without duplicate tracking."""
-    return CorpusValidator().validate(record)

@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from scenetext.ordering import order_tokens
 from scenetext.records import BBox, OcrToken, QaAnnotation, Record
 
 
@@ -16,6 +17,11 @@ def make_token(text, x=0.0, y=0.0, w=10.0, h=10.0, confidence=1.0):
 def make_record(image_id="img", ocr=(), caption=None, qa=None, image_size=None):
     return Record(image_id=image_id, ocr=tuple(ocr), caption=caption,
                   qa=qa, image_size=image_size)
+
+
+def ordered_texts(record: Record) -> list[str]:
+    """The record's OCR texts in reading order, as a build hands them to builders."""
+    return [t.text for t in order_tokens(record.ocr)]
 
 
 _WORDS = ["stop", "exit", "open", "sale", "cafe", "menu", "park", "slow",

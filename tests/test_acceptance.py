@@ -27,11 +27,11 @@ from scenetext.metrics import (
     vqa_accuracy,
 )
 from scenetext.ordering import order_tokens
-from scenetext.pipeline import PipelineConfig, _build_examples, run, shuffle_and_shard
+from scenetext.pipeline import PipelineConfig, run
 from scenetext.pretrain import Objective, build_example, sample_split_point
 from scenetext.records import QaAnnotation, serialize_record
 
-from conftest import make_record, make_token, random_layout_record
+from conftest import make_record, make_token, ordered_texts, random_layout_record
 from oracles import levenshtein_memo, oracle_bleu4, oracle_cider_d, vqa_accuracy_leave_one_out
 from test_metrics_captioning import toy_corpus
 
@@ -110,15 +110,16 @@ def test_criterion_cider_bleu_oracle():
            "50-item corpus within 1e-4; exact match 10.0 +/- 1e-6")
 
 
-def test_criterion_splitocr_contract_suite():
+def test_criterion_splitocr_contract_suite(tmp_path):
     rng = random.Random(31)
     seed = 71
 
     # (a) input ++ target reconstructs the full ordered OCR on 10,000 records
     for i in range(10_000):
         record = random_layout_record(rng, image_id=f"rec{i}")
-        ex = build_example(record, Objective.SPLITOCR, seed)
-        full = " ".join(order_tokens(record.ocr).texts)
+        texts = ordered_texts(record)
+        ex = build_example(record, texts, Objective.SPLITOCR, seed)
+        full = " ".join(texts)
         assert " ".join(list(ex.input_ocr) + [ex.target]) == full
         assert ex.target
 
@@ -131,14 +132,17 @@ def test_criterion_splitocr_contract_suite():
     uniform_ok = p > 0.01 and all(abs(c / 100_000 - 0.25) < 0.015 for c in counts)
 
     # (c) identical shards from (seed, image_id) whatever the record order
-    records = [random_layout_record(rng, image_id=f"ord{i}") for i in range(2000)]
+    lines = [serialize_record(random_layout_record(rng, image_id=f"ord{i}")) + "\n"
+             for i in range(2000)]
 
-    def build(record):
-        return [build_example(record, Objective.SPLITOCR, seed)]
+    def shard_digests(name, ordered_lines):
+        corpus = tmp_path / f"{name}.jsonl"
+        corpus.write_text("".join(ordered_lines), encoding="utf-8")
+        manifest = run(PipelineConfig(inputs=(str(corpus),), out_dir=str(tmp_path / name),
+                                      seed=seed, shard_count=4))
+        return [shard["sha256"] for shard in manifest["stages"][0]["shards"]]
 
-    forward = shuffle_and_shard(_build_examples(records, build), seed, 4)
-    backward = shuffle_and_shard(_build_examples(list(reversed(records)), build), seed, 4)
-    order_ok = forward == backward
+    order_ok = shard_digests("forward", lines) == shard_digests("backward", lines[::-1])
 
     report("SplitOCR contract suite", uniform_ok and order_ok,
            f"chi-square p={p:.3f}; forward == reversed record order")
@@ -154,7 +158,7 @@ def test_criterion_ordering_suite():
         shuffled = tokens[:]
         rng.shuffle(shuffled)
         assert order_tokens(shuffled) == base  # permutation invariance
-        assert order_tokens(base.tokens) == base  # idempotence
+        assert order_tokens(base) == base  # idempotence
 
         # raster variant of the same layout: disjoint vertical intervals
         y = 0.0
@@ -165,7 +169,7 @@ def test_criterion_ordering_suite():
         shuffled_raster = raster[:]
         rng.shuffle(shuffled_raster)
         expected = sorted(raster, key=lambda t: (t.bbox.y, t.bbox.x))
-        assert list(order_tokens(shuffled_raster).tokens) == expected
+        assert list(order_tokens(shuffled_raster)) == expected
 
     report("Ordering suite", True, "10,000 layouts")
 
@@ -229,12 +233,13 @@ def test_criterion_input_format_congruence():
             caption=f"view number {i} of the scene",
             qa=(QaAnnotation(f"what is item {i}", tuple(["thing"] * 10)),),
         )
-        cap_pretrain = build_example(record, Objective.CAP, seed=1)
-        (cap_finetune,) = build_caption_examples(record, ocr_included=True)
+        texts = ordered_texts(record)
+        cap_pretrain = build_example(record, texts, Objective.CAP, seed=1)
+        (cap_finetune,) = build_caption_examples(record, texts)
         congruent &= cap_pretrain.input_text() == cap_finetune.input_text
 
         for builder in (build_caption_examples, build_vqa_examples):
-            for ex in builder(record, ocr_included=False):
+            for ex in builder(record, None):
                 clean &= all(t.text not in ex.input_text for t in tokens)
     report("Input-format congruence", congruent and clean,
            "CAP == CAPTION input; no OCR text under --no-ocr-input")

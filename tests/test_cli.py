@@ -280,6 +280,28 @@ def test_subsample_rejects_fraction_outside_unit_interval(corpus, tmp_path, caps
     assert not out_file.exists()
 
 
+def test_subsample_removes_its_output_on_failure(tmp_path, capsys):
+    out_file = tmp_path / "sub.jsonl"
+    code, _, err = run_cli(capsys, "subsample", "--in", tmp_path / "missing.jsonl",
+                           "--out", out_file, "--fraction", 0.5)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-0.1", "1.5"])
+def test_build_rejects_overlap_threshold_outside_unit_interval(corpus, tmp_path, capsys,
+                                                               threshold):
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "build-pretrain", "--objective", "ocr",
+                             "--overlap-threshold", threshold, "--in", corpus,
+                             "--out-dir", out_dir)
+    assert code == 1
+    assert err.startswith("error: overlap threshold must be in [0, 1]")
+    assert out == ""
+    assert not out_dir.exists()
+
+
 def test_subsample_skips_and_counts_bad_lines(corpus, corpus_with_bad_lines, tmp_path, capsys):
     out_file = tmp_path / "sub.jsonl"
     code, out, _ = run_cli(capsys, "--json", "subsample", "--in", corpus_with_bad_lines,

@@ -12,7 +12,7 @@ from scenetext.finetune import (
 from scenetext.pretrain import Objective, build_example
 from scenetext.records import QaAnnotation
 
-from conftest import make_record, make_token
+from conftest import make_record, make_token, ordered_texts
 
 
 def sign_record(**kwargs):
@@ -28,7 +28,7 @@ TEN = ("stop", "stop", "stop", "stop", "stop", "stop", "halt", "stop", "stop", "
 
 def test_vqa_example_assembly():
     record = sign_record(qa=(QaAnnotation("what does the sign say", TEN),))
-    (ex,) = build_vqa_examples(record, ocr_included=True)
+    (ex,) = build_vqa_examples(record, ordered_texts(record))
     assert ex.input_text == "answer: what does the sign say \n OCR: STOP"
     assert ex.target == "stop"
     assert ex.task is Task.VQA
@@ -37,7 +37,7 @@ def test_vqa_example_assembly():
 
 def test_vqa_without_ocr_input():
     record = sign_record(qa=(QaAnnotation("what does the sign say", TEN),))
-    (ex,) = build_vqa_examples(record, ocr_included=False)
+    (ex,) = build_vqa_examples(record, None)
     assert "STOP" not in ex.input_text
     assert ex.input_text == "answer: what does the sign say"
     assert not ex.ocr_included
@@ -45,7 +45,7 @@ def test_vqa_without_ocr_input():
 
 def test_vqa_skips_record_without_qa():
     with pytest.raises(SkipRecord):
-        build_vqa_examples(sign_record())
+        build_vqa_examples(sign_record(), ["STOP"])
 
 
 def test_vqa_one_example_per_question():
@@ -53,7 +53,7 @@ def test_vqa_one_example_per_question():
         QaAnnotation("q1", ("a",) * 10),
         QaAnnotation("q2", ("b",) * 10),
     ))
-    examples = build_vqa_examples(record)
+    examples = build_vqa_examples(record, ordered_texts(record))
     assert [e.target for e in examples] == ["a", "b"]
     assert len({e.example_id for e in examples}) == 2
 
@@ -66,7 +66,7 @@ def test_majority_answer_lexicographic_tie():
 
 def test_caption_example_assembly():
     record = sign_record(caption="a stop sign on a pole")
-    (ex,) = build_caption_examples(record, ocr_included=True)
+    (ex,) = build_caption_examples(record, ordered_texts(record))
     assert ex.input_text == "caption: \n OCR: STOP"
     assert ex.target == "a stop sign on a pole"
     assert ex.task is Task.CAPTION
@@ -74,32 +74,33 @@ def test_caption_example_assembly():
 
 def test_caption_without_ocr_input():
     record = sign_record(caption="a stop sign on a pole")
-    (ex,) = build_caption_examples(record, ocr_included=False)
+    (ex,) = build_caption_examples(record, None)
     assert ex.input_text == "caption:"
     assert "STOP" not in ex.input_text
 
 
 def test_caption_with_empty_ocr_keeps_empty_segment():
     record = make_record(image_id="plain", caption="a wall")
-    (ex,) = build_caption_examples(record, ocr_included=True)
+    (ex,) = build_caption_examples(record, [])
     assert ex.input_text == "caption: \n OCR: "
 
 
 def test_caption_skips_missing_caption():
     with pytest.raises(SkipRecord):
-        build_caption_examples(sign_record())
+        build_caption_examples(sign_record(), ["STOP"])
 
 
 def test_cap_pretrain_input_matches_caption_finetune_input():
     record = sign_record(caption="a stop sign on a pole")
-    pretrain = build_example(record, Objective.CAP, seed=0)
-    (finetune,) = build_caption_examples(record, ocr_included=True)
+    texts = ordered_texts(record)
+    pretrain = build_example(record, texts, Objective.CAP, seed=0)
+    (finetune,) = build_caption_examples(record, texts)
     assert pretrain.input_text() == finetune.input_text
 
 
 def test_finetune_json_schema():
     record = sign_record(qa=(QaAnnotation("q", TEN),))
-    (ex,) = build_vqa_examples(record)
+    (ex,) = build_vqa_examples(record, ordered_texts(record))
     obj = json.loads(ex.to_json())
     assert obj["task"] == "VQA"
     assert obj["ocr_included"] is True

@@ -4,9 +4,13 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenetext.ordering import join_tokens, order_tokens
+from scenetext.ordering import order_tokens
 
 from conftest import make_token, random_layout_record
+
+
+def texts(ordered):
+    return [t.text for t in ordered]
 
 
 def test_two_lines_grouped_by_vertical_overlap():
@@ -16,56 +20,43 @@ def test_two_lines_grouped_by_vertical_overlap():
         make_token("END", x=200, y=8, w=30, h=10),
         make_token("NOW", x=15, y=100, w=30, h=10),
     ]
-    ordered = order_tokens(tokens)
-    assert ordered.texts == ["THE", "END", "NOW"]
-    assert list(ordered.line_index) == [0, 0, 1]
+    assert texts(order_tokens(tokens)) == ["THE", "END", "NOW"]
 
 
 def test_singleton():
-    ordered = order_tokens([make_token("X")])
-    assert ordered.texts == ["X"]
-    assert list(ordered.line_index) == [0]
+    assert texts(order_tokens([make_token("X")])) == ["X"]
 
 
 def test_identical_boxes_tiebreak_on_text():
     tokens = [make_token("b"), make_token("a")]
-    assert order_tokens(tokens).texts == ["a", "b"]
+    assert texts(order_tokens(tokens)) == ["a", "b"]
 
 
 def test_empty_input():
-    ordered = order_tokens([])
-    assert ordered.tokens == ()
-    assert ordered.line_index == ()
-    assert join_tokens(ordered) == ""
+    assert order_tokens([]) == ()
 
 
-def test_join_tokens():
-    ordered = order_tokens([make_token("STOP", x=0), make_token("HERE", x=50)])
-    assert join_tokens(ordered) == "STOP HERE"
-    assert join_tokens(ordered, separator="|") == "STOP|HERE"
-
-
-def test_join_preserves_interior_spaces():
-    ordered = order_tokens([make_token("a b", x=0), make_token("c", x=50)])
-    assert join_tokens(ordered) == "a b c"
-
-
-def test_line_index_non_decreasing_and_x_sorted_within_line(rng):
-    for i in range(200):
-        record = random_layout_record(rng, max_tokens=15)
-        ordered = order_tokens(record.ocr)
-        idx = list(ordered.line_index)
-        assert idx == sorted(idx)
-        for line in set(idx):
-            xs = [t.bbox.x for t, li in zip(ordered.tokens, idx) if li == line]
-            assert xs == sorted(xs)
+def test_lines_top_to_bottom_and_x_sorted_within_line(rng):
+    # layouts with a known line structure: every token of line i covers
+    # [100 i + 3, 100 i + 15], so it overlaps its line fully and no other
+    for _ in range(200):
+        lines = []
+        for i in range(rng.randint(1, 5)):
+            lines.append([make_token(f"l{i}t{j}", x=rng.uniform(0, 900),
+                                     y=100 * i + rng.uniform(0, 3),
+                                     w=rng.uniform(5, 90), h=rng.uniform(15, 25))
+                          for j in range(rng.randint(1, 6))])
+        tokens = [t for line in lines for t in line]
+        rng.shuffle(tokens)
+        expected = [t for line in lines for t in sorted(line, key=lambda t: t.bbox.x)]
+        assert list(order_tokens(tokens)) == expected
 
 
 def test_permutation_property(rng):
     for _ in range(200):
         record = random_layout_record(rng)
         ordered = order_tokens(record.ocr)
-        assert Counter(ordered.texts) == Counter(t.text for t in record.ocr)
+        assert Counter(texts(ordered)) == Counter(t.text for t in record.ocr)
 
 
 def test_order_independent_of_input_order(rng):
@@ -82,7 +73,7 @@ def test_idempotence(rng):
     for _ in range(200):
         record = random_layout_record(rng)
         once = order_tokens(record.ocr)
-        assert order_tokens(once.tokens) == once
+        assert order_tokens(once) == once
 
 
 def test_raster_degeneration_disjoint_vertical_intervals(rng):
@@ -98,7 +89,7 @@ def test_raster_degeneration_disjoint_vertical_intervals(rng):
         rng.shuffle(shuffled)
         ordered = order_tokens(shuffled)
         expected = sorted(tokens, key=lambda t: (t.bbox.y, t.bbox.x))
-        assert list(ordered.tokens) == expected
+        assert list(ordered) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -116,7 +107,7 @@ def test_raster_degeneration_disjoint_vertical_intervals(rng):
 def test_hypothesis_permutation_and_determinism(boxes, rnd):
     tokens = [make_token(text, x=x, y=y, w=w, h=h) for x, y, w, h, text in boxes]
     base = order_tokens(tokens)
-    assert Counter(base.texts) == Counter(t.text for t in tokens)
+    assert Counter(texts(base)) == Counter(t.text for t in tokens)
     shuffled = tokens[:]
     rnd.shuffle(shuffled)
     assert order_tokens(shuffled) == base

@@ -5,19 +5,24 @@ import random
 from collections import Counter
 from pathlib import Path
 
+import dataclasses
+
 import pytest
 
+from scenetext import pipeline, pretrain
 from scenetext.errors import ConfigError
+from scenetext.finetune import Task
 from scenetext.hashing import hash64, keep_fraction
 from scenetext.pipeline import (
     PipelineConfig,
     compute_stats,
     run,
+    run_finetune,
     shuffle_and_shard,
     subsample,
 )
 from scenetext.pretrain import Objective
-from scenetext.records import serialize_record
+from scenetext.records import QaAnnotation, serialize_record
 
 from conftest import make_record, make_token, random_layout_record
 
@@ -200,3 +205,69 @@ def test_config_validation():
         PipelineConfig(inputs=("x",), out_dir="y", fraction=0.0)
     with pytest.raises(ConfigError):
         PipelineConfig(inputs=("x",), out_dir="y", shard_count=0)
+    for threshold in (math.nan, math.inf, -0.1, 1.5):
+        with pytest.raises(ConfigError):
+            PipelineConfig(inputs=("x",), out_dir="y", overlap_threshold=threshold)
+    for threshold in (0.0, 1.0):
+        PipelineConfig(inputs=("x",), out_dir="y", overlap_threshold=threshold)
+
+
+def counted(monkeypatch, module, name):
+    """Replace module.name with a wrapper that records each call's arguments."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+ALL_STAGES = (Objective.OCR, Objective.SPLITOCR, Objective.CAP, Objective.SPLITCAP)
+
+
+def test_run_orders_each_kept_record_once(corpus, tmp_path, monkeypatch):
+    path, records = corpus
+    calls = counted(monkeypatch, pipeline, "order_tokens")
+    manifest = run(run_config(path, tmp_path / "out", stages=ALL_STAGES, passes=2, fraction=0.5))
+    kept = manifest["counters"]["subsampled_records"]
+    assert 0 < kept < len(records)
+    assert len(calls) == kept
+
+
+@pytest.fixture
+def qa_corpus(tmp_path, rng):
+    records = []
+    for i in range(60):
+        record = random_layout_record(rng, image_id=f"qa{i:03d}", with_caption=True)
+        if i % 3 == 0:
+            record = dataclasses.replace(record, qa=(QaAnnotation(f"q{i}", ("a",) * 10),))
+        records.append(record)
+    path = tmp_path / "qa.jsonl"
+    write_corpus(path, records)
+    return path, records
+
+
+def test_run_finetune_orders_each_kept_record_once(qa_corpus, tmp_path, monkeypatch):
+    path, records = qa_corpus
+    calls = counted(monkeypatch, pipeline, "order_tokens")
+    manifest = run_finetune(run_config(path, tmp_path / "ft"), Task.VQA)
+    assert manifest["example_count"] == 20
+    assert len(calls) == len(records)
+
+
+def test_run_finetune_without_ocr_input_orders_nothing(qa_corpus, tmp_path, monkeypatch):
+    path, _ = qa_corpus
+    calls = counted(monkeypatch, pipeline, "order_tokens")
+    manifest = run_finetune(run_config(path, tmp_path / "ft"), Task.VQA, ocr_included=False)
+    assert manifest["example_count"] == 20
+    assert calls == []
+
+
+def test_run_derives_rngs_only_for_split_objectives(corpus, tmp_path, monkeypatch):
+    path, _ = corpus
+    calls = counted(monkeypatch, pretrain, "derive_rng")
+    run(run_config(path, tmp_path / "out", stages=ALL_STAGES, passes=2))
+    assert {args[2] for args in calls} == {"SPLITOCR", "SPLITCAP"}

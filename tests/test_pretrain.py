@@ -3,7 +3,6 @@ import random
 import pytest
 
 from scenetext.errors import ConfigError, SkipRecord
-from scenetext.ordering import order_tokens
 from scenetext.pretrain import (
     Objective,
     ObjectiveConfig,
@@ -16,8 +15,9 @@ from scenetext.pretrain import (
     rng_for,
     sample_split_point,
 )
+from scenetext.textformat import TextFormat
 
-from conftest import make_record, make_token, random_layout_record
+from conftest import make_record, make_token, ordered_texts, random_layout_record
 
 
 def line_of(texts):
@@ -61,7 +61,7 @@ def test_split_point_uniform_chi_square():
 def test_splitocr_four_tokens_k2():
     # split after the first two tokens: first two in, last two out
     record = make_record(ocr=line_of(["A", "B", "C", "D"]))
-    ex = build_splitocr(record, FixedRng(2))
+    ex = build_splitocr(record, ordered_texts(record), FixedRng(2))
     assert ex.input_ocr == ("A", "B")
     assert ex.target == "C D"
     assert ex.objective is Objective.SPLITOCR
@@ -69,21 +69,21 @@ def test_splitocr_four_tokens_k2():
 
 def test_splitocr_single_token_forced_empty_prefix():
     record = make_record(ocr=line_of(["X"]))
-    ex = build_splitocr(record, random.Random(0))
+    ex = build_splitocr(record, ordered_texts(record), random.Random(0))
     assert ex.input_ocr == ()
     assert ex.target == "X"
 
 
 def test_splitocr_skips_empty_ocr():
     with pytest.raises(SkipRecord):
-        build_splitocr(make_record(ocr=[]), random.Random(0))
+        build_splitocr(make_record(ocr=[]), [], random.Random(0))
 
 
 def test_splitocr_concatenation_identity(rng):
     for i in range(300):
         record = random_layout_record(rng, image_id=f"r{i}")
-        full = order_tokens(record.ocr).texts
-        ex = build_splitocr(record, rng_for(5, record.image_id, Objective.SPLITOCR))
+        full = ordered_texts(record)
+        ex = build_splitocr(record, full, rng_for(5, record.image_id, Objective.SPLITOCR))
         joined = " ".join(list(ex.input_ocr) + [ex.target])
         assert joined == " ".join(full)
         assert ex.target  # never empty
@@ -91,55 +91,67 @@ def test_splitocr_concatenation_identity(rng):
 
 def test_ocr_objective():
     record = make_record(ocr=line_of(["STOP", "HERE"]))
-    ex = build_ocr(record)
+    ex = build_ocr(record, ordered_texts(record))
     assert ex.input_ocr == ()
     assert ex.target == "STOP HERE"
 
 
+def test_ocr_target_joins_with_the_token_separator():
+    record = make_record(ocr=line_of(["STOP", "HERE"]))
+    config = ObjectiveConfig(fmt=TextFormat(token_separator="|"))
+    assert build_ocr(record, ordered_texts(record), config).target == "STOP|HERE"
+
+
+def test_ocr_target_keeps_interior_spaces():
+    record = make_record(ocr=line_of(["a b", "c"]))
+    assert build_ocr(record, ordered_texts(record)).target == "a b c"
+
+
 def test_ocr_single_token():
-    ex = build_ocr(make_record(ocr=line_of(["X"])))
+    ex = build_ocr(make_record(ocr=line_of(["X"])), ["X"])
     assert ex.target == "X"
 
 
 def test_ocr_skips_empty():
     with pytest.raises(SkipRecord):
-        build_ocr(make_record(ocr=[]))
+        build_ocr(make_record(ocr=[]), [])
 
 
 def test_ocr_equals_splitocr_with_forced_k0(rng):
     for i in range(100):
         record = random_layout_record(rng, image_id=f"r{i}")
-        assert build_ocr(record).target == build_splitocr(record, FixedRng(0)).target
+        texts = ordered_texts(record)
+        assert build_ocr(record, texts).target == build_splitocr(record, texts, FixedRng(0)).target
 
 
 def test_cap():
     record = make_record(ocr=line_of(["STOP"]), caption="a red stop sign")
-    ex = build_cap(record)
+    ex = build_cap(record, ["STOP"])
     assert ex.input_ocr == ("STOP",)
     assert ex.target == "a red stop sign"
 
 
 def test_cap_with_empty_ocr_stays_eligible():
-    ex = build_cap(make_record(caption="a plain wall"))
+    ex = build_cap(make_record(caption="a plain wall"), [])
     assert ex.input_ocr == ()
     assert ex.target == "a plain wall"
 
 
 def test_cap_skips_missing_caption():
     with pytest.raises(SkipRecord):
-        build_cap(make_record(ocr=line_of(["X"])))
+        build_cap(make_record(ocr=line_of(["X"])), ["X"])
 
 
 def test_splitcap_k1():
     record = make_record(ocr=line_of(["STOP"]), caption="a red stop sign")
-    ex = build_splitcap(record, FixedRng(1))
+    ex = build_splitcap(record, ["STOP"], FixedRng(1))
     assert ex.input_caption_prefix == "a"
     assert ex.target == "red stop sign"
     assert ex.input_ocr == ("STOP",)
 
 
 def test_splitcap_one_word_caption():
-    ex = build_splitcap(make_record(caption="sign"), random.Random(0))
+    ex = build_splitcap(make_record(caption="sign"), [], random.Random(0))
     assert ex.input_caption_prefix == ""
     assert ex.target == "sign"
 
@@ -147,7 +159,8 @@ def test_splitcap_one_word_caption():
 def test_splitcap_concatenation(rng):
     for i in range(200):
         record = random_layout_record(rng, image_id=f"r{i}", with_caption=True)
-        ex = build_splitcap(record, rng_for(3, record.image_id, Objective.SPLITCAP))
+        ex = build_splitcap(record, ordered_texts(record),
+                            rng_for(3, record.image_id, Objective.SPLITCAP))
         reconstructed = (ex.input_caption_prefix + " " + ex.target).strip()
         assert reconstructed == record.caption
         assert ex.target
@@ -155,20 +168,21 @@ def test_splitcap_concatenation(rng):
 
 def test_splitcap_skips_missing_caption():
     with pytest.raises(SkipRecord):
-        build_splitcap(make_record(), random.Random(0))
+        build_splitcap(make_record(), [], random.Random(0))
 
 
 def test_seed_determinism_independent_of_call_order(rng):
     records = [random_layout_record(rng, image_id=f"r{i}") for i in range(50)]
-    a = [build_example(r, Objective.SPLITOCR, seed=11) for r in records]
-    b = [build_example(r, Objective.SPLITOCR, seed=11) for r in reversed(records)]
+    a = [build_example(r, ordered_texts(r), Objective.SPLITOCR, seed=11) for r in records]
+    b = [build_example(r, ordered_texts(r), Objective.SPLITOCR, seed=11)
+         for r in reversed(records)]
     assert a == list(reversed(b))
 
 
 def test_pass_index_resamples_split():
     record = make_record(image_id="r", ocr=line_of([f"t{i}" for i in range(20)]))
     splits = {
-        len(build_example(record, Objective.SPLITOCR, seed=1,
+        len(build_example(record, ordered_texts(record), Objective.SPLITOCR, seed=1,
                           config=ObjectiveConfig(pass_index=p)).input_ocr)
         for p in range(20)
     }
@@ -178,8 +192,9 @@ def test_pass_index_resamples_split():
 def test_splitocr_target_is_suffix_of_ocr_target(rng):
     for i in range(100):
         record = random_layout_record(rng, image_id=f"r{i}")
-        ocr_target = build_ocr(record).target
-        split = build_example(record, Objective.SPLITOCR, seed=2)
+        texts = ordered_texts(record)
+        ocr_target = build_ocr(record, texts).target
+        split = build_example(record, texts, Objective.SPLITOCR, seed=2)
         assert ocr_target.endswith(split.target)
         # token-boundary suffix
         assert (" " + ocr_target).endswith(" " + split.target)
@@ -207,7 +222,7 @@ def test_example_json_schema():
     import json
 
     record = make_record(image_id="img7", ocr=line_of(["A", "B"]))
-    ex = build_example(record, Objective.SPLITOCR, seed=0)
+    ex = build_example(record, ["A", "B"], Objective.SPLITOCR, seed=0)
     obj = json.loads(ex.to_json())
     assert set(obj) == {"example_id", "image_id", "objective", "prompt",
                         "input_ocr", "input_caption_prefix", "target"}

@@ -12,7 +12,6 @@ from scenetext.records import (
     OcrToken,
     parse_record,
     serialize_record,
-    validate_record,
 )
 
 from conftest import make_record, make_token
@@ -90,18 +89,18 @@ def test_parse_is_pure():
 
 def test_validate_bbox_out_of_bounds():
     rec = make_record(ocr=[make_token("x", x=95, y=0, w=10, h=5)], image_size=(100, 100))
-    report = validate_record(rec)
+    report = CorpusValidator().validate(rec)
     assert "bbox_out_of_bounds" in report.violations
 
 
 def test_validate_wellformed_record_is_clean():
     rec = make_record(ocr=[make_token("x", x=5, y=5, w=10, h=5)], image_size=(100, 100))
-    assert validate_record(rec).ok
+    assert CorpusValidator().validate(rec).ok
 
 
 def test_validate_confidence_range():
     rec = make_record(ocr=[make_token("x", confidence=1.3)])
-    assert "confidence_range" in validate_record(rec).violations
+    assert "confidence_range" in CorpusValidator().validate(rec).violations
 
 
 def test_validator_flags_duplicate_image_id():
@@ -166,7 +165,7 @@ def _assert_record_or_package_error(line):
         record = parse_record(line)
     except (ParseError, SchemaError):
         return
-    validate_record(record)
+    CorpusValidator().validate(record)
     order_tokens(record.ocr)
     serialize_record(record).encode("utf-8")
     for tok in record.ocr:
