@@ -4,69 +4,43 @@ Input is one JSON object per line:
 {"image_id": str, "image_uri": str?, "image_size": [w,h]?, "caption": str?,
  "ocr": [{"text": str, "bbox": [x,y,w,h], "confidence": float?}],
  "qa": [{"question": str, "answers": [str,...]}]?}
+
+This module is the one place input is checked: `_record`, `_parse_token`
+and `_parse_qa` apply every schema rule while they walk the decoded JSON,
+so the token and QA types below are plain named tuples with no checks of
+their own.
 """
 
 import json
 import math
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ParseError, SchemaError
 
 
-@dataclass(frozen=True)
-class BBox:
-    """Axis-aligned box in image pixels: left edge, top edge, width, height."""
+class OcrToken(NamedTuple):
+    """One recognized text span: its box in image pixels (left edge x, top
+    edge y, width w, height h), its text and its recognizer confidence.
+
+    The field order is the reading-order tie order: two tokens compare as
+    (x, y, text, w, h, confidence), so sorting tokens breaks ties the way
+    `ordering.order_tokens` needs. Confidence is not range-checked at parse
+    time: out-of-range values are reported by the validator.
+    """
 
     x: float
     y: float
+    text: str
     w: float
     h: float
-
-    def __post_init__(self):
-        # Written so that NaN fails each test. Finite right and bottom edges
-        # keep every reading-order computation finite, so the order is total.
-        if not (self.w > 0 and self.h > 0):
-            raise SchemaError(f"bbox width/height must be positive, got {self}")
-        if not (self.x >= 0 and self.y >= 0):
-            raise SchemaError(f"bbox origin must be non-negative, got {self}")
-        if not (self.x + self.w < math.inf and self.y + self.h < math.inf):
-            raise SchemaError(f"bbox edges must be finite, got {self}")
-
-    @property
-    def y_center(self) -> float:
-        return self.y + self.h / 2
-
-
-@dataclass(frozen=True)
-class OcrToken:
-    """One recognized text span with its box and recognizer confidence.
-
-    Confidence is not range-checked here: out-of-range values are reported
-    by the validator, not rejected at parse time.
-    """
-
-    text: str
-    bbox: BBox
     confidence: float = 1.0
 
-    def __post_init__(self):
-        if not self.text.strip():
-            raise SchemaError("OCR token text must be non-empty")
-        if "\n" in self.text:
-            raise SchemaError("OCR token text must not contain newlines")
 
-
-@dataclass(frozen=True)
-class QaAnnotation:
+class QaAnnotation(NamedTuple):
     question: str
     answers: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.question:
-            raise SchemaError("question must be non-empty")
-        if not self.answers:
-            raise SchemaError("answers list must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -81,16 +55,6 @@ class Record:
     qa: tuple[QaAnnotation, ...] | None = None
 
 
-def _parse_bbox(raw) -> BBox:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 4:
-        raise SchemaError(f"bbox must be [x,y,w,h], got {raw!r}")
-    x, y, w, h = raw
-    for v in (x, y, w, h):
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise SchemaError(f"bbox coordinates must be numbers, got {raw!r}")
-    return BBox(float(x), float(y), float(w), float(h))
-
-
 def _parse_token(raw) -> OcrToken:
     if not isinstance(raw, dict):
         raise SchemaError(f"ocr entry must be an object, got {raw!r}")
@@ -99,21 +63,43 @@ def _parse_token(raw) -> OcrToken:
     text = raw["text"]
     if not isinstance(text, str):
         raise SchemaError("ocr token text must be a string")
+    if not text.strip():
+        raise SchemaError("ocr token text must be non-empty")
+    if "\n" in text:
+        raise SchemaError("ocr token text must not contain newlines")
     conf = raw.get("confidence", 1.0)
     if not isinstance(conf, (int, float)) or isinstance(conf, bool):
         raise SchemaError("ocr token confidence must be a number")
-    return OcrToken(text=text, bbox=_parse_bbox(raw["bbox"]), confidence=float(conf))
+    bbox = raw["bbox"]
+    if not isinstance(bbox, list) or len(bbox) != 4:
+        raise SchemaError(f"bbox must be [x,y,w,h], got {bbox!r}")
+    for v in bbox:
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            raise SchemaError(f"bbox coordinates must be numbers, got {bbox!r}")
+    x, y, w, h = map(float, bbox)
+    # Written so that NaN fails each test. Finite right and bottom edges
+    # keep every reading-order computation finite, so the order is total.
+    if not (w > 0 and h > 0):
+        raise SchemaError(f"bbox width/height must be positive, got {bbox!r}")
+    if not (x >= 0 and y >= 0):
+        raise SchemaError(f"bbox origin must be non-negative, got {bbox!r}")
+    if not (x + w < math.inf and y + h < math.inf):
+        raise SchemaError(f"bbox edges must be finite, got {bbox!r}")
+    return OcrToken(x, y, text, w, h, float(conf))
 
 
 def _parse_qa(raw) -> QaAnnotation:
     if not isinstance(raw, dict) or "question" not in raw or "answers" not in raw:
         raise SchemaError("qa entry requires 'question' and 'answers'")
-    if not isinstance(raw["question"], str):
-        raise SchemaError("question must be a string")
+    question = raw["question"]
+    if not isinstance(question, str) or not question:
+        raise SchemaError("question must be a non-empty string")
     answers = raw["answers"]
     if not isinstance(answers, list) or not all(isinstance(a, str) for a in answers):
         raise SchemaError("answers must be a list of strings")
-    return QaAnnotation(question=raw["question"], answers=tuple(answers))
+    if not answers:
+        raise SchemaError("answers list must be non-empty")
+    return QaAnnotation(question, tuple(answers))
 
 
 def _record(obj) -> Record:
@@ -137,11 +123,14 @@ def _record(obj) -> Record:
     if not isinstance(ocr_raw, list):
         raise SchemaError("ocr must be a list")
 
+    # ocr and qa are built as tuple([...]), not tuple(genexpr): a generator
+    # makes tuple() over-allocate and resize, and the freed tuples pile up
+    # on CPython's tuple free list, which raises peak RSS.
     qa = None
     if obj.get("qa") is not None:
         if not isinstance(obj["qa"], list):
             raise SchemaError("qa must be a list")
-        qa = tuple(_parse_qa(q) for q in obj["qa"])
+        qa = tuple([_parse_qa(q) for q in obj["qa"]])
 
     caption = obj.get("caption")
     if caption is not None and not isinstance(caption, str):
@@ -155,7 +144,7 @@ def _record(obj) -> Record:
         image_uri=image_uri,
         image_size=image_size,
         caption=caption,
-        ocr=tuple(_parse_token(t) for t in ocr_raw),
+        ocr=tuple([_parse_token(t) for t in ocr_raw]),
         qa=qa,
     )
 
@@ -202,7 +191,7 @@ def serialize_record(record: Record) -> str:
     if record.caption is not None:
         obj["caption"] = record.caption
     obj["ocr"] = [
-        {"text": t.text, "bbox": [t.bbox.x, t.bbox.y, t.bbox.w, t.bbox.h], "confidence": t.confidence}
+        {"text": t.text, "bbox": [t.x, t.y, t.w, t.h], "confidence": t.confidence}
         for t in record.ocr
     ]
     if record.qa is not None:
@@ -236,6 +225,6 @@ class CorpusValidator:
                 report.violations.append("confidence_range")
             if record.image_size is not None:
                 width, height = record.image_size
-                if tok.bbox.x + tok.bbox.w > width or tok.bbox.y + tok.bbox.h > height:
+                if tok.x + tok.w > width or tok.y + tok.h > height:
                     report.violations.append("bbox_out_of_bounds")
         return report

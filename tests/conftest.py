@@ -7,11 +7,11 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from scenetext.ordering import order_tokens
-from scenetext.records import BBox, OcrToken, QaAnnotation, Record
+from scenetext.records import OcrToken, QaAnnotation, Record
 
 
 def make_token(text, x=0.0, y=0.0, w=10.0, h=10.0, confidence=1.0):
-    return OcrToken(text=text, bbox=BBox(x, y, w, h), confidence=confidence)
+    return OcrToken(x, y, text, w, h, confidence)
 
 
 def make_record(image_id="img", ocr=(), caption=None, qa=None, image_size=None):

@@ -164,11 +164,11 @@ def test_criterion_ordering_suite():
         y = 0.0
         raster = []
         for t in tokens:
-            raster.append(make_token(t.text, x=t.bbox.x, y=y, w=t.bbox.w, h=t.bbox.h))
-            y += t.bbox.h + 1.0
+            raster.append(make_token(t.text, x=t.x, y=y, w=t.w, h=t.h))
+            y += t.h + 1.0
         shuffled_raster = raster[:]
         rng.shuffle(shuffled_raster)
-        expected = sorted(raster, key=lambda t: (t.bbox.y, t.bbox.x))
+        expected = sorted(raster, key=lambda t: (t.y, t.x))
         assert list(order_tokens(shuffled_raster)) == expected
 
     report("Ordering suite", True, "10,000 layouts")

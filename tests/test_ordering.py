@@ -32,6 +32,18 @@ def test_identical_boxes_tiebreak_on_text():
     assert texts(order_tokens(tokens)) == ["a", "b"]
 
 
+def test_ties_follow_the_full_field_order(rng):
+    # one line: every box covers [2, 100]. Tokens tie on x and differ in y,
+    # or tie on (x, y, text) and differ in w, h or confidence
+    tokens = [make_token(text, x=x, y=y, w=w, h=h, confidence=c)
+              for x in (5, 0) for y in (2, 1, 0) for text in ("b", "a")
+              for w in (20, 10) for h in (101, 100) for c in (1.0, 0.5)]
+    expected = sorted(tokens, key=lambda t: (t.x, t.y, t.text, t.w, t.h, t.confidence))
+    for _ in range(50):
+        rng.shuffle(tokens)
+        assert list(order_tokens(tokens)) == expected
+
+
 def test_empty_input():
     assert order_tokens([]) == ()
 
@@ -48,7 +60,7 @@ def test_lines_top_to_bottom_and_x_sorted_within_line(rng):
                           for j in range(rng.randint(1, 6))])
         tokens = [t for line in lines for t in line]
         rng.shuffle(tokens)
-        expected = [t for line in lines for t in sorted(line, key=lambda t: t.bbox.x)]
+        expected = [t for line in lines for t in sorted(line, key=lambda t: t.x)]
         assert list(order_tokens(tokens)) == expected
 
 
@@ -88,7 +100,7 @@ def test_raster_degeneration_disjoint_vertical_intervals(rng):
         shuffled = tokens[:]
         rng.shuffle(shuffled)
         ordered = order_tokens(shuffled)
-        expected = sorted(tokens, key=lambda t: (t.bbox.y, t.bbox.x))
+        expected = sorted(tokens, key=lambda t: (t.y, t.x))
         assert list(ordered) == expected
 
 

@@ -7,9 +7,7 @@ from hypothesis import given, strategies as st
 from scenetext.errors import ParseError, SchemaError
 from scenetext.ordering import order_tokens
 from scenetext.records import (
-    BBox,
     CorpusValidator,
-    OcrToken,
     parse_record,
     serialize_record,
 )
@@ -22,7 +20,7 @@ def test_parse_minimal_record():
     assert rec.image_id == "a"
     assert len(rec.ocr) == 1
     assert rec.ocr[0].text == "STOP"
-    assert rec.ocr[0].bbox == BBox(4, 4, 40, 12)
+    assert (rec.ocr[0].x, rec.ocr[0].y, rec.ocr[0].w, rec.ocr[0].h) == (4, 4, 40, 12)
     assert rec.ocr[0].confidence == 1.0
 
 
@@ -112,7 +110,7 @@ def test_validator_flags_duplicate_image_id():
 
 def test_token_rejects_interior_newline():
     with pytest.raises(SchemaError):
-        OcrToken(text="a\nb", bbox=BBox(0, 0, 1, 1))
+        parse_record('{"image_id":"a","ocr":[{"text":"a\\nb","bbox":[0,0,1,1]}]}')
 
 
 _TOKEN = '{"image_id":"a","ocr":[{"text":"x","bbox":%s}]}'
@@ -122,6 +120,10 @@ _HOSTILE = {
     "image_size_1e400": ('{"image_id":"a","image_size":[1e400,2]}', SchemaError),
     "image_size_nan": ('{"image_id":"a","image_size":[NaN,2]}', SchemaError),
     "image_size_bool": ('{"image_id":"a","image_size":[true,2]}', SchemaError),
+    "text_whitespace_only": ('{"image_id":"a","ocr":[{"text":" ","bbox":[0,0,1,1]}]}', SchemaError),
+    "text_newline": ('{"image_id":"a","ocr":[{"text":"a\\nb","bbox":[0,0,1,1]}]}', SchemaError),
+    "bbox_x_negative": (_TOKEN % "[-1,0,1,1]", SchemaError),
+    "bbox_w_zero": (_TOKEN % "[0,0,0,1]", SchemaError),
     "bbox_x_nan": (_TOKEN % "[NaN,0,1,1]", SchemaError),
     "bbox_w_nan": (_TOKEN % "[0,0,NaN,1]", SchemaError),
     "bbox_x_1e400": (_TOKEN % "[1e400,0,1,1]", SchemaError),
@@ -133,6 +135,8 @@ _HOSTILE = {
         SchemaError),
     "image_uri_number": ('{"image_id":"a","image_uri":5}', SchemaError),
     "question_number": ('{"image_id":"a","qa":[{"question":5,"answers":["x"]}]}', SchemaError),
+    "question_empty": ('{"image_id":"a","qa":[{"question":"","answers":["x"]}]}', SchemaError),
+    "answers_empty": ('{"image_id":"a","qa":[{"question":"q","answers":[]}]}', SchemaError),
     "image_id_lone_surrogate": ('{"image_id":"\\ud800"}', SchemaError),
     "caption_lone_surrogate": ('{"image_id":"a","caption":"x\\udfff"}', SchemaError),
     "nesting_too_deep": ('{"image_id":"a","caption":%s}' % ("[" * 100_000 + "]" * 100_000),
@@ -155,7 +159,7 @@ def test_parse_keeps_escaped_surrogate_pairs():
 def test_bbox_rejects_nan_and_infinite_edges():
     for coords in ([math.nan, 0, 1, 1], [0, 0, 1, math.nan], [0, 0, math.inf, 1], [1e308, 0, 1e308, 1]):
         with pytest.raises(SchemaError):
-            BBox(*coords)
+            parse_record(json.dumps({"image_id": "a", "ocr": [{"text": "x", "bbox": coords}]}))
 
 
 def _assert_record_or_package_error(line):
@@ -169,7 +173,7 @@ def _assert_record_or_package_error(line):
     order_tokens(record.ocr)
     serialize_record(record).encode("utf-8")
     for tok in record.ocr:
-        assert all(math.isfinite(v) for v in (tok.bbox.x, tok.bbox.y, tok.bbox.w, tok.bbox.h))
+        assert all(math.isfinite(v) for v in (tok.x, tok.y, tok.w, tok.h))
 
 
 _VALID = {
