@@ -27,6 +27,13 @@ from .pretrain import Objective
 from .finetune import Task
 
 
+def uint64(text: str) -> int:
+    """A --seed keys a 64-bit hash, so it must be an integer in [0, 2**64)."""
+    if not 0 <= (value := int(text)) < 2**64:
+        raise argparse.ArgumentTypeError(f"{value} is not in [0, 2**64)")
+    return value
+
+
 def _add_io(parser, needs_out=False):
     parser.add_argument("--in", dest="inputs", nargs="+", required=True,
                         metavar="FILE", help="input JSONL file(s)")
@@ -35,7 +42,7 @@ def _add_io(parser, needs_out=False):
 
 
 def _add_build_flags(parser):
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=uint64, default=0)
     parser.add_argument("--fraction", type=float, default=1.0,
                         help="hash-threshold subsample fraction in (0,1]")
     parser.add_argument("--shards", type=int, default=1)
@@ -63,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="corpus statistics")
     _add_io(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=uint64, default=0)
     p.add_argument("--fraction", type=float, default=1.0)
 
     p = sub.add_parser("build-pretrain", help="build pre-training example shards")
@@ -86,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(p)
     p.add_argument("--out", required=True, help="output JSONL file")
     p.add_argument("--fraction", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=uint64, default=0)
 
     p = sub.add_parser("evaluate", help="score predictions against gold")
     p.add_argument("--task", choices=["vqa", "vqa_anls", "caption"], required=True)
@@ -198,10 +205,7 @@ def main(argv=None) -> int:
         else:  # pragma: no cover - argparse enforces the choices
             parser.error(f"unknown command {args.command}")
         return 0
-    except SceneTextError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SceneTextError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -33,7 +33,3 @@ class AlignmentError(SceneTextError):
     def __init__(self, message: str, orphans: list[str] | None = None):
         super().__init__(message)
         self.orphans = orphans or []
-
-
-class SkipRecord(SceneTextError):
-    """Record is ineligible for the requested objective (not a failure)."""

@@ -1,9 +1,10 @@
 """Fine-tuning example builders for scene-text VQA and captioning.
 
 Both tasks are open-ended generation: input is prompt [+ question]
-[+ ordered OCR], target is the answer or caption. The builders take the
-record's OCR texts in reading order; texts=None drops the OCR segment
-entirely for the no-OCR-input ablation.
+[+ ordered OCR], target is the answer or caption. The pipeline builds only
+the records that `Task.eligible` admits, so the builders check nothing.
+They take the record's OCR texts in reading order; texts=None drops the
+OCR segment entirely for the no-OCR-input ablation.
 """
 
 import json
@@ -11,7 +12,6 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import SkipRecord
 from .pretrain import DEFAULT_CONFIG, ObjectiveConfig
 from .records import Record
 from .textformat import render_input
@@ -20,6 +20,10 @@ from .textformat import render_input
 class Task(str, Enum):
     VQA = "VQA"
     CAPTION = "CAPTION"
+
+    def eligible(self, record: Record) -> bool:
+        """Whether the record can yield this task's targets."""
+        return bool(record.qa) if self is Task.VQA else bool(record.caption)
 
 
 @dataclass(frozen=True)
@@ -60,8 +64,6 @@ def _ocr_text(texts: list[str] | None, config: ObjectiveConfig) -> str | None:
 def build_vqa_examples(record: Record, texts: list[str] | None,
                        config: ObjectiveConfig = DEFAULT_CONFIG) -> list[FinetuneExample]:
     """One example per question; training target is the majority answer."""
-    if not record.qa:
-        raise SkipRecord(f"{record.image_id}: no QA annotations")
     ocr_text = _ocr_text(texts, config)
     examples = []
     for i, qa in enumerate(record.qa):
@@ -84,8 +86,6 @@ def build_vqa_examples(record: Record, texts: list[str] | None,
 
 def build_caption_examples(record: Record, texts: list[str] | None,
                            config: ObjectiveConfig = DEFAULT_CONFIG) -> list[FinetuneExample]:
-    if not record.caption:
-        raise SkipRecord(f"{record.image_id}: no caption")
     input_text = render_input(
         config.fmt.caption_prompt, config.fmt, ocr_text=_ocr_text(texts, config)
     )

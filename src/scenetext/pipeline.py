@@ -1,9 +1,10 @@
 """End-to-end corpus builds: stream, validate, subsample, build, shard.
 
-A build makes one pass over the kept records. Each record is counted,
-ordered once (`ordering.order_tokens`), handed with its ordered OCR texts
-to every dataset's builder, and then dropped; only the built examples are
-held until they are shuffled into shards.
+A build makes one pass over the kept records. A record that passes some
+dataset's eligibility rule (`Objective.eligible`, `Task.eligible`) is
+ordered once (`ordering.order_tokens`) and handed with its ordered OCR
+texts to those datasets' builders, then dropped; only the built examples
+are held until they are shuffled into shards.
 
 Every output is a pure function of (inputs, config): subsampling and
 shuffling key off stable hashes of record ids, per-record RNGs are derived
@@ -22,7 +23,7 @@ from operator import attrgetter
 from typing import Iterable, Iterator
 
 from . import __version__
-from .errors import ConfigError, ParseError, SchemaError, SkipRecord
+from .errors import ConfigError, ParseError, SchemaError
 from .finetune import Task, build_caption_examples, build_vqa_examples
 from .hashing import hash64, keep_fraction
 from .ordering import order_tokens
@@ -69,24 +70,18 @@ class DatasetStats:
     eligible: Counter = field(default_factory=Counter)
     ocr_token_histogram: Counter = field(default_factory=Counter)
     caption_length_histogram: Counter = field(default_factory=Counter)
-    empty_ocr_count: int = 0
 
     def add(self, record: Record) -> None:
         """Count one record."""
         self.record_count += 1
-        n_ocr = len(record.ocr)
-        self.ocr_token_histogram[n_ocr] += 1
-        if n_ocr == 0:
-            self.empty_ocr_count += 1
-        else:
-            self.eligible[Objective.OCR.value] += 1
-            self.eligible[Objective.SPLITOCR.value] += 1
+        self.ocr_token_histogram[len(record.ocr)] += 1
         if record.caption:
-            n_words = len(record.caption.split())
-            self.caption_length_histogram[n_words] += 1
-            self.eligible[Objective.CAP.value] += 1
-            if n_words:
-                self.eligible[Objective.SPLITCAP.value] += 1
+            self.caption_length_histogram[len(record.caption.split())] += 1
+        self.eligible.update(o.value for o in Objective if o.eligible(record))
+
+    @property
+    def empty_ocr_count(self) -> int:
+        return self.ocr_token_histogram[0]
 
     @property
     def empty_ocr_fraction(self) -> float:
@@ -221,31 +216,31 @@ def _config_hash(config: PipelineConfig) -> str:
 
 
 def _build(config: PipelineConfig, datasets, manifest_name: str, describe,
-           order_ocr: bool = True) -> dict:
+           stats: DatasetStats | None = None, order_ocr: bool = True) -> dict:
     """The one build path. One pass over the kept records adds each to the
-    stats, orders its OCR once into texts (None unless order_ocr) and gives
-    every (name, build) dataset the examples of build(record, texts); a
-    SkipRecord leaves the record out of that dataset only. Then each dataset
-    is shuffled/sharded and written, and the manifest: the common head plus
-    describe(stats, [(example_count, shard_infos), ...]).
+    stats, if given, and keeps the (name, eligible, build) datasets whose
+    eligible(record) holds; if any, it orders the record's OCR once into
+    texts (None unless order_ocr) and adds build(record, texts) to each.
+    Then each dataset is shuffled/sharded and written, and the manifest:
+    the common head plus describe([(example_count, shard_infos), ...]).
     Every file this run wrote is removed if any step fails."""
     os.makedirs(config.out_dir, exist_ok=True)
     written: list[str] = []
     try:
         counters: Counter = Counter()
-        stats = DatasetStats()
         examples: list[list[tuple[str, str]]] = [[] for _ in datasets]
         for record in kept_records(config.inputs, config.fraction, config.seed, counters):
-            stats.add(record)
-            texts = ([t.text for t in order_tokens(record.ocr, config.overlap_threshold)]
-                     if order_ocr else None)
-            for (_, build), pairs in zip(datasets, examples):
-                try:
+            if stats is not None:
+                stats.add(record)
+            wanted = [(build, pairs) for (_, eligible, build), pairs in zip(datasets, examples)
+                      if eligible(record)]
+            if wanted:
+                texts = ([t.text for t in order_tokens(record.ocr, config.overlap_threshold)]
+                         if order_ocr else None)
+                for build, pairs in wanted:
                     pairs.extend((ex.example_id, ex.to_json()) for ex in build(record, texts))
-                except SkipRecord:
-                    pass
         built = []
-        for (name, _), pairs in zip(datasets, examples):
+        for (name, _, _), pairs in zip(datasets, examples):
             shards = shuffle_and_shard(pairs, config.seed, config.shard_count)
             built.append((len(pairs),
                           _write_shards(shards, config.out_dir, name, config.compress, written)))
@@ -256,7 +251,7 @@ def _build(config: PipelineConfig, datasets, manifest_name: str, describe,
             "config_hash": _config_hash(config),
             "seed": config.seed,
             "counters": dict(counters),
-            **describe(stats, built),
+            **describe(built),
         }
         manifest_path = os.path.join(config.out_dir, manifest_name)
         with open(manifest_path, "w", encoding="utf-8") as fh:
@@ -276,12 +271,13 @@ def run(config: PipelineConfig) -> dict:
     kept records, shuffle/shard each, and write a reproducibility manifest."""
     plan = build_stage_plan(config.stages)
     configs = [ObjectiveConfig(fmt=config.fmt, pass_index=p) for p in range(config.passes)]
+    stats = DatasetStats()
 
     def stage_build(objective):
         return lambda record, texts: [build_example(record, texts, objective, config.seed, c)
                                       for c in configs]
 
-    def describe(stats, built):
+    def describe(built):
         return {
             "stats": stats.to_dict(),
             "stages": [{"stage": i, "objective": objective.value, "example_count": count,
@@ -289,9 +285,9 @@ def run(config: PipelineConfig) -> dict:
                        for i, (objective, (count, shards)) in enumerate(zip(plan.stages, built))],
         }
 
-    datasets = [(name, stage_build(objective))
+    datasets = [(name, objective.eligible, stage_build(objective))
                 for name, objective in zip(plan.dataset_names, plan.stages)]
-    return _build(config, datasets, "manifest.json", describe)
+    return _build(config, datasets, "manifest.json", describe, stats)
 
 
 def run_finetune(config: PipelineConfig, task: Task, ocr_included: bool = True) -> dict:
@@ -300,10 +296,11 @@ def run_finetune(config: PipelineConfig, task: Task, ocr_included: bool = True) 
     builder = build_vqa_examples if task is Task.VQA else build_caption_examples
     dataset = f"finetune_{task.value.lower()}"
 
-    def describe(stats, built):
+    def describe(built):
         [(count, shards)] = built
         return {"task": task.value, "ocr_included": ocr_included, "example_count": count,
                 "shards": shards}
 
-    return _build(config, [(dataset, lambda record, texts: builder(record, texts, obj_config))],
+    return _build(config, [(dataset, task.eligible,
+                            lambda record, texts: builder(record, texts, obj_config))],
                   f"{dataset}_manifest.json", describe, order_ocr=ocr_included)

@@ -1,11 +1,14 @@
 """Pre-training example builders: OCR, SPLITOCR, CAP, SPLITCAP.
 
-Each builder takes the record and its OCR texts in reading order (see
-`ordering.order_tokens`). SPLITOCR splits the ordered texts at a uniform
-random point; the prefix becomes extra model input and the suffix the
-generation target. OCR is the degenerate case with an empty prefix. CAP
-targets the caption conditioned on the full ordered OCR; SPLITCAP
-additionally feeds a caption prefix and targets the remainder.
+`Objective.eligible` is the one rule for which records can yield an
+objective's target; the pipeline builds and counts only records that pass
+it, so the builders check nothing. Each builder takes the record and its
+OCR texts in reading order (see `ordering.order_tokens`). SPLITOCR splits
+the ordered texts at a uniform random point; the prefix becomes extra
+model input and the suffix the generation target. OCR is the degenerate
+case with an empty prefix. CAP targets the caption conditioned on the
+full ordered OCR; SPLITCAP additionally feeds a caption prefix and
+targets the remainder.
 """
 
 import json
@@ -13,7 +16,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ConfigError, SkipRecord
+from .errors import ConfigError
 from .hashing import derive_rng
 from .records import Record
 from .textformat import DEFAULT_FORMAT, TextFormat, render_input
@@ -32,6 +35,14 @@ class Objective(str, Enum):
         except ValueError:
             raise ConfigError(f"unknown objective {tag!r}; expected one of "
                               f"{[o.value for o in cls]}") from None
+
+    def eligible(self, record: Record) -> bool:
+        """Whether the record can yield this objective's target."""
+        if self is Objective.OCR or self is Objective.SPLITOCR:
+            return bool(record.ocr)
+        if self is Objective.CAP:
+            return bool(record.caption)
+        return bool(record.caption and record.caption.split())
 
 
 @dataclass(frozen=True)
@@ -85,10 +96,8 @@ def rng_for(seed: int, image_id: str, objective: Objective, pass_index: int = 0)
 
 
 def sample_split_point(n: int, rng: random.Random) -> int:
-    """Uniform split point in {0..n-1}; k=0 means an empty input part and
-    the target part is never empty."""
-    if n < 1:
-        raise SkipRecord("cannot split an empty token sequence")
+    """Uniform split point in {0..n-1} for n >= 1; k=0 means an empty input
+    part and the target part is never empty."""
     return rng.randrange(n)
 
 
@@ -98,8 +107,6 @@ def _example_id(record: Record, objective: Objective, config: ObjectiveConfig) -
 
 def build_splitocr(record: Record, texts: list[str], rng: random.Random,
                    config: ObjectiveConfig = DEFAULT_CONFIG) -> PretrainExample:
-    if not texts:
-        raise SkipRecord(f"{record.image_id}: no OCR tokens for SPLITOCR")
     k = sample_split_point(len(texts), rng)
     sep = config.fmt.token_separator
     return PretrainExample(
@@ -115,8 +122,6 @@ def build_splitocr(record: Record, texts: list[str], rng: random.Random,
 
 def build_ocr(record: Record, texts: list[str],
               config: ObjectiveConfig = DEFAULT_CONFIG) -> PretrainExample:
-    if not texts:
-        raise SkipRecord(f"{record.image_id}: no OCR tokens for OCR")
     return PretrainExample(
         example_id=_example_id(record, Objective.OCR, config),
         image_id=record.image_id,
@@ -130,8 +135,6 @@ def build_ocr(record: Record, texts: list[str],
 
 def build_cap(record: Record, texts: list[str],
               config: ObjectiveConfig = DEFAULT_CONFIG) -> PretrainExample:
-    if not record.caption:
-        raise SkipRecord(f"{record.image_id}: no caption for CAP")
     return PretrainExample(
         example_id=_example_id(record, Objective.CAP, config),
         image_id=record.image_id,
@@ -145,8 +148,6 @@ def build_cap(record: Record, texts: list[str],
 
 def build_splitcap(record: Record, texts: list[str], rng: random.Random,
                    config: ObjectiveConfig = DEFAULT_CONFIG) -> PretrainExample:
-    if not record.caption or not record.caption.split():
-        raise SkipRecord(f"{record.image_id}: no caption for SPLITCAP")
     words = record.caption.split()
     k = sample_split_point(len(words), rng)
     return PretrainExample(
@@ -162,8 +163,8 @@ def build_splitcap(record: Record, texts: list[str], rng: random.Random,
 
 def build_example(record: Record, texts: list[str], objective: Objective, seed: int,
                   config: ObjectiveConfig = DEFAULT_CONFIG) -> PretrainExample:
-    """Dispatch on objective; only the split objectives derive the
-    per-record RNG, because only they draw from it."""
+    """Dispatch on objective for an eligible record; only the split
+    objectives derive the per-record RNG, because only they draw from it."""
     if objective is Objective.OCR:
         return build_ocr(record, texts, config)
     if objective is Objective.CAP:

@@ -341,3 +341,23 @@ def test_failed_build_removes_its_shards(corpus, tmp_path, capsys, argv, blocked
     assert code == 1
     assert err.startswith("error: ")
     assert [p.name for p in out_dir.iterdir()] == [blocked]
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("argv,output", [
+    (["build-pretrain", "--objective", "splitocr", "--out-dir"], "out"),
+    (["build-finetune", "--task", "vqa", "--out-dir"], "out"),
+    (["subsample", "--fraction", "0.5", "--out"], "sub.jsonl"),
+    (["stats", "--fraction", "0.5"], None),
+], ids=["build-pretrain", "build-finetune", "subsample", "stats"])
+def test_seed_outside_64_bits_is_a_usage_error(corpus, tmp_path, capsys, argv, output, seed):
+    if output is not None:
+        argv = [*argv, str(tmp_path / output)]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", seed, "--in", str(corpus)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --seed" in captured.err
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]

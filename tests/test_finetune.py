@@ -1,8 +1,5 @@
 import json
 
-import pytest
-
-from scenetext.errors import SkipRecord
 from scenetext.finetune import (
     Task,
     build_caption_examples,
@@ -44,8 +41,9 @@ def test_vqa_without_ocr_input():
 
 
 def test_vqa_skips_record_without_qa():
-    with pytest.raises(SkipRecord):
-        build_vqa_examples(sign_record(), ["STOP"])
+    assert not Task.VQA.eligible(sign_record())
+    assert not Task.VQA.eligible(sign_record(qa=()))
+    assert Task.VQA.eligible(sign_record(qa=(QaAnnotation("q", TEN),)))
 
 
 def test_vqa_one_example_per_question():
@@ -86,8 +84,9 @@ def test_caption_with_empty_ocr_keeps_empty_segment():
 
 
 def test_caption_skips_missing_caption():
-    with pytest.raises(SkipRecord):
-        build_caption_examples(sign_record(), ["STOP"])
+    assert not Task.CAPTION.eligible(sign_record())
+    assert not Task.CAPTION.eligible(sign_record(caption=""))
+    assert Task.CAPTION.eligible(make_record(caption="a wall"))
 
 
 def test_cap_pretrain_input_matches_caption_finetune_input():

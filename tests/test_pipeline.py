@@ -255,7 +255,8 @@ def test_run_finetune_orders_each_kept_record_once(qa_corpus, tmp_path, monkeypa
     calls = counted(monkeypatch, pipeline, "order_tokens")
     manifest = run_finetune(run_config(path, tmp_path / "ft"), Task.VQA)
     assert manifest["example_count"] == 20
-    assert len(calls) == len(records)
+    # only the 20 records with QA are ordered
+    assert len(calls) == sum(1 for r in records if r.qa) == 20
 
 
 def test_run_finetune_without_ocr_input_orders_nothing(qa_corpus, tmp_path, monkeypatch):
@@ -269,5 +270,57 @@ def test_run_finetune_without_ocr_input_orders_nothing(qa_corpus, tmp_path, monk
 def test_run_derives_rngs_only_for_split_objectives(corpus, tmp_path, monkeypatch):
     path, _ = corpus
     calls = counted(monkeypatch, pretrain, "derive_rng")
-    run(run_config(path, tmp_path / "out", stages=ALL_STAGES, passes=2))
+    manifest = run(run_config(path, tmp_path / "out", stages=ALL_STAGES, passes=2))
     assert {args[2] for args in calls} == {"SPLITOCR", "SPLITCAP"}
+    # one RNG per pass and eligible record, none for a record the stage skips
+    eligible = manifest["stats"]["eligible"]
+    assert eligible["SPLITCAP"] < eligible["SPLITOCR"]
+    assert len(calls) == 2 * (eligible["SPLITOCR"] + eligible["SPLITCAP"])
+
+
+@pytest.fixture
+def sparse_corpus(tmp_path, rng):
+    """Records that fail each eligibility rule in turn: empty OCR, no caption,
+    an empty or whitespace-only caption, and an empty QA list."""
+    captions = [None, "", " \t ", "a red sign", "sign"]
+    records = []
+    for i in range(50):
+        record = random_layout_record(rng, image_id=f"sp{i:03d}")
+        qa = (QaAnnotation(f"q{i}", ("a",) * 10),) * (i % 3) if i % 4 else None
+        record = dataclasses.replace(record, caption=captions[i % 5], qa=qa,
+                                     ocr=() if i % 7 == 0 else record.ocr)
+        records.append(record)
+    path = tmp_path / "sparse.jsonl"
+    write_corpus(path, records)
+    return path, records
+
+
+def test_stage_example_counts_equal_eligible_counts(sparse_corpus, tmp_path):
+    path, records = sparse_corpus
+    assert '"qa": []' in path.read_text(encoding="utf-8")
+    passes = 3
+    manifest = run(run_config(path, tmp_path / "out", stages=ALL_STAGES, passes=passes))
+    eligible = manifest["stats"]["eligible"]
+    assert 0 < eligible["SPLITCAP"] < eligible["CAP"] < eligible["OCR"] < len(records)
+    for stage in manifest["stages"]:
+        assert stage["example_count"] == passes * eligible[stage["objective"]]
+
+
+def test_ineligible_records_yield_no_examples(sparse_corpus, tmp_path, monkeypatch):
+    path, records = sparse_corpus
+    calls = counted(monkeypatch, pipeline, "order_tokens")
+    manifest = run(run_config(path, tmp_path / "out", stages=(Objective.OCR, Objective.SPLITCAP),
+                              shard_count=1))
+    built = [{json.loads(line)["image_id"]
+              for line in (tmp_path / "out" / stage["shards"][0]["file"]).read_text().splitlines()}
+             for stage in manifest["stages"]]
+    assert built == [{r.image_id for r in records if r.ocr},
+                     {r.image_id for r in records if r.caption and r.caption.split()}]
+    # a record that no stage wants is never ordered
+    assert len(calls) == len(built[0] | built[1]) < len(records)
+    for task, has_target in ((Task.VQA, lambda r: r.qa), (Task.CAPTION, lambda r: r.caption)):
+        out = tmp_path / task.value
+        manifest = run_finetune(run_config(path, out, shard_count=1), task)
+        lines = (out / manifest["shards"][0]["file"]).read_text().splitlines()
+        assert ({json.loads(line)["image_id"] for line in lines}
+                == {r.image_id for r in records if has_target(r)})

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from scenetext.errors import ConfigError, SkipRecord
+from scenetext.errors import ConfigError
 from scenetext.pretrain import (
     Objective,
     ObjectiveConfig,
@@ -41,7 +41,7 @@ def test_split_point_single_token_is_zero(rng):
 
 
 def test_split_point_rejects_zero():
-    with pytest.raises(SkipRecord):
+    with pytest.raises(ValueError):
         sample_split_point(0, random.Random(0))
 
 
@@ -75,8 +75,8 @@ def test_splitocr_single_token_forced_empty_prefix():
 
 
 def test_splitocr_skips_empty_ocr():
-    with pytest.raises(SkipRecord):
-        build_splitocr(make_record(ocr=[]), [], random.Random(0))
+    assert not Objective.SPLITOCR.eligible(make_record(ocr=[]))
+    assert Objective.SPLITOCR.eligible(make_record(ocr=line_of(["X"])))
 
 
 def test_splitocr_concatenation_identity(rng):
@@ -113,8 +113,8 @@ def test_ocr_single_token():
 
 
 def test_ocr_skips_empty():
-    with pytest.raises(SkipRecord):
-        build_ocr(make_record(ocr=[]), [])
+    assert not Objective.OCR.eligible(make_record(ocr=[], caption="a sign"))
+    assert Objective.OCR.eligible(make_record(ocr=line_of(["X"])))
 
 
 def test_ocr_equals_splitocr_with_forced_k0(rng):
@@ -132,14 +132,16 @@ def test_cap():
 
 
 def test_cap_with_empty_ocr_stays_eligible():
+    assert Objective.CAP.eligible(make_record(caption="a plain wall"))
     ex = build_cap(make_record(caption="a plain wall"), [])
     assert ex.input_ocr == ()
     assert ex.target == "a plain wall"
 
 
 def test_cap_skips_missing_caption():
-    with pytest.raises(SkipRecord):
-        build_cap(make_record(ocr=line_of(["X"])), ["X"])
+    assert not Objective.CAP.eligible(make_record(ocr=line_of(["X"])))
+    assert not Objective.CAP.eligible(make_record(ocr=line_of(["X"]), caption=""))
+    assert Objective.CAP.eligible(make_record(caption=" "))  # SPLITCAP is not
 
 
 def test_splitcap_k1():
@@ -167,8 +169,9 @@ def test_splitcap_concatenation(rng):
 
 
 def test_splitcap_skips_missing_caption():
-    with pytest.raises(SkipRecord):
-        build_splitcap(make_record(), [], random.Random(0))
+    for caption in (None, "", " \t "):
+        assert not Objective.SPLITCAP.eligible(make_record(ocr=line_of(["X"]), caption=caption))
+    assert Objective.SPLITCAP.eligible(make_record(caption="sign"))
 
 
 def test_seed_determinism_independent_of_call_order(rng):
