@@ -49,7 +49,9 @@ def _add_build_flags(parser):
     parser.add_argument("--overlap-threshold", type=float, default=0.5,
                         help="vertical overlap fraction for line grouping")
     parser.add_argument("--threads", type=int, default=1,
-                        help="recorded in the manifest; builds run in one thread")
+                        help="worker processes: up to N forked workers, capped at the "
+                             "CPUs available; 1 builds in this process. Output is "
+                             "byte-identical for any N")
     parser.add_argument("--compress", action="store_true",
                         help="gzip-compress output shards")
     parser.add_argument("--resolution", type=int, default=None,
@@ -179,11 +181,11 @@ def main(argv=None) -> int:
             pairs = subsample(ingest(args.inputs, counters), args.fraction, args.seed,
                               key=lambda pair: pair[1].image_id)
             kept = 0
-            out = open(args.out, "w", encoding="utf-8")
+            out = open(args.out, "wb")
             try:
                 with out:
                     for line, _ in pairs:
-                        out.write(line if line.endswith("\n") else line + "\n")
+                        out.write(line if line.endswith(b"\n") else line + b"\n")
                         kept += 1
             except BaseException:
                 os.remove(args.out)  # no partial sample is left behind

@@ -4,12 +4,20 @@ A build makes one pass over the kept records. A record that passes some
 dataset's eligibility rule (`Objective.eligible`, `Task.eligible`) is
 ordered once (`ordering.order_tokens`) and handed with its ordered OCR
 texts to those datasets' builders, then dropped; only the built examples
-are held until they are shuffled into shards.
+are held, as UTF-8 JSON lines, until they are shuffled into shards.
+
+The per-line work (decode, parse, the per-record validation rules, the
+keep test, ordering, building and serializing) runs on chunks of lines.
+With `threads` > 1 it runs in up to that many forked worker processes,
+capped at the CPUs available; with 1 it runs in this process. Either way
+this process reads the lines, applies the duplicate rule and the counters
+in line order, and shuffles and writes, so the chunking changes nothing.
 
 Every output is a pure function of (inputs, config): subsampling and
 shuffling key off stable hashes of record ids, per-record RNGs are derived
 from (seed, image_id), and shards plus manifest are byte-reproducible
-across reruns, worker counts, and input orderings.
+across reruns and worker counts, and across input orderings when no two
+records share an image_id.
 """
 
 import dataclasses
@@ -19,16 +27,18 @@ import json
 import os
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import islice
 from operator import attrgetter
 from typing import Iterable, Iterator
 
 from . import __version__
-from .errors import ConfigError, ParseError, SchemaError
+from .errors import ConfigError, ParseError, SceneTextError, SchemaError
 from .finetune import Task, build_caption_examples, build_vqa_examples
 from .hashing import hash64, keep_fraction
 from .ordering import order_tokens
 from .pretrain import Objective, ObjectiveConfig, build_example, build_stage_plan
-from .records import CorpusValidator, Record, parse_record
+from .records import CorpusValidator, Record, parse_record, record_violations
 from .textformat import TextFormat
 
 
@@ -43,13 +53,16 @@ class PipelineConfig:
     overlap_threshold: float = 0.5
     fmt: TextFormat = TextFormat()
     passes: int = 1
-    threads: int = 1  # recorded in the manifest; builds run in one thread
+    threads: int = 1  # up to this many forked worker processes; output is the same for any
     compress: bool = False
     resolution: int | None = None  # image-resolution tag, manifest metadata only
 
     def __post_init__(self):
-        if not 0.0 < self.fraction <= 1.0:
-            raise ConfigError(f"fraction must be in (0, 1], got {self.fraction}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
+        if self.threads < 1:
+            raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        _check_fraction(self.fraction)
         if self.shard_count < 1:
             raise ConfigError(f"shard count must be >= 1, got {self.shard_count}")
         if self.passes < 1:
@@ -71,13 +84,21 @@ class DatasetStats:
     ocr_token_histogram: Counter = field(default_factory=Counter)
     caption_length_histogram: Counter = field(default_factory=Counter)
 
-    def add(self, record: Record) -> None:
-        """Count one record."""
+    @staticmethod
+    def entry(record: Record) -> tuple[int, int | None, tuple[str, ...]]:
+        """What `add` counts of one record: its OCR token count, its caption
+        word count (None without a caption) and its eligible objectives."""
+        return (len(record.ocr), len(record.caption.split()) if record.caption else None,
+                tuple([o.value for o in Objective if o.eligible(record)]))
+
+    def add(self, entry: tuple[int, int | None, tuple[str, ...]]) -> None:
+        """Count one record, given as its `entry`."""
+        ocr_count, caption_words, eligible = entry
         self.record_count += 1
-        self.ocr_token_histogram[len(record.ocr)] += 1
-        if record.caption:
-            self.caption_length_histogram[len(record.caption.split())] += 1
-        self.eligible.update(o.value for o in Objective if o.eligible(record))
+        self.ocr_token_histogram[ocr_count] += 1
+        if caption_words is not None:
+            self.caption_length_histogram[caption_words] += 1
+        self.eligible.update(eligible)
 
     @property
     def empty_ocr_count(self) -> int:
@@ -108,32 +129,144 @@ def iter_lines(paths: Iterable[str]) -> Iterator[bytes]:
                     yield line
 
 
-def ingest(paths: Iterable[str], counters: Counter,
-           violations: Counter | None = None) -> Iterator[tuple[str, Record]]:
-    """Yield (line, record) for each valid record of the inputs, in order.
+CHUNK_LINES = 64  # lines per unit of work handed to a worker
+CHUNKS_PER_WORKER = 4  # chunks in flight per worker: enough to keep each busy
 
-    Each line is decoded on its own, so a bad byte costs one line. A line
-    that does not decode or parse counts as a parse error, a record the
-    validator rejects as a validation skip; neither stops the stream.
-    `violations`, when given, counts the validator's findings by name.
+
+def available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _chunks(paths: Iterable[str]) -> Iterator[list[bytes]]:
+    lines = iter_lines(paths)
+    while chunk := list(islice(lines, CHUNK_LINES)):
+        yield chunk
+
+
+def _check_chunk(lines: list[bytes], work) -> list:
+    """The per-line work of an ingest, on one chunk. One entry per line: None
+    if it does not decode or parse, else (image_id, violations, output), where
+    violations are the record's `record_violations` and output is
+    work(record) when there are none, else None. Runs in a worker process
+    when the ingest has more than one."""
+    results = []
+    for raw in lines:
+        try:
+            record = parse_record(raw.decode("utf-8"))
+        except (UnicodeDecodeError, ParseError, SchemaError):
+            results.append(None)
+            continue
+        violations = record_violations(record)
+        results.append((record.image_id, violations, None if violations else work(record)))
+    return results
+
+
+_worker_job = None  # in a worker process: the chunk function of its pool
+
+
+def _start_worker(job) -> None:
+    import multiprocessing
+    import signal
+    import threading
+
+    global _worker_job
+    _worker_job = job
+    # Ctrl-C reaches the whole process group; the parent alone handles it
+    # and shuts the pool down.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # A parent killed outright runs no shutdown, and its workers would wait
+    # for work forever: each exits as soon as its parent is gone.
+    sentinel = multiprocessing.parent_process().sentinel
+    threading.Thread(target=_exit_with_parent, args=(sentinel,), daemon=True).start()
+
+
+def _exit_with_parent(sentinel: int) -> None:
+    from multiprocessing.connection import wait
+
+    wait([sentinel])
+    os._exit(1)
+
+
+def _run_job(lines: list[bytes]) -> list:
+    return _worker_job(lines)
+
+
+def _map_chunks(job, chunks: Iterator[list[bytes]], workers: int) -> Iterator[tuple[list, list]]:
+    """Yield (chunk, job(chunk)) for each chunk, in order. With more than one
+    worker, and where processes can fork, `workers` forked processes run the
+    job with a bounded window of chunks in flight; otherwise it runs here."""
+    if workers > 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            yield from _pooled(job, chunks, multiprocessing.get_context("fork"), workers)
+            return
+    for chunk in chunks:
+        yield chunk, job(chunk)
+
+
+def _pooled(job, chunks, context, workers: int) -> Iterator[tuple[list, list]]:
+    from collections import deque
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # Under fork the pool starts every worker at the first submit, before
+    # its manager thread; the job reaches them by fork, not by pickling.
+    pool = ProcessPoolExecutor(workers, mp_context=context, initializer=_start_worker,
+                               initargs=(job,))
+    try:
+        window: deque = deque()
+        for chunk in chunks:
+            window.append((chunk, pool.submit(_run_job, chunk)))
+            if len(window) >= CHUNKS_PER_WORKER * workers:
+                chunk, future = window.popleft()
+                yield chunk, future.result()
+        while window:
+            chunk, future = window.popleft()
+            yield chunk, future.result()
+    except BrokenProcessPool:
+        raise SceneTextError("a build worker process died") from None
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _same(record: Record) -> Record:
+    return record
+
+
+def ingest(paths: Iterable[str], counters: Counter, violations: Counter | None = None,
+           work=_same, threads: int = 1) -> Iterator[tuple[bytes, object]]:
+    """Yield (line, work(record)) for each valid record of the inputs, in order.
+
+    The one ingest loop. Each line is decoded on its own, so a bad byte costs
+    one line. A line that does not decode or parse counts as a parse error, a
+    record the validator rejects as a validation skip; neither stops the
+    stream. `violations`, when given, counts the validator's findings by
+    name. Parsing, the per-record rules and `work` run on chunks of lines in
+    up to `threads` processes (capped at `available_cpus()`); the duplicate
+    rule and the counters run here, in line order, so neither depends on
+    the chunking. A duplicate's work is done and dropped.
     """
     validator = CorpusValidator()
-    for raw in iter_lines(paths):
-        counters["lines"] += 1
-        try:
-            line = raw.decode("utf-8")
-            record = parse_record(line)
-        except (UnicodeDecodeError, ParseError, SchemaError):
-            counters["parse_errors"] += 1
-            continue
-        report = validator.validate(record)
-        if not report.ok:
-            counters["validation_skips"] += 1
-            if violations is not None:
-                violations.update(report.violations)
-            continue
-        counters["valid_records"] += 1
-        yield line, record
+    job = partial(_check_chunk, work=work)
+    for lines, results in _map_chunks(job, _chunks(paths), min(threads, available_cpus())):
+        for line, result in zip(lines, results):
+            counters["lines"] += 1
+            if result is None:
+                counters["parse_errors"] += 1
+                continue
+            image_id, found, output = result
+            report = validator.check(image_id, found)
+            if not report.ok:
+                counters["validation_skips"] += 1
+                if violations is not None:
+                    violations.update(report.violations)
+                continue
+            counters["valid_records"] += 1
+            yield line, output
 
 
 def subsample(records: Iterable, fraction: float, seed: int,
@@ -143,57 +276,70 @@ def subsample(records: Iterable, fraction: float, seed: int,
     Order-independent, and nested across fractions under the same seed.
     The fraction is checked at once; the records are filtered lazily.
     """
-    if not 0.0 < fraction <= 1.0:
-        raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
+    _check_fraction(fraction)
     if fraction == 1.0:
         return iter(records)
     return (r for r in records if keep_fraction(seed, key(r), fraction))
 
 
-def kept_records(paths: Iterable[str], fraction: float, seed: int,
-                 counters: Counter) -> Iterator[Record]:
-    """Ingest and subsample, yielding each kept record as it is read.
+def _check_fraction(fraction: float) -> None:
+    if not 0.0 < fraction <= 1.0:
+        raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
+
+
+def kept_records(paths: Iterable[str], fraction: float, seed: int, counters: Counter,
+                 work=_same, threads: int = 1) -> Iterator:
+    """Ingest and subsample, yielding work(record) for each kept record, in
+    line order. The keep test runs just before `work`, in the same process
+    (see `ingest`), so a record the subsample drops is never built.
 
     The one place that sets the `valid_records` counter (reported even when
     no line is valid) and the `subsampled_records` counter.
     """
+    _check_fraction(fraction)
+    kept_work = work
+    if fraction < 1.0:
+        def kept_work(record):
+            return work(record) if keep_fraction(seed, record.image_id, fraction) else None
     counters.setdefault("valid_records", 0)
     counters["subsampled_records"] = 0
-    for record in subsample((record for _, record in ingest(paths, counters)), fraction, seed):
-        counters["subsampled_records"] += 1
-        yield record
+    for _, output in ingest(paths, counters, work=kept_work, threads=threads):
+        if output is not None:
+            counters["subsampled_records"] += 1
+            yield output
 
 
 def compute_stats(records: Iterable[Record]) -> DatasetStats:
     """Single streaming pass of exact counts."""
     stats = DatasetStats()
     for record in records:
-        stats.add(record)
+        stats.add(DatasetStats.entry(record))
     return stats
 
 
-def shuffle_and_shard(examples: list[tuple[str, str]], seed: int,
-                      shard_count: int) -> list[list[str]]:
-    """Deterministically permute (example_id, line) pairs and assign them
-    round-robin to shard_count buckets of JSONL lines."""
+def shuffle_and_shard(examples: list[tuple[int, str, bytes]],
+                      shard_count: int) -> list[list[bytes]]:
+    """Deterministically permute (shuffle_key, example_id, line) triples,
+    where shuffle_key is hash64(seed, "shuffle", example_id), and assign the
+    lines round-robin to shard_count buckets."""
     if shard_count < 1:
         raise ConfigError(f"shard count must be >= 1, got {shard_count}")
-    permuted = sorted(examples, key=lambda e: (hash64(seed, "shuffle", e[0]), e[0]))
-    shards: list[list[str]] = [[] for _ in range(shard_count)]
-    for i, (_, line) in enumerate(permuted):
+    shards: list[list[bytes]] = [[] for _ in range(shard_count)]
+    for i, (_, _, line) in enumerate(sorted(examples)):
         shards[i % shard_count].append(line)
     return shards
 
 
-def _write_shards(shards: list[list[str]], out_dir: str, dataset: str,
+def _write_shards(shards: list[list[bytes]], out_dir: str, dataset: str,
                   compress: bool, written: list[str]) -> list[dict]:
-    """Write one file per shard; each path joins `written` once opened."""
+    """Write one file per shard of newline-terminated UTF-8 lines; each path
+    joins `written` once opened."""
     infos = []
     suffix = ".jsonl.gz" if compress else ".jsonl"
     for i, lines in enumerate(shards):
         name = f"{dataset}-{i:05d}-of-{len(shards):05d}{suffix}"
         path = os.path.join(out_dir, name)
-        payload = "".join(line + "\n" for line in lines).encode("utf-8")
+        payload = b"".join(lines)
         if compress:
             # fixed mtime so compressed shards are byte-reproducible
             data = gzip.compress(payload, mtime=0)
@@ -223,33 +369,47 @@ def _build(config: PipelineConfig, datasets, manifest_name: str, describe,
     texts (None unless order_ocr) and adds build(record, texts) to each.
     Then each dataset is shuffled/sharded and written, and the manifest:
     the common head plus describe([(example_count, shard_infos), ...]).
-    Every file this run wrote is removed if any step fails."""
+    Every file this run wrote is removed if any step fails.
+
+    Ordering, building and serializing are the per-record `work` of the
+    ingest, so they run in its worker processes; the stats, the held
+    examples and everything after the pass stay in this one."""
+    seed, with_stats = config.seed, stats is not None
+
+    def work(record):
+        """The record's stats entry (None without stats) and, per dataset,
+        its examples as (shuffle key, example_id, UTF-8 JSON line) triples."""
+        builds = [build if eligible(record) else None for _, eligible, build in datasets]
+        texts = None
+        if order_ocr and any(builds):
+            texts = [t.text for t in order_tokens(record.ocr, config.overlap_threshold)]
+        examples = [[(hash64(seed, "shuffle", ex.example_id), ex.example_id,
+                      (ex.to_json() + "\n").encode("utf-8")) for ex in build(record, texts)]
+                    if build else [] for build in builds]
+        return (DatasetStats.entry(record) if with_stats else None), examples
+
     os.makedirs(config.out_dir, exist_ok=True)
     written: list[str] = []
     try:
         counters: Counter = Counter()
-        examples: list[list[tuple[str, str]]] = [[] for _ in datasets]
-        for record in kept_records(config.inputs, config.fraction, config.seed, counters):
-            if stats is not None:
-                stats.add(record)
-            wanted = [(build, pairs) for (_, eligible, build), pairs in zip(datasets, examples)
-                      if eligible(record)]
-            if wanted:
-                texts = ([t.text for t in order_tokens(record.ocr, config.overlap_threshold)]
-                         if order_ocr else None)
-                for build, pairs in wanted:
-                    pairs.extend((ex.example_id, ex.to_json()) for ex in build(record, texts))
+        examples: list[list[tuple[int, str, bytes]]] = [[] for _ in datasets]
+        for entry, built_examples in kept_records(config.inputs, config.fraction, seed,
+                                                  counters, work, config.threads):
+            if with_stats:
+                stats.add(entry)
+            for held, new in zip(examples, built_examples):
+                held.extend(new)
         built = []
-        for (name, _, _), pairs in zip(datasets, examples):
-            shards = shuffle_and_shard(pairs, config.seed, config.shard_count)
-            built.append((len(pairs),
+        for (name, _, _), keyed in zip(datasets, examples):
+            shards = shuffle_and_shard(keyed, config.shard_count)
+            built.append((len(keyed),
                           _write_shards(shards, config.out_dir, name, config.compress, written)))
         manifest = {
             "tool": "scenetext",
             "version": __version__,
             "config": config.to_dict(),
             "config_hash": _config_hash(config),
-            "seed": config.seed,
+            "seed": seed,
             "counters": dict(counters),
             **describe(built),
         }

@@ -91,7 +91,7 @@ class PretrainExample:
 
 def rng_for(seed: int, image_id: str, objective: Objective, pass_index: int = 0) -> random.Random:
     """Per-record RNG; identical (seed, image_id) gives identical draws
-    regardless of processing order or thread count."""
+    regardless of processing order or worker count."""
     return derive_rng(seed, image_id, objective.value, str(pass_index))
 
 

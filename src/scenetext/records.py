@@ -209,22 +209,35 @@ class ValidationReport:
         return not self.violations
 
 
+def record_violations(record: Record) -> list[str]:
+    """The validator's findings that depend on this record alone: one
+    `confidence_range` per token whose confidence is outside [0, 1], one
+    `bbox_out_of_bounds` per token whose box leaves `image_size`."""
+    violations = []
+    for tok in record.ocr:
+        if not 0.0 <= tok.confidence <= 1.0:
+            violations.append("confidence_range")
+        if record.image_size is not None:
+            width, height = record.image_size
+            if tok.x + tok.w > width or tok.y + tok.h > height:
+                violations.append("bbox_out_of_bounds")
+    return violations
+
+
 class CorpusValidator:
-    """Streaming validator; remembers seen image_ids to flag duplicates."""
+    """Streaming validator: the per-record rules plus the duplicate rule,
+    under which the first record read with a given image_id wins."""
 
     def __init__(self):
         self._seen: set[str] = set()
 
     def validate(self, record: Record) -> ValidationReport:
-        report = ValidationReport(image_id=record.image_id)
-        if record.image_id in self._seen:
-            report.violations.append("duplicate_image_id")
-        self._seen.add(record.image_id)
-        for tok in record.ocr:
-            if not 0.0 <= tok.confidence <= 1.0:
-                report.violations.append("confidence_range")
-            if record.image_size is not None:
-                width, height = record.image_size
-                if tok.x + tok.w > width or tok.y + tok.h > height:
-                    report.violations.append("bbox_out_of_bounds")
-        return report
+        return self.check(record.image_id, record_violations(record))
+
+    def check(self, image_id: str, violations: list[str]) -> ValidationReport:
+        """The report on the next record read, given its `record_violations`:
+        those plus `duplicate_image_id` if an earlier record had its id."""
+        if image_id in self._seen:
+            violations = ["duplicate_image_id", *violations]
+        self._seen.add(image_id)
+        return ValidationReport(image_id, violations)

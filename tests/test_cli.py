@@ -302,6 +302,17 @@ def test_build_rejects_overlap_threshold_outside_unit_interval(corpus, tmp_path,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_build_rejects_thread_count_below_one(corpus, tmp_path, capsys, threads):
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "build-pretrain", "--objective", "ocr",
+                             "--threads", threads, "--in", corpus, "--out-dir", out_dir)
+    assert code == 1
+    assert err.startswith(f"error: threads must be >= 1, got {threads}")
+    assert out == ""
+    assert not out_dir.exists()
+
+
 def test_subsample_skips_and_counts_bad_lines(corpus, corpus_with_bad_lines, tmp_path, capsys):
     out_file = tmp_path / "sub.jsonl"
     code, out, _ = run_cli(capsys, "--json", "subsample", "--in", corpus_with_bad_lines,

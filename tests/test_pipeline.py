@@ -106,24 +106,32 @@ def test_compute_stats_empty_stream():
     assert stats.empty_ocr_fraction == 0.0
 
 
+def keyed(examples, seed):
+    """(example_id, line) pairs as the (shuffle key, example_id, line) triples a build holds."""
+    return [(hash64(seed, "shuffle", ex_id), ex_id, line) for ex_id, line in examples]
+
+
 def test_shuffle_and_shard_single_shard_permutes():
     examples = [(f"id{i}", f"line{i}") for i in range(100)]
-    (shard,) = shuffle_and_shard(examples, seed=1, shard_count=1)
+    (shard,) = shuffle_and_shard(keyed(examples, seed=1), shard_count=1)
     assert sorted(shard) == sorted(line for _, line in examples)
     assert shard != [line for _, line in examples]
 
 
 def test_shuffle_and_shard_conservation():
     examples = [(f"id{i}", f"line{i}") for i in range(103)]
-    shards = shuffle_and_shard(examples, seed=2, shard_count=7)
+    shards = shuffle_and_shard(keyed(examples, seed=2), shard_count=7)
     merged = Counter(line for shard in shards for line in shard)
     assert merged == Counter(line for _, line in examples)
 
 
 def test_shuffle_and_shard_deterministic():
     examples = [(f"id{i}", f"line{i}") for i in range(50)]
-    assert shuffle_and_shard(examples, 3, 4) == shuffle_and_shard(examples, 3, 4)
-    assert shuffle_and_shard(examples, 3, 4) != shuffle_and_shard(examples, 4, 4)
+    assert shuffle_and_shard(keyed(examples, 3), 4) == shuffle_and_shard(keyed(examples, 3), 4)
+    assert shuffle_and_shard(keyed(examples, 3), 4) != shuffle_and_shard(keyed(examples, 4), 4)
+    # the input order does not matter
+    assert (shuffle_and_shard(keyed(examples[::-1], 3), 4)
+            == shuffle_and_shard(keyed(examples, 3), 4))
 
 
 def run_config(corpus_path, out_dir, **kwargs):
@@ -161,11 +169,69 @@ def test_run_is_byte_identical_across_reruns(corpus, tmp_path):
     assert [s["shards"] for s in m1["stages"]] == [s["shards"] for s in m3["stages"]]
 
 
-def test_run_thread_count_does_not_change_output(corpus, tmp_path):
-    path, _ = corpus
-    m1 = run(run_config(path, tmp_path / "t1", threads=1))
-    m8 = run(run_config(path, tmp_path / "t8", threads=8))
-    assert [s["shards"] for s in m1["stages"]] == [s["shards"] for s in m8["stages"]]
+def _hostile_corpus(path: Path, rng, seed, fraction):
+    """A corpus of several chunks with one line of each kind a build skips:
+    bad JSON, a 0xff byte, a schema error, each per-record rule, and later
+    copies of image_ids (in the first copy's chunk and in later chunks) with
+    other content. Returns the counters every build of it must report."""
+    chunk = pipeline.CHUNK_LINES
+    records = [random_layout_record(rng, image_id=f"img{i:04d}", with_caption=i % 2 == 0)
+               for i in range(4 * chunk + 17)]
+    records = [dataclasses.replace(r, qa=(QaAnnotation(f"q {r.image_id}", ("a",) * 10),))
+               if i % 3 == 0 else r for i, r in enumerate(records)]
+    # duplicated ids that the subsample keeps, so their examples are built
+    dup_ids = [i for i in (f"dup{k}" for k in range(100)) if keep_fraction(seed, i, fraction)][:3]
+    lines = [serialize_record(r).encode("utf-8") for r in records]
+
+    def put(index, record):
+        lines[index] = serialize_record(record).encode("utf-8")
+
+    first = [dataclasses.replace(records[i], image_id=d, caption="first copy")
+             for i, d in zip((3, chunk + 5, 2 * chunk + 1), dup_ids)]
+    put(3, first[0])
+    put(chunk + 5, dataclasses.replace(first[1], ocr=(make_token("x", confidence=1.5),)))
+    put(2 * chunk + 1, first[2])
+    put(9, dataclasses.replace(first[0], caption="same chunk"))
+    put(2 * chunk + 7, dataclasses.replace(first[0], caption="later chunk"))
+    put(3 * chunk + 2, dataclasses.replace(first[1], caption="valid later copy"))
+    put(4 * chunk + 3, dataclasses.replace(first[2], ocr=records[0].ocr))
+    put(chunk + 20, make_record("conf", ocr=[make_token("x", confidence=-0.5)]))
+    put(3 * chunk + 30, make_record("bbox", ocr=[make_token("x", x=95, w=10)], image_size=(100, 100)))
+    lines[chunk - 1] = b"{not json"
+    lines[2 * chunk + 40] = b'{"image_id": "bad-byte", "caption": "\xff"}'
+    lines[3 * chunk] = b'{"ocr": []}'
+    path.write_bytes(b"".join(line + b"\n" for line in lines))
+    # skipped: 4 later copies, the first copy with a bad confidence, conf, bbox
+    return {"lines": len(lines), "parse_errors": 3, "validation_skips": 7,
+            "valid_records": len(lines) - 10}
+
+
+def test_run_thread_count_does_not_change_output(tmp_path, rng, monkeypatch):
+    # up to 3 workers wherever the test runs, so 2 and 3 both use the pool
+    monkeypatch.setattr(pipeline, "available_cpus", lambda: 4)
+    seed = 13
+
+    def without_threads(manifest):
+        del manifest["config_hash"]
+        del manifest["config"]["threads"]
+        return manifest
+
+    for fraction in (1.0, 0.5):
+        path = tmp_path / f"hostile-{fraction}.jsonl"
+        expected = _hostile_corpus(path, rng, seed, fraction)
+        builds = [lambda threads: run(run_config(path, tmp_path / f"pre-{fraction}", seed=seed,
+                                                 stages=ALL_STAGES, passes=2, fraction=fraction,
+                                                 threads=threads)),
+                  lambda threads: run_finetune(run_config(path, tmp_path / f"ft-{fraction}",
+                                                          seed=seed, fraction=fraction,
+                                                          threads=threads), Task.VQA)]
+        for build in builds:
+            manifests = [without_threads(build(threads)) for threads in (1, 2, 3)]
+            counters = manifests[0]["counters"]
+            assert {k: counters[k] for k in expected} == expected
+            assert 0 < counters["subsampled_records"] <= expected["valid_records"]
+            assert manifests[1] == manifests[0]
+            assert manifests[2] == manifests[0]
 
 
 def test_run_skips_bad_records(tmp_path, rng):
@@ -210,6 +276,14 @@ def test_config_validation():
             PipelineConfig(inputs=("x",), out_dir="y", overlap_threshold=threshold)
     for threshold in (0.0, 1.0):
         PipelineConfig(inputs=("x",), out_dir="y", overlap_threshold=threshold)
+    # a seed keys a 64-bit hash
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError, match="seed"):
+            PipelineConfig(inputs=("x",), out_dir="y", seed=seed)
+    PipelineConfig(inputs=("x",), out_dir="y", seed=2**64 - 1)
+    for threads in (0, -2):
+        with pytest.raises(ConfigError, match="threads"):
+            PipelineConfig(inputs=("x",), out_dir="y", threads=threads)
 
 
 def counted(monkeypatch, module, name):
