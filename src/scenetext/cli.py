@@ -12,6 +12,7 @@ import os
 import sys
 from collections import Counter
 
+from . import kernels
 from .errors import SceneTextError
 from .metrics import EvalTask, evaluate, read_golds, read_predictions
 from .pipeline import (
@@ -101,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", choices=["vqa", "vqa_anls", "caption"], required=True)
     p.add_argument("--pred", required=True, help="predictions JSONL")
     p.add_argument("--gold", required=True, help="gold JSONL")
-    p.add_argument("--tau", type=float, default=0.5, help="ANLS threshold")
+    p.add_argument("--tau", type=float, default=0.5, help="ANLS threshold, in [0, 1]")
     p.add_argument("--per-item", action="store_true",
                    help="include per-item scores in JSON output")
     return parser
@@ -200,7 +201,10 @@ def main(argv=None) -> int:
             task = EvalTask(args.task.upper())
             report = evaluate(read_predictions(args.pred), read_golds(args.gold),
                               task, tau=args.tau)
-            payload = json.loads(report.to_json(include_per_item=args.per_item))
+            payload = {"n_items": report.n_items, "aggregate": report.aggregate,
+                       "kernels": kernels.BACKEND}
+            if args.per_item:
+                payload["per_item"] = report.per_item
             scores = ", ".join(f"{k}={v:.4f}" for k, v in report.aggregate.items())
             _emit(f"{report.n_items} items: {scores}", payload, args.json)
 

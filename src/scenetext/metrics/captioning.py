@@ -1,13 +1,17 @@
 """Caption metrics: CIDEr-D, corpus BLEU@4, ROUGE-L.
 
 All three share one tokenizer (lowercase, split on non-alphanumerics) so
-scores are comparable across metrics.
+scores are comparable across metrics, and one pass computes them:
+`caption_scores` tokenizes each string once, counts each string's n-grams
+once, and feeds those counts to all three. `cider`, `bleu4` and `rouge_l`
+are views of that pass.
 """
 
 import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import ContractError
 from ..kernels import lcs_length
@@ -25,24 +29,43 @@ class CaptionItem:
             raise ContractError("caption items require at least one reference")
 
 
+class CaptionScores(NamedTuple):
+    cider: float
+    cider_per_item: list[float]
+    bleu4: float
+    rouge_l: list[float]
+
+
 def tokenize(text: str) -> list[str]:
     return _TOKEN.findall(text.lower())
 
 
+def _ngrams(tokens: list[str], n: int):
+    return zip(*(tokens[k:] for k in range(n)))
+
+
 def _ngram_counts(tokens: list[str], max_n: int) -> list[Counter]:
     """Counters for n = 1..max_n (index 0 holds unigrams)."""
-    return [Counter(zip(*(tokens[k:] for k in range(n)))) for n in range(1, max_n + 1)]
+    return [Counter(_ngrams(tokens, n)) for n in range(1, max_n + 1)]
 
 
-def cider(items, max_n: int = 4, sigma: float = 6.0) -> tuple[float, list[float]]:
-    """CIDEr-D corpus score and per-item scores on the 0-10 scale.
+def caption_scores(items, max_n: int = 4, sigma: float = 6.0, beta: float = 1.2) -> CaptionScores:
+    """CIDEr-D (corpus and per item, 0-10 scale), corpus BLEU@4 and
+    per-item ROUGE-L in one pass over the items.
 
-    TF-IDF n-gram vectors with document frequency over the reference
-    corpus, clipped candidate counts, and a gaussian penalty on the
-    candidate/reference length difference.
+    CIDEr-D: TF-IDF n-gram vectors with document frequency over the
+    reference corpus, clipped candidate counts, and a gaussian penalty on
+    the candidate/reference length difference. BLEU: modified n-gram
+    precision, geometric mean over n = 1..4, and brevity penalty against
+    the closest reference length. ROUGE-L: LCS F-measure, max over
+    references.
+
+    With one item every document frequency equals the corpus size, so
+    every CIDEr-D weight and score is 0; `cider` and `evaluate` reject such
+    a corpus with `require_cider_corpus`.
     """
-    if len(items) < 2:
-        raise ContractError("CIDEr needs at least 2 items for document frequencies")
+    if not items:
+        raise ContractError("caption metrics need at least one item")
 
     cand_tokens = [tokenize(it.candidate) for it in items]
     ref_tokens = [[tokenize(r) for r in it.references] for it in items]
@@ -52,87 +75,92 @@ def cider(items, max_n: int = 4, sigma: float = 6.0) -> tuple[float, list[float]
     # contains counts as df = 1
     idf: Counter = Counter()
     for refs in ref_tokens:
-        idf.update({ng for ref in refs for counts in _ngram_counts(ref, max_n) for ng in counts})
+        idf.update({ng for ref in refs for n in range(1, max_n + 1) for ng in _ngrams(ref, n)})
     log_corpus = math.log(float(len(items)))
     for ngram, df in idf.items():
         idf[ngram] = log_corpus - math.log(df)
 
-    def tfidf_vec(tokens: list[str]):
-        vecs, norms = [], []
-        for counts in _ngram_counts(tokens, max_n):
-            vec = {ng: count * idf.get(ng, log_corpus) for ng, count in counts.items()}
-            vecs.append(vec)
-            norms.append(math.sqrt(sum(w * w for w in vec.values())))
-        return vecs, norms
-
-    per_item = []
+    # Every float below is the same operation, in the same order, as in
+    # the textbook form with one TF-IDF dict per string: a reference's
+    # weights are its counts times idf, and the n-grams a reference lacks
+    # only add +0.0 terms to the dot product, so they are not visited.
+    cider_per_item, rouge_per_item = [], []
+    matched = [0] * max_n
+    totals = [0] * max_n
+    cand_len = ref_len = 0
     for cand, refs in zip(cand_tokens, ref_tokens):
-        cvecs, cnorms = tfidf_vec(cand)
+        cand_counts = _ngram_counts(cand, max_n)
+        ref_counts = [_ngram_counts(r, max_n) for r in refs]
+
+        cvecs = [{ng: count * idf.get(ng, log_corpus) for ng, count in counts.items()}
+                 for counts in cand_counts]
+        cnorms = [math.sqrt(sum(w * w for w in vec.values())) for vec in cvecs]
         total = 0.0
-        for ref in refs:
-            rvecs, rnorms = tfidf_vec(ref)
+        for ref, rcounts in zip(refs, ref_counts):
             penalty = math.exp(-((len(cand) - len(ref)) ** 2) / (2 * sigma**2))
             sim = 0.0
             for n in range(max_n):
-                dot = sum(
-                    min(w, rvecs[n].get(ng, 0.0)) * rvecs[n].get(ng, 0.0)
-                    for ng, w in cvecs[n].items()
-                )
-                if cnorms[n] > 0 and rnorms[n] > 0:
-                    sim += dot / (cnorms[n] * rnorms[n]) * penalty
+                if cnorms[n] == 0:
+                    continue
+                rc = rcounts[n]
+                rnorm = math.sqrt(sum(w * w for w in (count * idf[ng] for ng, count in rc.items())))
+                if rnorm > 0:
+                    shared = [(w, rc[ng] * idf[ng]) for ng, w in cvecs[n].items() if ng in rc]
+                    dot = sum(min(w, rw) * rw for w, rw in shared)
+                    sim += dot / (cnorms[n] * rnorm) * penalty
             total += sim / max_n
-        per_item.append(10.0 * total / len(refs))
-    return sum(per_item) / len(per_item), per_item
+        cider_per_item.append(10.0 * total / len(refs))
+
+        cand_len += len(cand)
+        ref_len += min((abs(len(r) - len(cand)), len(r)) for r in refs)[1]
+        for n, counts in enumerate(cand_counts):
+            totals[n] += sum(counts.values())
+            matched[n] += sum(min(count, max(rc[n].get(ng, 0) for rc in ref_counts))
+                              for ng, count in counts.items())
+
+        rouge_per_item.append(_rouge_l(cand, refs, beta))
+
+    if any(t == 0 or m == 0 for m, t in zip(matched, totals)):
+        bleu = 0.0
+    else:
+        log_prec = sum(math.log(m / t) for m, t in zip(matched, totals)) / max_n
+        bp = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / max(cand_len, 1))
+        bleu = bp * math.exp(log_prec)
+    return CaptionScores(sum(cider_per_item) / len(cider_per_item), cider_per_item,
+                         bleu, rouge_per_item)
+
+
+def _rouge_l(cand: list[str], refs: list[list[str]], beta: float) -> float:
+    best = 0.0
+    for ref in refs:
+        if not cand or not ref:
+            continue
+        lcs = lcs_length(cand, ref)
+        if lcs == 0:
+            continue
+        prec = lcs / len(cand)
+        rec = lcs / len(ref)
+        score = (1 + beta**2) * prec * rec / (rec + beta**2 * prec)
+        best = max(best, score)
+    return best
+
+
+def require_cider_corpus(items) -> None:
+    if len(items) < 2:
+        raise ContractError("CIDEr needs at least 2 items for document frequencies")
+
+
+def cider(items, max_n: int = 4, sigma: float = 6.0) -> tuple[float, list[float]]:
+    """CIDEr-D corpus score and per-item scores on the 0-10 scale."""
+    require_cider_corpus(items)
+    return caption_scores(items, max_n=max_n, sigma=sigma)[:2]
 
 
 def bleu4(items, max_n: int = 4) -> float:
-    """Corpus-level BLEU with modified n-gram precision, geometric mean over
-    n = 1..4, and brevity penalty against the closest reference length."""
-    if not items:
-        raise ContractError("BLEU needs at least one item")
-
-    matched = [0] * max_n
-    totals = [0] * max_n
-    cand_len = 0
-    ref_len = 0
-    for it in items:
-        cand = tokenize(it.candidate)
-        refs = [tokenize(r) for r in it.references]
-        cand_len += len(cand)
-        ref_len += min((abs(len(r) - len(cand)), len(r)) for r in refs)[1]
-
-        cand_counts = _ngram_counts(cand, max_n)
-        ref_counts = [_ngram_counts(r, max_n) for r in refs]
-        for n in range(max_n):
-            max_ref: Counter = Counter()
-            for counts in ref_counts:
-                max_ref |= counts[n]
-            totals[n] += sum(cand_counts[n].values())
-            matched[n] += sum((cand_counts[n] & max_ref).values())
-
-    if any(t == 0 or m == 0 for m, t in zip(matched, totals)):
-        return 0.0
-    log_prec = sum(math.log(m / t) for m, t in zip(matched, totals)) / max_n
-    bp = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / max(cand_len, 1))
-    return bp * math.exp(log_prec)
+    """Corpus-level BLEU@4."""
+    return caption_scores(items, max_n=max_n).bleu4
 
 
 def rouge_l(item: CaptionItem, beta: float = 1.2) -> float:
     """LCS F-measure, max over references."""
-    cand = tokenize(item.candidate)
-    vocab: dict[str, int] = {}
-    cand_ids = [vocab.setdefault(t, len(vocab)) for t in cand]
-    best = 0.0
-    for ref in item.references:
-        rtoks = tokenize(ref)
-        ref_ids = [vocab.setdefault(t, len(vocab)) for t in rtoks]
-        if not cand_ids or not ref_ids:
-            continue
-        lcs = lcs_length(cand_ids, ref_ids)
-        if lcs == 0:
-            continue
-        prec = lcs / len(cand_ids)
-        rec = lcs / len(ref_ids)
-        score = (1 + beta**2) * prec * rec / (rec + beta**2 * prec)
-        best = max(best, score)
-    return best
+    return caption_scores([item], beta=beta).rouge_l[0]

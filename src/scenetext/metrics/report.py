@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from ..errors import AlignmentError, ContractError, ParseError
-from .captioning import CaptionItem, bleu4, cider, rouge_l
+from .captioning import CaptionItem, caption_scores, require_cider_corpus
 from .vqa import VqaItem, anls, vqa_accuracy
 
 
@@ -23,12 +23,6 @@ class MetricReport:
     @property
     def n_items(self) -> int:
         return len(self.per_item)
-
-    def to_json(self, include_per_item: bool = True) -> str:
-        obj = {"n_items": self.n_items, "aggregate": self.aggregate}
-        if include_per_item:
-            obj["per_item"] = self.per_item
-        return json.dumps(obj, ensure_ascii=False)
 
 
 def _align(predictions: dict[str, str], golds: dict[str, dict]) -> list[str]:
@@ -82,15 +76,16 @@ def evaluate(predictions: dict[str, str], golds: dict[str, dict],
             gold = golds[ex_id]
             refs = _gold_texts(ex_id, gold.get("references") or gold.get("answers"), "references")
             items.append(CaptionItem(predictions[ex_id], tuple(refs)))
-        cider_corpus, cider_items = cider(items)
+        require_cider_corpus(items)
+        scores = caption_scores(items)
         per_item = [
-            {"example_id": ex_id, "cider": c, "rougeL": rouge_l(item)}
-            for ex_id, item, c in zip(ids, items, cider_items)
+            {"example_id": ex_id, "cider": c, "rougeL": r}
+            for ex_id, c, r in zip(ids, scores.cider_per_item, scores.rouge_l)
         ]
         aggregate = {
-            "bleu4": bleu4(items),
+            "bleu4": scores.bleu4,
             "rougeL": sum(r["rougeL"] for r in per_item) / len(per_item),
-            "cider": cider_corpus,
+            "cider": scores.cider,
         }
         return MetricReport(aggregate=aggregate, per_item=per_item)
 

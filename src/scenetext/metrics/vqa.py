@@ -70,14 +70,24 @@ def _anls_normalize(text: str) -> str:
 
 def anls(prediction: str, gold_answers, tau: float = 0.5) -> float:
     """Best normalized-Levenshtein similarity over the golds, floored to 0
-    below tau."""
+    below tau, which must be in [0, 1]."""
     if not gold_answers:
         raise ContractError("ANLS requires at least one gold answer")
+    if not 0.0 <= tau <= 1.0:  # NaN fails too
+        raise ContractError(f"ANLS threshold tau must be in [0, 1], got {tau}")
     pred = _anls_normalize(prediction)
     best = 0.0
-    for gold in gold_answers:
-        g = _anls_normalize(gold)
+    for g in dict.fromkeys(map(_anls_normalize, gold_answers)):
         denom = max(len(pred), len(g))
-        s = 1.0 if denom == 0 else 1.0 - levenshtein(pred, g) / denom
+        if denom == 0:
+            s = 1.0
+        else:
+            # The distance is at least the length difference, so this bound
+            # is at least the similarity: below tau or not above best, the
+            # gold cannot change the score.
+            bound = 1.0 - abs(len(pred) - len(g)) / denom
+            if bound < tau or bound <= best:
+                continue
+            s = 1.0 - levenshtein(pred, g) / denom
         best = max(best, s if s >= tau else 0.0)
     return best

@@ -5,6 +5,7 @@ share no code path with the library implementations they check.
 """
 
 import math
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -145,3 +146,121 @@ def oracle_bleu4(candidates: list[str], references: list[list[str]],
         r += best[1]
     bp = 1.0 if c > r else math.exp(1 - r / c)
     return bp * math.exp(sum(math.log(p) for p in precisions) / max_n)
+
+
+# Exact-order references: CIDEr-D, BLEU@4 and ROUGE-L as written before the
+# one-pass scorer, with one TF-IDF dict per string and three tokenizations
+# per string. They perform the same float operations in the same order as
+# `scenetext.metrics.captioning`, so tests compare them with ==. They use
+# the oracle tokenizer and LCS above, which match the library's exactly.
+def _ngram_counts(tokens: list[str], max_n: int) -> list[Counter]:
+    """Counters for n = 1..max_n (index 0 holds unigrams)."""
+    return [Counter(zip(*(tokens[k:] for k in range(n)))) for n in range(1, max_n + 1)]
+
+
+def exact_cider(items, max_n: int = 4, sigma: float = 6.0) -> tuple[float, list[float]]:
+    """CIDEr-D corpus score and per-item scores on the 0-10 scale."""
+    if len(items) < 2:
+        raise ValueError("CIDEr needs at least 2 items for document frequencies")
+
+    cand_tokens = [oracle_tokenize(it.candidate) for it in items]
+    ref_tokens = [[oracle_tokenize(r) for r in it.references] for it in items]
+
+    idf: Counter = Counter()
+    for refs in ref_tokens:
+        idf.update({ng for ref in refs for counts in _ngram_counts(ref, max_n) for ng in counts})
+    log_corpus = math.log(float(len(items)))
+    for ngram, df in idf.items():
+        idf[ngram] = log_corpus - math.log(df)
+
+    def tfidf_vec(tokens: list[str]):
+        vecs, norms = [], []
+        for counts in _ngram_counts(tokens, max_n):
+            vec = {ng: count * idf.get(ng, log_corpus) for ng, count in counts.items()}
+            vecs.append(vec)
+            norms.append(math.sqrt(sum(w * w for w in vec.values())))
+        return vecs, norms
+
+    per_item = []
+    for cand, refs in zip(cand_tokens, ref_tokens):
+        cvecs, cnorms = tfidf_vec(cand)
+        total = 0.0
+        for ref in refs:
+            rvecs, rnorms = tfidf_vec(ref)
+            penalty = math.exp(-((len(cand) - len(ref)) ** 2) / (2 * sigma**2))
+            sim = 0.0
+            for n in range(max_n):
+                dot = sum(
+                    min(w, rvecs[n].get(ng, 0.0)) * rvecs[n].get(ng, 0.0)
+                    for ng, w in cvecs[n].items()
+                )
+                if cnorms[n] > 0 and rnorms[n] > 0:
+                    sim += dot / (cnorms[n] * rnorms[n]) * penalty
+            total += sim / max_n
+        per_item.append(10.0 * total / len(refs))
+    return sum(per_item) / len(per_item), per_item
+
+
+def exact_bleu4(items, max_n: int = 4) -> float:
+    """Corpus-level BLEU with modified n-gram precision, geometric mean over
+    n = 1..4, and brevity penalty against the closest reference length."""
+    if not items:
+        raise ValueError("BLEU needs at least one item")
+
+    matched = [0] * max_n
+    totals = [0] * max_n
+    cand_len = 0
+    ref_len = 0
+    for it in items:
+        cand = oracle_tokenize(it.candidate)
+        refs = [oracle_tokenize(r) for r in it.references]
+        cand_len += len(cand)
+        ref_len += min((abs(len(r) - len(cand)), len(r)) for r in refs)[1]
+
+        cand_counts = _ngram_counts(cand, max_n)
+        ref_counts = [_ngram_counts(r, max_n) for r in refs]
+        for n in range(max_n):
+            max_ref: Counter = Counter()
+            for counts in ref_counts:
+                max_ref |= counts[n]
+            totals[n] += sum(cand_counts[n].values())
+            matched[n] += sum((cand_counts[n] & max_ref).values())
+
+    if any(t == 0 or m == 0 for m, t in zip(matched, totals)):
+        return 0.0
+    log_prec = sum(math.log(m / t) for m, t in zip(matched, totals)) / max_n
+    bp = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / max(cand_len, 1))
+    return bp * math.exp(log_prec)
+
+
+def exact_rouge_l(item, beta: float = 1.2) -> float:
+    """LCS F-measure, max over references."""
+    cand = oracle_tokenize(item.candidate)
+    vocab: dict[str, int] = {}
+    cand_ids = [vocab.setdefault(t, len(vocab)) for t in cand]
+    best = 0.0
+    for ref in item.references:
+        rtoks = oracle_tokenize(ref)
+        ref_ids = [vocab.setdefault(t, len(vocab)) for t in rtoks]
+        if not cand_ids or not ref_ids:
+            continue
+        lcs = oracle_lcs_length(cand_ids, ref_ids)
+        if lcs == 0:
+            continue
+        prec = lcs / len(cand_ids)
+        rec = lcs / len(ref_ids)
+        score = (1 + beta**2) * prec * rec / (rec + beta**2 * prec)
+        best = max(best, score)
+    return best
+
+
+def oracle_anls(prediction: str, gold_answers, tau: float = 0.5) -> float:
+    """ANLS with one memoized edit distance per gold, duplicates included."""
+    pred = prediction.lower().strip()
+    best = 0.0
+    for gold in gold_answers:
+        g = gold.lower().strip()
+        denom = max(len(pred), len(g))
+        s = 1.0 if denom == 0 else 1.0 - levenshtein_memo(pred, g) / denom
+        best = max(best, s if s >= tau else 0.0)
+    return best

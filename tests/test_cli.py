@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from scenetext import kernels
 from scenetext.cli import main
 from scenetext.records import serialize_record
 
@@ -149,6 +150,41 @@ def test_evaluate_caption(tmp_path, capsys):
     assert set(payload["aggregate"]) == {"bleu4", "rougeL", "cider"}
     assert payload["aggregate"]["rougeL"] == pytest.approx(1.0)
     assert len(payload["per_item"]) == 3
+
+
+@pytest.mark.parametrize("tau", ["nan", "inf", "-0.1", "1.5"])
+def test_evaluate_tau_outside_unit_interval_exits_1(tmp_path, capsys, tau):
+    gold = tmp_path / "gold.jsonl"
+    pred = tmp_path / "pred.jsonl"
+    gold.write_text(json.dumps({"example_id": "e0", "answers": ["stop"]}) + "\n")
+    pred.write_text(json.dumps({"example_id": "e0", "prediction": "stop"}) + "\n")
+    code, out, err = run_cli(capsys, "--json", "evaluate", "--task", "vqa_anls",
+                             "--tau", tau, "--pred", pred, "--gold", gold)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "tau" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("tau,expected", [("0", 0.8), ("1", 0.0)])
+def test_evaluate_tau_bounds_are_accepted(tmp_path, capsys, tau, expected):
+    gold = tmp_path / "gold.jsonl"
+    pred = tmp_path / "pred.jsonl"
+    gold.write_text(json.dumps({"example_id": "e0", "answers": ["hallo"]}) + "\n")
+    pred.write_text(json.dumps({"example_id": "e0", "prediction": "hello"}) + "\n")
+    code, out, _ = run_cli(capsys, "--json", "evaluate", "--task", "vqa_anls",
+                           "--tau", tau, "--pred", pred, "--gold", gold)
+    assert code == 0
+    assert json.loads(out)["aggregate"]["anls"] == pytest.approx(expected)
+
+
+def test_evaluate_json_records_the_kernel_backend(tmp_path, capsys):
+    gold = tmp_path / "gold.jsonl"
+    pred = tmp_path / "pred.jsonl"
+    gold.write_text(json.dumps({"example_id": "e0", "answers": ["stop"]}) + "\n")
+    pred.write_text(json.dumps({"example_id": "e0", "prediction": "stop"}) + "\n")
+    code, out, _ = run_cli(capsys, "--json", "evaluate", "--task", "vqa_anls",
+                           "--pred", pred, "--gold", gold)
+    assert code == 0
+    assert json.loads(out) == {"n_items": 1, "aggregate": {"anls": 1.0}, "kernels": kernels.BACKEND}
 
 
 def test_evaluate_alignment_error_exits_1(tmp_path, capsys):

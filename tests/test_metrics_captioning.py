@@ -1,11 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import scenetext.metrics.captioning as captioning
 from scenetext.errors import ContractError
-from scenetext.metrics import CaptionItem, bleu4, cider, rouge_l, tokenize
+from scenetext.metrics import (CaptionItem, EvalTask, bleu4, caption_scores, cider,
+                               evaluate, rouge_l, tokenize)
 
-from oracles import oracle_bleu4, oracle_cider_d, oracle_tokenize
+from oracles import (exact_bleu4, exact_cider, exact_rouge_l, oracle_bleu4,
+                     oracle_cider_d, oracle_tokenize)
 
 _POOL = ("a red stop sign on the corner of a street "
          "two dogs play in a green park near the old cafe "
@@ -160,3 +165,53 @@ def test_metrics_ignore_trailing_whitespace():
     assert cider(base)[0] == pytest.approx(cider(padded)[0])
     for a, b in zip(base, padded):
         assert rouge_l(a) == pytest.approx(rouge_l(b))
+
+
+# Few distinct words, so n-grams repeat within and across strings; non-ASCII
+# words (one lowercases to two code points); separators that tokenize away,
+# so a string may be empty or punctuation-only.
+_WORD = st.sampled_from(["a", "red", "sign", "Red", "straße", "Ωmega", "日本", "İstanbul", "x2"])
+_SEP = st.sampled_from([" ", " ", ", ", "-", "!? ", "_"])
+_CAPTION = st.one_of(
+    st.sampled_from(["", " ", "!?", "-- ..."]),
+    st.lists(st.tuples(_WORD, _SEP), max_size=14).map(lambda ws: "".join(w + s for w, s in ws)),
+)
+_ITEMS = st.lists(
+    st.builds(CaptionItem, _CAPTION, st.lists(_CAPTION, min_size=1, max_size=6).map(tuple)),
+    min_size=2, max_size=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ITEMS)
+def test_one_pass_equals_exact_order_references(items):
+    scores = caption_scores(items)
+    corpus, per_item = exact_cider(items)
+    assert scores.cider == corpus
+    assert scores.cider_per_item == per_item
+    assert scores.bleu4 == exact_bleu4(items)
+    assert scores.rouge_l == [exact_rouge_l(item) for item in items]
+    assert (scores.cider, scores.cider_per_item) == cider(items)
+    assert scores.bleu4 == bleu4(items)
+    assert [rouge_l(item) for item in items] == scores.rouge_l
+
+
+def test_evaluate_tokenizes_each_caption_string_once(monkeypatch):
+    items = toy_corpus(20, n_refs=4)
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(captioning, "tokenize", counting)
+    predictions = {f"e{i}": item.candidate for i, item in enumerate(items)}
+    golds = {f"e{i}": {"references": list(item.references)} for i, item in enumerate(items)}
+    evaluate(predictions, golds, EvalTask.CAPTION)
+    assert sorted(calls) == sorted([i.candidate for i in items]
+                                   + [r for i in items for r in i.references])
+
+
+def test_evaluate_caption_needs_two_items():
+    with pytest.raises(ContractError, match="at least 2 items"):
+        evaluate({"e0": "a sign"}, {"e0": {"references": ["a sign"]}}, EvalTask.CAPTION)

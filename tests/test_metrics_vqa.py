@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scenetext.metrics.vqa as vqa
 from scenetext.errors import ContractError
 from scenetext.kernels import levenshtein
 from scenetext.metrics import VqaItem, anls, normalize_answer, vqa_accuracy
 
-from oracles import levenshtein_memo, vqa_accuracy_leave_one_out
+from oracles import levenshtein_memo, oracle_anls, vqa_accuracy_leave_one_out
 
 
 def test_normalize_answer():
@@ -113,3 +114,37 @@ def test_anls_range(rng):
         a = "".join(rng.choice("abcde") for _ in range(rng.randint(0, 10)))
         b = "".join(rng.choice("abcde") for _ in range(rng.randint(0, 10)))
         assert 0.0 <= anls(a, [b]) <= 1.0
+
+
+_ANSWER = st.text(alphabet="abAB c", max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ANSWER, st.lists(_ANSWER, min_size=1, max_size=6), st.data())
+def test_anls_matches_oracle_with_duplicate_case_variant_and_empty_golds(pred, golds, data):
+    # add copies of golds, case-swapped and padded variants, and an empty gold
+    variants = [g.swapcase() for g in golds] + [f" {g.upper()} " for g in golds] + golds + [""]
+    golds = golds + data.draw(st.lists(st.sampled_from(variants), max_size=6))
+    golds = data.draw(st.permutations(golds))
+    for tau in (0.0, 0.5, 1.0):
+        assert anls(pred, golds, tau=tau) == oracle_anls(pred, golds, tau=tau)
+
+
+def test_anls_skips_edit_distances_that_cannot_change_the_score(monkeypatch):
+    pairs = []
+
+    def counting(a, b):
+        pairs.append((a, b))
+        return levenshtein(a, b)
+
+    monkeypatch.setattr(vqa, "levenshtein", counting)
+    # "stop" twice (once in capitals), then a gold whose length alone
+    # bounds its similarity below tau, then one that cannot beat 1.0
+    assert anls("stop", ["stop", " STOP", "stopping signs", "stoq"]) == 1.0
+    assert pairs == [("stop", "stop")]
+
+
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), -0.1, 1.5])
+def test_anls_rejects_tau_outside_unit_interval(tau):
+    with pytest.raises(ContractError, match="tau"):
+        anls("stop", ["stop"], tau=tau)
