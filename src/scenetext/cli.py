@@ -7,6 +7,7 @@ stdout when --json is set. Exit codes: 0 success, 1 runtime failure,
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -140,8 +141,13 @@ def _pipeline_config(args, stages=None) -> PipelineConfig:
     )
 
 
+# One parser per process: main is called many times in one process by
+# tests and by in-process benchmarks, and building it costs milliseconds.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "validate":

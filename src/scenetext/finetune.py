@@ -7,12 +7,11 @@ They take the record's OCR texts in reading order; texts=None drops the
 OCR segment entirely for the no-OCR-input ablation.
 """
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .pretrain import DEFAULT_CONFIG, ObjectiveConfig
+from .pretrain import DEFAULT_CONFIG, ObjectiveConfig, encode_json
 from .records import Record
 from .textformat import render_input
 
@@ -47,7 +46,7 @@ class FinetuneExample:
         }
         if self.answers:
             obj["answers"] = list(self.answers)
-        return json.dumps(obj, ensure_ascii=False)
+        return encode_json(obj)
 
 
 def majority_answer(answers) -> str:

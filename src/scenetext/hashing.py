@@ -7,17 +7,22 @@ independent of stream order, worker count, and platform.
 
 import hashlib
 import random
+from functools import lru_cache
 
 _SCALE = float(2**64)
 
 
+@lru_cache(maxsize=8)
+def _keyed(seed: int):
+    """The blake2b keyed with the seed, before any input: hash64 copies it."""
+    return hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little", signed=False))
+
+
 def hash64(seed: int, *parts: str) -> int:
-    """64-bit keyed hash of the joined string parts."""
-    key = seed.to_bytes(8, "little", signed=False)
-    h = hashlib.blake2b(digest_size=8, key=key)
-    for part in parts:
-        h.update(part.encode("utf-8"))
-        h.update(b"\x1f")
+    """64-bit keyed hash of the string parts, each followed by a 0x1f byte."""
+    h = _keyed(seed).copy()
+    if parts:  # no parts feed no bytes
+        h.update(("\x1f".join(parts) + "\x1f").encode("utf-8"))
     return int.from_bytes(h.digest(), "little")
 
 

@@ -6,7 +6,7 @@ from enum import Enum
 
 from ..errors import AlignmentError, ContractError, ParseError
 from .captioning import CaptionItem, caption_scores, require_cider_corpus
-from .vqa import VqaItem, anls, vqa_accuracy
+from .vqa import VqaItem, anls, require_tau, vqa_accuracy
 
 
 class EvalTask(str, Enum):
@@ -49,7 +49,9 @@ def evaluate(predictions: dict[str, str], golds: dict[str, dict],
     """Score aligned predictions against gold entries.
 
     Gold entries carry "answers" (VQA tasks) or "references" (CAPTION).
+    `tau` must be in [0, 1] for every task, also where ANLS does not run.
     """
+    require_tau(tau)
     ids = _align(predictions, golds)
 
     if task in (EvalTask.VQA, EvalTask.VQA_ANLS):

@@ -68,13 +68,18 @@ def _anls_normalize(text: str) -> str:
     return text.lower().strip()
 
 
+def require_tau(tau: float) -> None:
+    """ContractError unless the ANLS threshold tau is in [0, 1]."""
+    if not 0.0 <= tau <= 1.0:  # NaN fails too
+        raise ContractError(f"ANLS threshold tau must be in [0, 1], got {tau}")
+
+
 def anls(prediction: str, gold_answers, tau: float = 0.5) -> float:
     """Best normalized-Levenshtein similarity over the golds, floored to 0
     below tau, which must be in [0, 1]."""
     if not gold_answers:
         raise ContractError("ANLS requires at least one gold answer")
-    if not 0.0 <= tau <= 1.0:  # NaN fails too
-        raise ContractError(f"ANLS threshold tau must be in [0, 1], got {tau}")
+    require_tau(tau)
     pred = _anls_normalize(prediction)
     best = 0.0
     for g in dict.fromkeys(map(_anls_normalize, gold_answers)):

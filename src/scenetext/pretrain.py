@@ -53,6 +53,10 @@ class ObjectiveConfig:
 
 DEFAULT_CONFIG = ObjectiveConfig()
 
+# The encoder json.dumps(obj, ensure_ascii=False) builds on every call,
+# built once: same defaults, same bytes. Example lines use it.
+encode_json = json.JSONEncoder(ensure_ascii=False).encode
+
 
 @dataclass(frozen=True)
 class PretrainExample:
@@ -75,7 +79,7 @@ class PretrainExample:
         return render_input(self.prompt, fmt, caption_prefix=prefix, ocr_text=ocr_text)
 
     def to_json(self) -> str:
-        return json.dumps(
+        return encode_json(
             {
                 "example_id": self.example_id,
                 "image_id": self.image_id,
@@ -84,8 +88,7 @@ class PretrainExample:
                 "input_ocr": list(self.input_ocr),
                 "input_caption_prefix": self.input_caption_prefix,
                 "target": self.target,
-            },
-            ensure_ascii=False,
+            }
         )
 
 

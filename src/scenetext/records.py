@@ -5,10 +5,10 @@ Input is one JSON object per line:
  "ocr": [{"text": str, "bbox": [x,y,w,h], "confidence": float?}],
  "qa": [{"question": str, "answers": [str,...]}]?}
 
-This module is the one place input is checked: `_record`, `_parse_token`
+This module is the one place input is checked: `_record`, `_parse_tokens`
 and `_parse_qa` apply every schema rule while they walk the decoded JSON,
-so the token and QA types below are plain named tuples with no checks of
-their own.
+testing exact JSON types, so the token and QA types below are plain named
+tuples with no checks of their own.
 """
 
 import json
@@ -55,47 +55,63 @@ class Record:
     qa: tuple[QaAnnotation, ...] | None = None
 
 
-def _parse_token(raw) -> OcrToken:
-    if not isinstance(raw, dict):
-        raise SchemaError(f"ocr entry must be an object, got {raw!r}")
-    if "text" not in raw or "bbox" not in raw:
-        raise SchemaError("ocr entry requires 'text' and 'bbox'")
-    text = raw["text"]
-    if not isinstance(text, str):
-        raise SchemaError("ocr token text must be a string")
-    if not text.strip():
-        raise SchemaError("ocr token text must be non-empty")
-    if "\n" in text:
-        raise SchemaError("ocr token text must not contain newlines")
-    conf = raw.get("confidence", 1.0)
-    if not isinstance(conf, (int, float)) or isinstance(conf, bool):
-        raise SchemaError("ocr token confidence must be a number")
-    bbox = raw["bbox"]
-    if not isinstance(bbox, list) or len(bbox) != 4:
-        raise SchemaError(f"bbox must be [x,y,w,h], got {bbox!r}")
-    for v in bbox:
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
+# `json.loads` makes only dict, list, str, int, float, bool and None, never
+# a subclass, so the walk tests types exactly. `bool` is not in _NUMBER,
+# which keeps true/false out of every numeric field.
+_NUMBER = (int, float)
+
+
+def _parse_tokens(ocr_raw: list) -> tuple[OcrToken, ...]:
+    """The tokens of a decoded `ocr` list, each checked against every token rule."""
+    tokens = []
+    for raw in ocr_raw:
+        if type(raw) is not dict:
+            raise SchemaError(f"ocr entry must be an object, got {raw!r}")
+        if "text" not in raw or "bbox" not in raw:
+            raise SchemaError("ocr entry requires 'text' and 'bbox'")
+        text = raw["text"]
+        if type(text) is not str:
+            raise SchemaError("ocr token text must be a string")
+        if not text.strip():
+            raise SchemaError("ocr token text must be non-empty")
+        if "\n" in text:
+            raise SchemaError("ocr token text must not contain newlines")
+        conf = raw.get("confidence", 1.0)
+        if type(conf) not in _NUMBER:
+            raise SchemaError("ocr token confidence must be a number")
+        bbox = raw["bbox"]
+        if type(bbox) is not list or len(bbox) != 4:
+            raise SchemaError(f"bbox must be [x,y,w,h], got {bbox!r}")
+        x, y, w, h = bbox
+        if (type(x) not in _NUMBER or type(y) not in _NUMBER
+                or type(w) not in _NUMBER or type(h) not in _NUMBER):
             raise SchemaError(f"bbox coordinates must be numbers, got {bbox!r}")
-    x, y, w, h = map(float, bbox)
-    # Written so that NaN fails each test. Finite right and bottom edges
-    # keep every reading-order computation finite, so the order is total.
-    if not (w > 0 and h > 0):
-        raise SchemaError(f"bbox width/height must be positive, got {bbox!r}")
-    if not (x >= 0 and y >= 0):
-        raise SchemaError(f"bbox origin must be non-negative, got {bbox!r}")
-    if not (x + w < math.inf and y + h < math.inf):
-        raise SchemaError(f"bbox edges must be finite, got {bbox!r}")
-    return OcrToken(x, y, text, w, h, float(conf))
+        x = float(x)
+        y = float(y)
+        w = float(w)
+        h = float(h)
+        # Written so that NaN fails each test. Finite right and bottom edges
+        # keep every reading-order computation finite, so the order is total.
+        if not (w > 0 and h > 0):
+            raise SchemaError(f"bbox width/height must be positive, got {bbox!r}")
+        if not (x >= 0 and y >= 0):
+            raise SchemaError(f"bbox origin must be non-negative, got {bbox!r}")
+        if not (x + w < math.inf and y + h < math.inf):
+            raise SchemaError(f"bbox edges must be finite, got {bbox!r}")
+        # tuple.__new__ skips the named tuple's Python-level constructor
+        tokens.append(tuple.__new__(OcrToken, (x, y, text, w, h, float(conf))))
+    # tuple([...]), not tuple(genexpr): see _record
+    return tuple(tokens)
 
 
 def _parse_qa(raw) -> QaAnnotation:
-    if not isinstance(raw, dict) or "question" not in raw or "answers" not in raw:
+    if type(raw) is not dict or "question" not in raw or "answers" not in raw:
         raise SchemaError("qa entry requires 'question' and 'answers'")
     question = raw["question"]
-    if not isinstance(question, str) or not question:
+    if type(question) is not str or not question:
         raise SchemaError("question must be a non-empty string")
     answers = raw["answers"]
-    if not isinstance(answers, list) or not all(isinstance(a, str) for a in answers):
+    if type(answers) is not list or any(type(a) is not str for a in answers):
         raise SchemaError("answers must be a list of strings")
     if not answers:
         raise SchemaError("answers list must be non-empty")
@@ -104,47 +120,47 @@ def _parse_qa(raw) -> QaAnnotation:
 
 def _record(obj) -> Record:
     """The Record a decoded JSON value describes; SchemaError if it breaks the schema."""
-    if not isinstance(obj, dict):
+    if type(obj) is not dict:
         raise SchemaError("record must be a JSON object")
-    if "image_id" not in obj or not isinstance(obj["image_id"], str) or not obj["image_id"]:
+    image_id = obj.get("image_id")
+    if type(image_id) is not str or not image_id:
         raise SchemaError("record requires a non-empty string 'image_id'")
 
     image_size = None
-    if obj.get("image_size") is not None:
-        raw = obj["image_size"]
-        if not isinstance(raw, (list, tuple)) or len(raw) != 2:
+    if (raw := obj.get("image_size")) is not None:
+        if type(raw) is not list or len(raw) != 2:
             raise SchemaError("image_size must be [width, height]")
         for v in raw:
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+            if type(v) not in _NUMBER or not math.isfinite(v):
                 raise SchemaError("image_size values must be finite numbers")
         image_size = (int(raw[0]), int(raw[1]))
 
     ocr_raw = obj.get("ocr", [])
-    if not isinstance(ocr_raw, list):
+    if type(ocr_raw) is not list:
         raise SchemaError("ocr must be a list")
 
     # ocr and qa are built as tuple([...]), not tuple(genexpr): a generator
     # makes tuple() over-allocate and resize, and the freed tuples pile up
     # on CPython's tuple free list, which raises peak RSS.
     qa = None
-    if obj.get("qa") is not None:
-        if not isinstance(obj["qa"], list):
+    if (qa_raw := obj.get("qa")) is not None:
+        if type(qa_raw) is not list:
             raise SchemaError("qa must be a list")
-        qa = tuple([_parse_qa(q) for q in obj["qa"]])
+        qa = tuple([_parse_qa(q) for q in qa_raw])
 
     caption = obj.get("caption")
-    if caption is not None and not isinstance(caption, str):
+    if caption is not None and type(caption) is not str:
         raise SchemaError("caption must be a string")
     image_uri = obj.get("image_uri")
-    if image_uri is not None and not isinstance(image_uri, str):
+    if image_uri is not None and type(image_uri) is not str:
         raise SchemaError("image_uri must be a string")
 
     return Record(
-        image_id=obj["image_id"],
+        image_id=image_id,
         image_uri=image_uri,
         image_size=image_size,
         caption=caption,
-        ocr=tuple([_parse_token(t) for t in ocr_raw]),
+        ocr=_parse_tokens(ocr_raw),
         qa=qa,
     )
 
@@ -214,13 +230,13 @@ def record_violations(record: Record) -> list[str]:
     `confidence_range` per token whose confidence is outside [0, 1], one
     `bbox_out_of_bounds` per token whose box leaves `image_size`."""
     violations = []
-    for tok in record.ocr:
-        if not 0.0 <= tok.confidence <= 1.0:
+    # with no image_size no edge is out of bounds: no value exceeds inf
+    width, height = record.image_size or (math.inf, math.inf)
+    for x, y, _, w, h, confidence in record.ocr:
+        if not 0.0 <= confidence <= 1.0:
             violations.append("confidence_range")
-        if record.image_size is not None:
-            width, height = record.image_size
-            if tok.x + tok.w > width or tok.y + tok.h > height:
-                violations.append("bbox_out_of_bounds")
+        if x + w > width or y + h > height:
+            violations.append("bbox_out_of_bounds")
     return violations
 
 

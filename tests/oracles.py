@@ -4,7 +4,10 @@ These deliberately take the slow, direct-from-definition route so they
 share no code path with the library implementations they check.
 """
 
+import hashlib
+import json
 import math
+import re
 from collections import Counter
 from functools import lru_cache
 
@@ -264,3 +267,173 @@ def oracle_anls(prediction: str, gold_answers, tau: float = 0.5) -> float:
         s = 1.0 if denom == 0 else 1.0 - levenshtein_memo(pred, g) / denom
         best = max(best, s if s >= tau else 0.0)
     return best
+
+
+# --- The record parser, record_violations and hash64 as they were before the exact-type walk
+# and the cached keyed hash: copied verbatim (renamed), so the tests can
+# check that the faster code gives the same records, errors and digests.
+# perfbench loads this file without `scenetext` on the path, so the parser
+# copies import the package's types and errors when they are called.
+
+
+def _oracle_parse_token(raw):
+    from scenetext.errors import SchemaError
+    from scenetext.records import OcrToken
+
+    if not isinstance(raw, dict):
+        raise SchemaError(f"ocr entry must be an object, got {raw!r}")
+    if "text" not in raw or "bbox" not in raw:
+        raise SchemaError("ocr entry requires 'text' and 'bbox'")
+    text = raw["text"]
+    if not isinstance(text, str):
+        raise SchemaError("ocr token text must be a string")
+    if not text.strip():
+        raise SchemaError("ocr token text must be non-empty")
+    if "\n" in text:
+        raise SchemaError("ocr token text must not contain newlines")
+    conf = raw.get("confidence", 1.0)
+    if not isinstance(conf, (int, float)) or isinstance(conf, bool):
+        raise SchemaError("ocr token confidence must be a number")
+    bbox = raw["bbox"]
+    if not isinstance(bbox, list) or len(bbox) != 4:
+        raise SchemaError(f"bbox must be [x,y,w,h], got {bbox!r}")
+    for v in bbox:
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            raise SchemaError(f"bbox coordinates must be numbers, got {bbox!r}")
+    x, y, w, h = map(float, bbox)
+    # Written so that NaN fails each test. Finite right and bottom edges
+    # keep every reading-order computation finite, so the order is total.
+    if not (w > 0 and h > 0):
+        raise SchemaError(f"bbox width/height must be positive, got {bbox!r}")
+    if not (x >= 0 and y >= 0):
+        raise SchemaError(f"bbox origin must be non-negative, got {bbox!r}")
+    if not (x + w < math.inf and y + h < math.inf):
+        raise SchemaError(f"bbox edges must be finite, got {bbox!r}")
+    return OcrToken(x, y, text, w, h, float(conf))
+
+
+def _oracle_parse_qa(raw):
+    from scenetext.errors import SchemaError
+    from scenetext.records import QaAnnotation
+
+    if not isinstance(raw, dict) or "question" not in raw or "answers" not in raw:
+        raise SchemaError("qa entry requires 'question' and 'answers'")
+    question = raw["question"]
+    if not isinstance(question, str) or not question:
+        raise SchemaError("question must be a non-empty string")
+    answers = raw["answers"]
+    if not isinstance(answers, list) or not all(isinstance(a, str) for a in answers):
+        raise SchemaError("answers must be a list of strings")
+    if not answers:
+        raise SchemaError("answers list must be non-empty")
+    return QaAnnotation(question, tuple(answers))
+
+
+def _oracle_record(obj):
+    """The Record a decoded JSON value describes; SchemaError if it breaks the schema."""
+    from scenetext.errors import SchemaError
+    from scenetext.records import Record
+
+    if not isinstance(obj, dict):
+        raise SchemaError("record must be a JSON object")
+    if "image_id" not in obj or not isinstance(obj["image_id"], str) or not obj["image_id"]:
+        raise SchemaError("record requires a non-empty string 'image_id'")
+
+    image_size = None
+    if obj.get("image_size") is not None:
+        raw = obj["image_size"]
+        if not isinstance(raw, (list, tuple)) or len(raw) != 2:
+            raise SchemaError("image_size must be [width, height]")
+        for v in raw:
+            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+                raise SchemaError("image_size values must be finite numbers")
+        image_size = (int(raw[0]), int(raw[1]))
+
+    ocr_raw = obj.get("ocr", [])
+    if not isinstance(ocr_raw, list):
+        raise SchemaError("ocr must be a list")
+
+    # ocr and qa are built as tuple([...]), not tuple(genexpr): a generator
+    # makes tuple() over-allocate and resize, and the freed tuples pile up
+    # on CPython's tuple free list, which raises peak RSS.
+    qa = None
+    if obj.get("qa") is not None:
+        if not isinstance(obj["qa"], list):
+            raise SchemaError("qa must be a list")
+        qa = tuple([_oracle_parse_qa(q) for q in obj["qa"]])
+
+    caption = obj.get("caption")
+    if caption is not None and not isinstance(caption, str):
+        raise SchemaError("caption must be a string")
+    image_uri = obj.get("image_uri")
+    if image_uri is not None and not isinstance(image_uri, str):
+        raise SchemaError("image_uri must be a string")
+
+    return Record(
+        image_id=obj["image_id"],
+        image_uri=image_uri,
+        image_size=image_size,
+        caption=caption,
+        ocr=tuple([_oracle_parse_token(t) for t in ocr_raw]),
+        qa=qa,
+    )
+
+
+# A lone surrogate can only come from a \uD800-\uDFFF escape in UTF-8 input.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def oracle_parse_record(line: str):
+    """Parse one JSONL line into a Record.
+
+    Unknown fields are ignored. Raises ParseError for malformed JSON (with
+    the byte offset when the decoder gives one) and SchemaError for schema
+    violations; no other exception escapes for any input string.
+    """
+    from scenetext.errors import ParseError, SchemaError
+    from scenetext.records import serialize_record
+
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        offset = len(line[: exc.pos].encode("utf-8", "surrogatepass"))
+        raise ParseError(f"malformed JSON: {exc.msg}", offset=offset) from exc
+    except (RecursionError, ValueError) as exc:
+        # nesting deeper than the decoder's recursion limit, or an integer
+        # literal longer than int() converts
+        raise ParseError(f"malformed JSON: {exc}") from None
+    try:
+        record = _oracle_record(obj)
+    except OverflowError:  # an integer beyond the float range
+        raise SchemaError("numbers must be within the float range") from None
+    if _SURROGATE_ESCAPE.search(line):
+        try:
+            serialize_record(record).encode("utf-8")
+        except UnicodeEncodeError:
+            raise SchemaError("strings must not contain lone surrogates") from None
+    return record
+
+
+def oracle_hash64(seed: int, *parts: str) -> int:
+    """64-bit keyed hash of the joined string parts."""
+    key = seed.to_bytes(8, "little", signed=False)
+    h = hashlib.blake2b(digest_size=8, key=key)
+    for part in parts:
+        h.update(part.encode("utf-8"))
+        h.update(b"\x1f")
+    return int.from_bytes(h.digest(), "little")
+
+
+def oracle_record_violations(record) -> list[str]:
+    """The validator's findings that depend on this record alone: one
+    `confidence_range` per token whose confidence is outside [0, 1], one
+    `bbox_out_of_bounds` per token whose box leaves `image_size`."""
+    violations = []
+    for tok in record.ocr:
+        if not 0.0 <= tok.confidence <= 1.0:
+            violations.append("confidence_range")
+        if record.image_size is not None:
+            width, height = record.image_size
+            if tok.x + tok.w > width or tok.y + tok.h > height:
+                violations.append("bbox_out_of_bounds")
+    return violations

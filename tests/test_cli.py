@@ -164,6 +164,23 @@ def test_evaluate_tau_outside_unit_interval_exits_1(tmp_path, capsys, tau):
     assert err.startswith("error: ") and "tau" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("task,tau", [("vqa", "nan"), ("caption", "7")])
+def test_evaluate_tau_outside_unit_interval_exits_1_for_every_task(tmp_path, capsys, task, tau):
+    gold = tmp_path / "gold.jsonl"
+    pred = tmp_path / "pred.jsonl"
+    golds = [{"example_id": f"e{i}", "answers": ["stop"] * 10, "references": ["a stop sign"]}
+             for i in range(2)]
+    gold.write_text("".join(json.dumps(g) + "\n" for g in golds))
+    pred.write_text("".join(json.dumps({"example_id": g["example_id"], "prediction": "stop"}) + "\n"
+                            for g in golds))
+    code, out, err = run_cli(capsys, "--json", "evaluate", "--task", task,
+                             "--tau", tau, "--pred", pred, "--gold", gold)
+    assert (code, out) == (1, "")
+    assert err == f"error: ANLS threshold tau must be in [0, 1], got {float(tau)}\n"
+    code, _, _ = run_cli(capsys, "evaluate", "--task", task, "--pred", pred, "--gold", gold)
+    assert code == 0
+
+
 @pytest.mark.parametrize("tau,expected", [("0", 0.8), ("1", 0.0)])
 def test_evaluate_tau_bounds_are_accepted(tmp_path, capsys, tau, expected):
     gold = tmp_path / "gold.jsonl"

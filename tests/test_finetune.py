@@ -104,3 +104,18 @@ def test_finetune_json_schema():
     assert obj["task"] == "VQA"
     assert obj["ocr_included"] is True
     assert len(obj["answers"]) == 10
+
+
+def test_finetune_json_is_json_dumps_without_ascii_escapes():
+    record = make_record(image_id="ïd", caption="ça va 東京",
+                         ocr=[make_token("café", x=1, y=1, w=4, h=2)],
+                         qa=(QaAnnotation("où?", ("ici", "là", "\u2028")),))
+    texts = ordered_texts(record)
+    examples = [*build_vqa_examples(record, texts), *build_caption_examples(record, None)]
+    for ex in examples:
+        obj = {"example_id": ex.example_id, "image_id": ex.image_id, "task": ex.task.value,
+               "input_text": ex.input_text, "target": ex.target,
+               "ocr_included": ex.ocr_included}
+        if ex.answers:
+            obj["answers"] = list(ex.answers)
+        assert ex.to_json() == json.dumps(obj, ensure_ascii=False)

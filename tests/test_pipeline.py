@@ -8,6 +8,7 @@ from pathlib import Path
 import dataclasses
 
 import pytest
+from hypothesis import given, strategies as st
 
 from scenetext import pipeline, pretrain
 from scenetext.errors import ConfigError
@@ -25,6 +26,7 @@ from scenetext.pretrain import Objective
 from scenetext.records import QaAnnotation, serialize_record
 
 from conftest import make_record, make_token, random_layout_record
+from oracles import oracle_hash64
 
 
 def write_corpus(path: Path, records):
@@ -45,6 +47,23 @@ def test_hash64_is_stable():
     assert hash64(0, "img0") == hash64(0, "img0")
     assert hash64(0, "img0") != hash64(1, "img0")
     assert hash64(0, "a", "b") != hash64(0, "ab")
+
+
+_PARTS = [(), ("",), ("", ""), ("img0",), ("a", "b"), ("ab",), ("café", "東京", "ñ"),
+          ("a\x1fb",), ("a", "\x1f", "b"), ("shuffle", "x" * 300)]
+
+
+def test_hash64_matches_reference():
+    # seeds interleaved, and more of them than the keyed-hash cache holds
+    seeds = [0, 7, 2**64 - 1, *range(100, 120), 0, 7, 2**64 - 1]
+    for parts in _PARTS:
+        for seed in seeds:
+            assert hash64(seed, *parts) == oracle_hash64(seed, *parts), (seed, parts)
+
+
+@given(st.integers(0, 2**64 - 1), st.lists(st.text(max_size=6), max_size=4))
+def test_hash64_matches_reference_on_any_parts(seed, parts):
+    assert hash64(seed, *parts) == oracle_hash64(seed, *parts)
 
 
 def test_subsample_identity_at_full_fraction(corpus):

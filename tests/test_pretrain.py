@@ -231,3 +231,22 @@ def test_example_json_schema():
                         "input_ocr", "input_caption_prefix", "target"}
     assert obj["objective"] == "SPLITOCR"
     assert obj["image_id"] == "img7"
+
+
+def test_example_json_is_json_dumps_without_ascii_escapes():
+    import json
+
+    texts = ["café", "東京", "\u2028", '"quoted"', "back\\slash", "tab\t"]
+    record = make_record(image_id="ïd", caption="ça va 東京", ocr=line_of(texts))
+    for objective in Objective:
+        ex = build_example(record, texts, objective, seed=3)
+        expected = json.dumps({
+            "example_id": ex.example_id,
+            "image_id": ex.image_id,
+            "objective": ex.objective.value,
+            "prompt": ex.prompt,
+            "input_ocr": list(ex.input_ocr),
+            "input_caption_prefix": ex.input_caption_prefix,
+            "target": ex.target,
+        }, ensure_ascii=False)
+        assert ex.to_json() == expected

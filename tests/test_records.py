@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,10 +11,12 @@ from scenetext.ordering import order_tokens
 from scenetext.records import (
     CorpusValidator,
     parse_record,
+    record_violations,
     serialize_record,
 )
 
 from conftest import make_record, make_token
+from oracles import oracle_parse_record, oracle_record_violations
 
 
 def test_parse_minimal_record():
@@ -142,6 +146,14 @@ _HOSTILE = {
     "nesting_too_deep": ('{"image_id":"a","caption":%s}' % ("[" * 100_000 + "]" * 100_000),
                          ParseError),
     "int_literal_too_long": ('{"image_id":"a","image_size":[1%s,1]}' % ("0" * 5000), ParseError),
+    "bbox_bool": (_TOKEN % "[0,true,1,1]", SchemaError),
+    "bbox_three_values": (_TOKEN % "[0,0,1]", SchemaError),
+    "bbox_five_values": (_TOKEN % "[0,0,1,1,1]", SchemaError),
+    "bbox_missing": ('{"image_id":"a","ocr":[{"text":"x"}]}', SchemaError),
+    "confidence_bool": ('{"image_id":"a","ocr":[{"text":"x","bbox":[0,0,1,1],"confidence":false}]}',
+                        SchemaError),
+    "token_not_object": ('{"image_id":"a","ocr":["x"]}', SchemaError),
+    "text_number": ('{"image_id":"a","ocr":[{"text":5,"bbox":[0,0,1,1]}]}', SchemaError),
 }
 
 
@@ -149,6 +161,7 @@ _HOSTILE = {
 def test_parse_rejects_hostile_values_with_package_errors(line, error):
     with pytest.raises(error):
         parse_record(line)
+    _assert_parses_as_oracle(line)
 
 
 def test_parse_keeps_escaped_surrogate_pairs():
@@ -198,15 +211,69 @@ _JSON_VALUES = st.recursive(
 )
 
 
-@given(st.sampled_from(_POSITIONS), _JSON_VALUES)
-def test_parse_any_value_in_any_field_gives_record_or_package_error(position, value):
+_DELETE = object()
+
+
+def _hostile_line(position, value) -> str:
+    """_VALID with `value` at `position`, or with that key or item deleted."""
     obj = json.loads(json.dumps(_VALID))
     *parents, last = position
     target = obj
     for key in parents:
         target = target[key]
-    target[last] = value
-    _assert_record_or_package_error(json.dumps(obj))
+    if value is _DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    return json.dumps(obj)
+
+
+@given(st.sampled_from(_POSITIONS), _JSON_VALUES)
+def test_parse_any_value_in_any_field_gives_record_or_package_error(position, value):
+    _assert_record_or_package_error(_hostile_line(position, value))
+
+
+def _assert_parses_as_oracle(line):
+    """parse_record gives the reference parser's error class, or a record
+    with the same repr and the same record_violations. repr, not ==: a NaN
+    confidence parses, and 1 must not pass for 1.0."""
+    def outcome(parse):
+        try:
+            record = parse(line)
+        except (ParseError, SchemaError) as exc:
+            return type(exc), None
+        return repr(record), record
+
+    (got, record), (expected, _) = outcome(parse_record), outcome(oracle_parse_record)
+    assert got == expected, line
+    if record is not None:
+        assert record_violations(record) == oracle_record_violations(record)
+
+
+@given(st.sampled_from(_POSITIONS), _JSON_VALUES | st.just(_DELETE))
+def test_parse_matches_reference_parser_on_any_field_value(position, value):
+    _assert_parses_as_oracle(_hostile_line(position, value))
+
+
+def test_parse_matches_reference_parser_on_benchmark_corpus(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("perfbench_gen", root / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    path = tmp_path / "corpus.jsonl"
+    gen.write_corpus(str(path), seed=3, n_lines=2000)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 2000
+    for line in lines:
+        _assert_parses_as_oracle(line)
+
+
+@pytest.mark.parametrize("image_size", [None, (100, 60)])
+def test_record_violations_matches_reference(image_size):
+    tokens = [make_token("a", x=95, y=0, w=10, h=5), make_token("b", y=55, h=10, confidence=-0.1),
+              make_token("c", x=90, w=10, h=60, confidence=math.nan), make_token("d")]
+    record = make_record(ocr=tokens, image_size=image_size)
+    assert record_violations(record) == oracle_record_violations(record)
 
 
 @given(st.text(st.characters(exclude_categories=())))
