@@ -16,15 +16,7 @@ from collections import Counter
 from . import kernels
 from .errors import SceneTextError
 from .metrics import EvalTask, evaluate, read_golds, read_predictions
-from .pipeline import (
-    PipelineConfig,
-    compute_stats,
-    ingest,
-    kept_records,
-    run,
-    run_finetune,
-    subsample,
-)
+from .pipeline import DatasetStats, PipelineConfig, ingest, run, run_finetune
 from .pretrain import Objective
 from .finetune import Task
 
@@ -118,7 +110,7 @@ def _emit(summary: str, payload: dict, as_json: bool) -> None:
 def _cmd_validate(args) -> dict:
     counters: Counter = Counter()
     violations: Counter = Counter()
-    for _ in ingest(args.inputs, counters, violations):
+    for _ in ingest(args.inputs, counters, violations=violations):
         pass
     counts = {"lines": counters["lines"], "parse_errors": counters["parse_errors"],
               "valid": counters["valid_records"], "invalid": counters["validation_skips"]}
@@ -160,7 +152,10 @@ def main(argv=None) -> int:
 
         elif args.command == "stats":
             counters: Counter = Counter()
-            stats = compute_stats(kept_records(args.inputs, args.fraction, args.seed, counters))
+            stats = DatasetStats()
+            for _, entry in ingest(args.inputs, counters, args.fraction, args.seed,
+                                   DatasetStats.entry):
+                stats.add(entry)
             payload = {"counters": dict(counters), "stats": stats.to_dict()}
             _emit(f"{stats.record_count} records, "
                   f"empty-OCR fraction {stats.empty_ocr_fraction:.4f}",
@@ -185,19 +180,16 @@ def main(argv=None) -> int:
 
         elif args.command == "subsample":
             counters = Counter()
-            pairs = subsample(ingest(args.inputs, counters), args.fraction, args.seed,
-                              key=lambda pair: pair[1].image_id)
-            kept = 0
+            pairs = ingest(args.inputs, counters, args.fraction, args.seed)
             out = open(args.out, "wb")
             try:
                 with out:
                     for line, _ in pairs:
                         out.write(line if line.endswith(b"\n") else line + b"\n")
-                        kept += 1
             except BaseException:
                 os.remove(args.out)  # no partial sample is left behind
                 raise
-            total = counters["lines"]
+            total, kept = counters["lines"], counters["subsampled_records"]
             payload = {"total": total, "kept": kept, "counters": dict(counters),
                        "fraction": args.fraction, "seed": args.seed, "out": args.out}
             _emit(f"kept {kept}/{total} records at fraction {args.fraction}",

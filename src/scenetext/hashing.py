@@ -27,8 +27,10 @@ def hash64(seed: int, *parts: str) -> int:
 
 
 def keep_fraction(seed: int, item_id: str, fraction: float) -> bool:
-    """Threshold-monotone keep predicate: nested subsets across fractions."""
-    return hash64(seed, item_id) / _SCALE < fraction
+    """Threshold-monotone keep predicate: nested subsets across fractions.
+    A fraction of 1 or more keeps every id and computes no hash: a hash
+    within 2**10 of 2**64 divides to exactly 1.0 in floating point."""
+    return fraction >= 1.0 or hash64(seed, item_id) / _SCALE < fraction
 
 
 def derive_rng(seed: int, *parts: str) -> random.Random:

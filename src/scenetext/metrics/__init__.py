@@ -1,10 +1,8 @@
-from ..kernels import levenshtein
 from .captioning import CaptionItem, CaptionScores, bleu4, caption_scores, cider, rouge_l, tokenize
 from .report import EvalTask, MetricReport, evaluate, read_golds, read_predictions
 from .vqa import VqaItem, anls, normalize_answer, vqa_accuracy
 
 __all__ = [
-    "levenshtein",
     "CaptionItem",
     "CaptionScores",
     "bleu4",

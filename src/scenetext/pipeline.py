@@ -29,7 +29,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
-from operator import attrgetter
 from typing import Iterable, Iterator
 
 from . import __version__
@@ -38,7 +37,7 @@ from .finetune import Task, build_caption_examples, build_vqa_examples
 from .hashing import hash64, keep_fraction
 from .ordering import order_tokens
 from .pretrain import Objective, ObjectiveConfig, build_example, build_stage_plan
-from .records import CorpusValidator, Record, parse_record, record_violations
+from .records import Record, parse_record, record_violations
 from .textformat import TextFormat
 
 
@@ -63,6 +62,9 @@ class PipelineConfig:
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
         _check_fraction(self.fraction)
+        for stage in self.stages:
+            if not isinstance(stage, Objective):
+                raise ConfigError(f"stages must be Objectives, got {stage!r}")
         if self.shard_count < 1:
             raise ConfigError(f"shard count must be >= 1, got {self.shard_count}")
         if self.passes < 1:
@@ -147,12 +149,12 @@ def _chunks(paths: Iterable[str]) -> Iterator[list[bytes]]:
         yield chunk
 
 
-def _check_chunk(lines: list[bytes], work) -> list:
+def _check_chunk(lines: list[bytes], work, seed: int, fraction: float) -> list:
     """The per-line work of an ingest, on one chunk. One entry per line: None
     if it does not decode or parse, else (image_id, violations, output), where
     violations are the record's `record_violations` and output is
-    work(record) when there are none, else None. Runs in a worker process
-    when the ingest has more than one."""
+    work(record) when there are none and the keep test keeps the record,
+    else None. Runs in a worker process when the ingest has more than one."""
     results = []
     for raw in lines:
         try:
@@ -161,7 +163,8 @@ def _check_chunk(lines: list[bytes], work) -> list:
             results.append(None)
             continue
         violations = record_violations(record)
-        results.append((record.image_id, violations, None if violations else work(record)))
+        kept = not violations and keep_fraction(seed, record.image_id, fraction)
+        results.append((record.image_id, violations, work(record) if kept else None))
     return results
 
 
@@ -237,84 +240,62 @@ def _same(record: Record) -> Record:
     return record
 
 
-def ingest(paths: Iterable[str], counters: Counter, violations: Counter | None = None,
-           work=_same, threads: int = 1) -> Iterator[tuple[bytes, object]]:
-    """Yield (line, work(record)) for each valid record of the inputs, in order.
+def ingest(paths: Iterable[str], counters: Counter, fraction: float = 1.0, seed: int = 0,
+           work=_same, violations: Counter | None = None,
+           threads: int = 1) -> Iterator[tuple[bytes, object]]:
+    """Yield (line, work(record)) for each valid record of the inputs that
+    the subsample keeps, in line order; `work` must not return None.
 
-    The one ingest loop. Each line is decoded on its own, so a bad byte costs
-    one line. A line that does not decode or parse counts as a parse error, a
-    record the validator rejects as a validation skip; neither stops the
-    stream. `violations`, when given, counts the validator's findings by
-    name. Parsing, the per-record rules and `work` run on chunks of lines in
-    up to `threads` processes (capped at `available_cpus()`); the duplicate
+    The one loop over input lines. Each line is decoded on its own, so a
+    bad byte costs one line. A line that does not decode or parse counts as
+    a parse error; a record with `record_violations` findings, or whose
+    image_id an earlier line had (the first line read wins), counts as a
+    validation skip. Neither stops the stream. `violations`, when given,
+    counts the findings by name, a repeat as `duplicate_image_id`. A valid
+    record is kept iff `keep_fraction(seed, image_id, fraction)`, so
+    subsamples are order-independent and nested across fractions.
+
+    The fraction is checked at once, before any line is read. Parsing, the
+    per-record rules, the keep test and `work` run on chunks of lines in up
+    to `threads` processes (capped at `available_cpus()`); the duplicate
     rule and the counters run here, in line order, so neither depends on
-    the chunking. A duplicate's work is done and dropped.
+    the chunking. A kept duplicate's work is done and dropped. This is the
+    one place that sets `valid_records` and `subsampled_records`, both
+    reported even when no line is valid.
     """
-    validator = CorpusValidator()
-    job = partial(_check_chunk, work=work)
-    for lines, results in _map_chunks(job, _chunks(paths), min(threads, available_cpus())):
+    _check_fraction(fraction)
+    job = partial(_check_chunk, work=work, seed=seed, fraction=fraction)
+    return _ingest(_map_chunks(job, _chunks(paths), min(threads, available_cpus())),
+                   counters, violations)
+
+
+def _ingest(chunk_results, counters: Counter, violations: Counter | None):
+    counters.update(valid_records=0, subsampled_records=0)
+    seen: set[str] = set()
+    for lines, results in chunk_results:
         for line, result in zip(lines, results):
             counters["lines"] += 1
             if result is None:
                 counters["parse_errors"] += 1
                 continue
             image_id, found, output = result
-            report = validator.check(image_id, found)
-            if not report.ok:
+            if image_id in seen:
+                found = ["duplicate_image_id", *found]
+            seen.add(image_id)
+            if found:
                 counters["validation_skips"] += 1
                 if violations is not None:
-                    violations.update(report.violations)
+                    violations.update(found)
                 continue
             counters["valid_records"] += 1
-            yield line, output
-
-
-def subsample(records: Iterable, fraction: float, seed: int,
-              key=attrgetter("image_id")) -> Iterator:
-    """Keep a record iff hash64(seed, key(record))/2^64 < fraction.
-
-    Order-independent, and nested across fractions under the same seed.
-    The fraction is checked at once; the records are filtered lazily.
-    """
-    _check_fraction(fraction)
-    if fraction == 1.0:
-        return iter(records)
-    return (r for r in records if keep_fraction(seed, key(r), fraction))
+            if output is not None:
+                counters["subsampled_records"] += 1
+                yield line, output
 
 
 def _check_fraction(fraction: float) -> None:
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
-
-
-def kept_records(paths: Iterable[str], fraction: float, seed: int, counters: Counter,
-                 work=_same, threads: int = 1) -> Iterator:
-    """Ingest and subsample, yielding work(record) for each kept record, in
-    line order. The keep test runs just before `work`, in the same process
-    (see `ingest`), so a record the subsample drops is never built.
-
-    The one place that sets the `valid_records` counter (reported even when
-    no line is valid) and the `subsampled_records` counter.
-    """
-    _check_fraction(fraction)
-    kept_work = work
-    if fraction < 1.0:
-        def kept_work(record):
-            return work(record) if keep_fraction(seed, record.image_id, fraction) else None
-    counters.setdefault("valid_records", 0)
-    counters["subsampled_records"] = 0
-    for _, output in ingest(paths, counters, work=kept_work, threads=threads):
-        if output is not None:
-            counters["subsampled_records"] += 1
-            yield output
-
-
-def compute_stats(records: Iterable[Record]) -> DatasetStats:
-    """Single streaming pass of exact counts."""
-    stats = DatasetStats()
-    for record in records:
-        stats.add(DatasetStats.entry(record))
-    return stats
 
 
 def shuffle_and_shard(examples: list[tuple[int, str, bytes]],
@@ -393,8 +374,8 @@ def _build(config: PipelineConfig, datasets, manifest_name: str, describe,
     try:
         counters: Counter = Counter()
         examples: list[list[tuple[int, str, bytes]]] = [[] for _ in datasets]
-        for entry, built_examples in kept_records(config.inputs, config.fraction, seed,
-                                                  counters, work, config.threads):
+        for _, (entry, built_examples) in ingest(config.inputs, counters, config.fraction, seed,
+                                                 work, threads=config.threads):
             if with_stats:
                 stats.add(entry)
             for held, new in zip(examples, built_examples):
@@ -429,7 +410,7 @@ def _build(config: PipelineConfig, datasets, manifest_name: str, describe,
 def run(config: PipelineConfig) -> dict:
     """Build every stage dataset (and the stats) from one pass over the
     kept records, shuffle/shard each, and write a reproducibility manifest."""
-    plan = build_stage_plan(config.stages)
+    stages = build_stage_plan(config.stages)
     configs = [ObjectiveConfig(fmt=config.fmt, pass_index=p) for p in range(config.passes)]
     stats = DatasetStats()
 
@@ -442,11 +423,11 @@ def run(config: PipelineConfig) -> dict:
             "stats": stats.to_dict(),
             "stages": [{"stage": i, "objective": objective.value, "example_count": count,
                         "shards": shards}
-                       for i, (objective, (count, shards)) in enumerate(zip(plan.stages, built))],
+                       for i, (objective, (count, shards)) in enumerate(zip(stages, built))],
         }
 
-    datasets = [(name, objective.eligible, stage_build(objective))
-                for name, objective in zip(plan.dataset_names, plan.stages)]
+    datasets = [(f"stage{i}_{objective.value.lower()}", objective.eligible,
+                 stage_build(objective)) for i, objective in enumerate(stages)]
     return _build(config, datasets, "manifest.json", describe, stats)
 
 

@@ -180,20 +180,8 @@ def build_example(record: Record, texts: list[str], objective: Objective, seed: 
     raise ConfigError(f"unknown objective {objective!r}")
 
 
-@dataclass(frozen=True)
-class StagePlan:
-    """Ordered list of per-objective dataset builds for sequential training."""
-
-    stages: tuple[Objective, ...]
-
-    @property
-    def dataset_names(self) -> tuple[str, ...]:
-        """One output dataset name per stage, in training order."""
-        return tuple(f"stage{i}_{obj.value.lower()}" for i, obj in enumerate(self.stages))
-
-
-def build_stage_plan(stages) -> StagePlan:
-    """Validate the stage objectives, given as Objectives or tags."""
+def build_stage_plan(stages) -> tuple[Objective, ...]:
+    """The stage objectives, in training order; there must be at least one."""
     if not stages:
         raise ConfigError("stage plan must contain at least one objective")
-    return StagePlan(tuple(s if isinstance(s, Objective) else Objective.from_tag(s) for s in stages))
+    return tuple(stages)

@@ -1,4 +1,4 @@
-"""Record schema, JSONL parsing, and stream validation.
+"""Record schema, JSONL parsing, and the per-record rules.
 
 Input is one JSON object per line:
 {"image_id": str, "image_uri": str?, "image_size": [w,h]?, "caption": str?,
@@ -8,13 +8,15 @@ Input is one JSON object per line:
 This module is the one place input is checked: `_record`, `_parse_tokens`
 and `_parse_qa` apply every schema rule while they walk the decoded JSON,
 testing exact JSON types, so the token and QA types below are plain named
-tuples with no checks of their own.
+tuples with no checks of their own. `record_violations` holds the rules
+that a well-formed record can still break; the duplicate rule, which needs
+the records read before, lives in `pipeline.ingest`.
 """
 
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ParseError, SchemaError
@@ -27,7 +29,7 @@ class OcrToken(NamedTuple):
     The field order is the reading-order tie order: two tokens compare as
     (x, y, text, w, h, confidence), so sorting tokens breaks ties the way
     `ordering.order_tokens` needs. Confidence is not range-checked at parse
-    time: out-of-range values are reported by the validator.
+    time: `record_violations` reports out-of-range values.
     """
 
     x: float
@@ -215,20 +217,10 @@ def serialize_record(record: Record) -> str:
     return json.dumps(obj, ensure_ascii=False)
 
 
-@dataclass
-class ValidationReport:
-    image_id: str
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def record_violations(record: Record) -> list[str]:
-    """The validator's findings that depend on this record alone: one
-    `confidence_range` per token whose confidence is outside [0, 1], one
-    `bbox_out_of_bounds` per token whose box leaves `image_size`."""
+    """The rule breaks found in this record alone: one `confidence_range`
+    per token whose confidence is outside [0, 1], one `bbox_out_of_bounds`
+    per token whose box leaves `image_size`."""
     violations = []
     # with no image_size no edge is out of bounds: no value exceeds inf
     width, height = record.image_size or (math.inf, math.inf)
@@ -238,22 +230,3 @@ def record_violations(record: Record) -> list[str]:
         if x + w > width or y + h > height:
             violations.append("bbox_out_of_bounds")
     return violations
-
-
-class CorpusValidator:
-    """Streaming validator: the per-record rules plus the duplicate rule,
-    under which the first record read with a given image_id wins."""
-
-    def __init__(self):
-        self._seen: set[str] = set()
-
-    def validate(self, record: Record) -> ValidationReport:
-        return self.check(record.image_id, record_violations(record))
-
-    def check(self, image_id: str, violations: list[str]) -> ValidationReport:
-        """The report on the next record read, given its `record_violations`:
-        those plus `duplicate_image_id` if an earlier record had its id."""
-        if image_id in self._seen:
-            violations = ["duplicate_image_id", *violations]
-        self._seen.add(image_id)
-        return ValidationReport(image_id, violations)

@@ -65,6 +65,16 @@ def test_build_pretrain_stage_plan(corpus, tmp_path, capsys):
     assert [s["objective"] for s in manifest["stages"]] == ["SPLITOCR", "CAP"]
 
 
+def test_build_pretrain_unknown_stage_tag_exits_1(corpus, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "build-pretrain", "--stages", "ocr,bogus",
+                             "--in", corpus, "--out-dir", out_dir)
+    assert code == 1
+    assert err.startswith("error: unknown objective 'bogus'")
+    assert out == ""
+    assert not out_dir.exists()
+
+
 def test_build_pretrain_bogus_objective_exits_2(corpus, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["build-pretrain", "--objective", "bogus",
@@ -96,6 +106,20 @@ def test_subsample_command(corpus, tmp_path, capsys):
     payload = json.loads(out)
     assert payload["total"] == 60
     assert payload["kept"] == len(out_file.read_text().splitlines())
+    # the counter set that stats and the build manifests report
+    assert payload["counters"] == {"lines": 60, "valid_records": 60,
+                                   "subsampled_records": payload["kept"]}
+
+
+def test_subsample_counts_zero_valid_records(tmp_path, capsys):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b'{not json\n{"ocr": []}\n')
+    code, out, _ = run_cli(capsys, "--json", "subsample", "--in", path,
+                           "--out", tmp_path / "sub.jsonl", "--fraction", 0.5)
+    assert code == 0
+    assert json.loads(out)["counters"] == {"lines": 2, "parse_errors": 2, "valid_records": 0,
+                                           "subsampled_records": 0}
+    assert (tmp_path / "sub.jsonl").read_bytes() == b""
 
 
 def test_evaluate_vqa(tmp_path, capsys):
@@ -331,6 +355,17 @@ def test_subsample_rejects_fraction_outside_unit_interval(corpus, tmp_path, caps
     assert code == 1
     assert err.startswith("error: fraction must be in (0, 1]")
     assert not out_file.exists()
+
+
+def test_subsample_bad_fraction_leaves_an_existing_output_untouched(corpus, tmp_path, capsys):
+    out_file = tmp_path / "sub.jsonl"
+    out_file.write_bytes(b"earlier sample\n")
+    code, out, err = run_cli(capsys, "--json", "subsample", "--in", corpus, "--out", out_file,
+                             "--fraction", 5)
+    assert code == 1
+    assert err.startswith("error: fraction must be in (0, 1]")
+    assert out == ""
+    assert out_file.read_bytes() == b"earlier sample\n"
 
 
 def test_subsample_removes_its_output_on_failure(tmp_path, capsys):

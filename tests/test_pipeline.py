@@ -10,17 +10,17 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
-from scenetext import pipeline, pretrain
+from scenetext import hashing, pipeline, pretrain
 from scenetext.errors import ConfigError
 from scenetext.finetune import Task
 from scenetext.hashing import hash64, keep_fraction
 from scenetext.pipeline import (
+    DatasetStats,
     PipelineConfig,
-    compute_stats,
+    ingest,
     run,
     run_finetune,
     shuffle_and_shard,
-    subsample,
 )
 from scenetext.pretrain import Objective
 from scenetext.records import QaAnnotation, serialize_record
@@ -66,34 +66,54 @@ def test_hash64_matches_reference_on_any_parts(seed, parts):
     assert hash64(seed, *parts) == oracle_hash64(seed, *parts)
 
 
+def kept_ids(path, fraction, seed):
+    return {record.image_id for _, record in ingest([str(path)], Counter(), fraction, seed)}
+
+
 def test_subsample_identity_at_full_fraction(corpus):
-    _, records = corpus
-    assert list(subsample(records, 1.0, seed=3)) == records
+    path, records = corpus
+    counters = Counter()
+    assert [record for _, record in ingest([str(path)], counters, 1.0, seed=3)] == records
+    assert counters["valid_records"] == counters["subsampled_records"] == len(records)
 
 
 def test_subsample_rejects_bad_fraction(corpus):
-    _, records = corpus
-    with pytest.raises(ConfigError):
-        list(subsample(records, 0.0, seed=0))
-    with pytest.raises(ConfigError):
-        list(subsample(records, 1.5, seed=0))
+    path, _ = corpus
+    # checked when ingest is called, before the stream is iterated
+    for fraction in (0.0, 1.5, -0.1, math.nan):
+        with pytest.raises(ConfigError):
+            ingest([str(path)], Counter(), fraction)
 
 
-def test_subsample_order_independent(corpus, rng):
-    _, records = corpus
-    kept = {r.image_id for r in subsample(records, 0.3, seed=7)}
+def test_subsample_order_independent(corpus, rng, tmp_path):
+    path, records = corpus
     shuffled = records[:]
     rng.shuffle(shuffled)
-    assert {r.image_id for r in subsample(shuffled, 0.3, seed=7)} == kept
+    write_corpus(tmp_path / "shuffled.jsonl", shuffled)
+    kept = kept_ids(path, 0.3, seed=7)
+    assert 0 < len(kept) < len(records)
+    assert kept_ids(tmp_path / "shuffled.jsonl", 0.3, seed=7) == kept
 
 
 def test_subsample_nesting(corpus):
-    _, records = corpus
-    subsets = {
-        f: {r.image_id for r in subsample(records, f, seed=5)}
-        for f in (0.05, 0.15, 0.4, 0.8)
-    }
-    assert subsets[0.05] <= subsets[0.15] <= subsets[0.4] <= subsets[0.8]
+    path, _ = corpus
+    subsets = {f: kept_ids(path, f, seed=5) for f in (0.05, 0.15, 0.4, 0.8, 1.0)}
+    assert subsets[0.05] <= subsets[0.15] <= subsets[0.4] <= subsets[0.8] <= subsets[1.0]
+    assert len(subsets[0.05]) < len(subsets[0.8])
+
+
+def test_keep_fraction_one_keeps_the_largest_hash(monkeypatch):
+    # (2**64 - 1) / 2.0**64 rounds to 1.0, which is not below a fraction of 1
+    monkeypatch.setattr(hashing, "hash64", lambda seed, *parts: 2**64 - 1)
+    assert keep_fraction(0, "img0", 1.0)
+    assert not keep_fraction(0, "img0", 0.999)
+
+
+def test_full_fraction_computes_no_keep_hash(corpus, monkeypatch):
+    path, records = corpus
+    calls = counted(monkeypatch, hashing, "hash64")
+    assert kept_ids(path, 1.0, seed=3) == {r.image_id for r in records}
+    assert calls == []
 
 
 def test_subsample_binomial_count():
@@ -109,7 +129,9 @@ def test_compute_stats():
         make_record("b", ocr=[]),
         make_record("c", ocr=[make_token("z")]),
     ]
-    stats = compute_stats(records)
+    stats = DatasetStats()
+    for record in records:
+        stats.add(DatasetStats.entry(record))
     assert stats.record_count == 3
     assert stats.empty_ocr_count == 1
     assert stats.empty_ocr_fraction == pytest.approx(1 / 3)
@@ -117,10 +139,11 @@ def test_compute_stats():
     assert stats.eligible["CAP"] == 1
     assert sum(stats.ocr_token_histogram.values()) == 3
     assert stats.ocr_token_histogram[2] == 1
+    assert stats.caption_length_histogram == Counter({2: 1})
 
 
 def test_compute_stats_empty_stream():
-    stats = compute_stats([])
+    stats = DatasetStats()
     assert stats.record_count == 0
     assert stats.empty_ocr_fraction == 0.0
 
@@ -303,6 +326,9 @@ def test_config_validation():
     for threads in (0, -2):
         with pytest.raises(ConfigError, match="threads"):
             PipelineConfig(inputs=("x",), out_dir="y", threads=threads)
+    for stages in (("ocr",), (Objective.OCR, "CAP")):
+        with pytest.raises(ConfigError, match="stages"):
+            PipelineConfig(inputs=("x",), out_dir="y", stages=stages)
 
 
 def counted(monkeypatch, module, name):
@@ -319,6 +345,18 @@ def counted(monkeypatch, module, name):
 
 
 ALL_STAGES = (Objective.OCR, Objective.SPLITOCR, Objective.CAP, Objective.SPLITCAP)
+
+
+def test_run_names_each_stage_dataset_by_index_and_objective(corpus, tmp_path):
+    path, _ = corpus
+    out_dir = tmp_path / "out"
+    stages = (Objective.SPLITOCR, Objective.CAP, Objective.SPLITOCR)
+    manifest = run(run_config(path, out_dir, stages=stages, shard_count=2))
+    names = [[shard["file"] for shard in stage["shards"]] for stage in manifest["stages"]]
+    assert names == [[f"{dataset}-0000{i}-of-00002.jsonl" for i in range(2)]
+                     for dataset in ("stage0_splitocr", "stage1_cap", "stage2_splitocr")]
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+        ["manifest.json", *(name for stage in names for name in stage)])
 
 
 def test_run_orders_each_kept_record_once(corpus, tmp_path, monkeypatch):

@@ -204,21 +204,23 @@ def test_splitocr_target_is_suffix_of_ocr_target(rng):
 
 
 def test_stage_plan():
+    # the dataset names are tested on a run's manifest in test_pipeline
     plan = build_stage_plan([Objective.SPLITOCR, Objective.CAP])
-    assert plan.stages == (Objective.SPLITOCR, Objective.CAP)
-    assert plan.dataset_names == ("stage0_splitocr", "stage1_cap")
+    assert plan == (Objective.SPLITOCR, Objective.CAP)
 
 
 def test_stage_plan_from_tags():
-    plan = build_stage_plan(["ocr", "cap"])
-    assert plan.stages == (Objective.OCR, Objective.CAP)
+    # the CLI turns --stages tags into objectives before building the plan
+    tags = ["ocr", "Cap", "SPLITOCR", "splitcap"]
+    assert build_stage_plan([Objective.from_tag(t) for t in tags]) == (
+        Objective.OCR, Objective.CAP, Objective.SPLITOCR, Objective.SPLITCAP)
 
 
 def test_stage_plan_rejects_empty_and_unknown():
     with pytest.raises(ConfigError):
         build_stage_plan([])
-    with pytest.raises(ConfigError):
-        build_stage_plan(["bogus"])
+    with pytest.raises(ConfigError, match="unknown objective 'bogus'"):
+        Objective.from_tag("bogus")
 
 
 def test_example_json_schema():

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import given, strategies as st
 
 from scenetext.errors import ParseError, SchemaError
 from scenetext.ordering import order_tokens
+from scenetext.pipeline import ingest
 from scenetext.records import (
-    CorpusValidator,
     parse_record,
     record_violations,
     serialize_record,
@@ -91,25 +92,33 @@ def test_parse_is_pure():
 
 def test_validate_bbox_out_of_bounds():
     rec = make_record(ocr=[make_token("x", x=95, y=0, w=10, h=5)], image_size=(100, 100))
-    report = CorpusValidator().validate(rec)
-    assert "bbox_out_of_bounds" in report.violations
+    assert record_violations(rec) == ["bbox_out_of_bounds"]
 
 
 def test_validate_wellformed_record_is_clean():
     rec = make_record(ocr=[make_token("x", x=5, y=5, w=10, h=5)], image_size=(100, 100))
-    assert CorpusValidator().validate(rec).ok
+    assert record_violations(rec) == []
 
 
 def test_validate_confidence_range():
     rec = make_record(ocr=[make_token("x", confidence=1.3)])
-    assert "confidence_range" in CorpusValidator().validate(rec).violations
+    assert record_violations(rec) == ["confidence_range"]
 
 
-def test_validator_flags_duplicate_image_id():
-    v = CorpusValidator()
-    rec = make_record(image_id="dup")
-    assert v.validate(rec).ok
-    assert "duplicate_image_id" in v.validate(rec).violations
+def test_validator_flags_duplicate_image_id(tmp_path):
+    # the first line read with an id wins; each later copy is skipped, and a
+    # copy that also breaks a per-record rule counts every finding
+    path = tmp_path / "dups.jsonl"
+    records = [make_record(image_id="dup", caption="first"), make_record(image_id="other"),
+               make_record(image_id="dup", caption="second"),
+               make_record(image_id="dup", ocr=[make_token("x", confidence=1.3)])]
+    path.write_text("".join(serialize_record(r) + "\n" for r in records), encoding="utf-8")
+    counters, violations = Counter(), Counter()
+    kept = [record for _, record in ingest([str(path)], counters, violations=violations)]
+    assert kept == records[:2]
+    assert violations == {"duplicate_image_id": 2, "confidence_range": 1}
+    assert counters == {"lines": 4, "valid_records": 2, "subsampled_records": 2,
+                        "validation_skips": 2}
 
 
 def test_token_rejects_interior_newline():
@@ -182,7 +191,7 @@ def _assert_record_or_package_error(line):
         record = parse_record(line)
     except (ParseError, SchemaError):
         return
-    CorpusValidator().validate(record)
+    record_violations(record)
     order_tokens(record.ocr)
     serialize_record(record).encode("utf-8")
     for tok in record.ocr:
