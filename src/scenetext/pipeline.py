@@ -3,8 +3,16 @@
 A build makes one pass over the kept records. A record that passes some
 dataset's eligibility rule (`Objective.eligible`, `Task.eligible`) is
 ordered once (`ordering.order_tokens`) and handed with its ordered OCR
-texts to those datasets' builders, then dropped; only the built examples
-are held, as UTF-8 JSON lines, until they are shuffled into shards.
+texts to those datasets' builders, then dropped. Nothing built is held in
+memory: each example goes, as its shuffle key and UTF-8 JSON line
+(`spill_record`), to one of its dataset's spill bucket files in the output
+directory, picked by the top of its shuffle key. After the pass each
+dataset's buckets are read back one at a time in key order, sorted and
+dealt round-robin to shard files that stay open, so a build holds one
+bucket at a time. Spill files are hidden (`.{dataset}-spill-{bucket}`),
+take about the uncompressed shard bytes of free disk beside the shards, and
+never outlive a build: each is removed once read, and all are removed if
+the build fails.
 
 The per-line work (decode, parse, the per-record validation rules, the
 keep test, ordering, building and serializing) runs on chunks of lines.
@@ -24,8 +32,11 @@ import dataclasses
 import gzip
 import hashlib
 import json
+import math
 import os
+import zlib
 from collections import Counter
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
@@ -298,43 +309,109 @@ def _check_fraction(fraction: float) -> None:
         raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
 
 
-def shuffle_and_shard(examples: list[tuple[int, str, bytes]],
-                      shard_count: int) -> list[list[bytes]]:
-    """Deterministically permute (shuffle_key, example_id, line) triples,
-    where shuffle_key is hash64(seed, "shuffle", example_id), and assign the
-    lines round-robin to shard_count buckets."""
+def spill_record(key: int, json_line: str) -> bytes:
+    """An example as a spill record: its shuffle key as 16 hex digits, then
+    its JSON line and a newline, in UTF-8. A JSON line holds no raw CR or LF,
+    so each record is one line of its bucket file."""
+    return f"{key:016x}{json_line}\n".encode("utf-8")
+
+
+def _key_id_line(record: bytes) -> tuple[bytes, str, bytes]:
+    """A spill record's whole sort key: its key, example_id and line."""
+    return record[:16], json.loads(record[16:])["example_id"], record[16:]
+
+
+def shuffle_and_shard(records: list[bytes], shard_count: int, start: int = 0) -> list[list[bytes]]:
+    """Deterministically permute examples given as `spill_record`s, keyed by
+    hash64(seed, "shuffle", example_id), into (key, example_id, line) order,
+    and deal their lines round-robin to shard_count shards, the first to
+    shard `start` mod shard_count. Records sort by key, then line; only
+    where two keys collide is each example_id read back from its line."""
     if shard_count < 1:
         raise ConfigError(f"shard count must be >= 1, got {shard_count}")
-    shards: list[list[bytes]] = [[] for _ in range(shard_count)]
-    for i, (_, _, line) in enumerate(sorted(examples)):
-        shards[i % shard_count].append(line)
-    return shards
+    records = sorted(records)
+    if len({record[:16] for record in records}) < len(records):
+        records.sort(key=_key_id_line)
+    lines = [record[16:] for record in records]
+    return [lines[(i - start) % shard_count::shard_count] for i in range(shard_count)]
 
 
-def _write_shards(shards: list[list[bytes]], out_dir: str, dataset: str,
-                  compress: bool, written: list[str]) -> list[dict]:
-    """Write one file per shard of newline-terminated UTF-8 lines; each path
-    joins `written` once opened."""
-    infos = []
+def _create(paths: Iterable[str], written: list[str], stack: ExitStack) -> list:
+    """Open each path for binary writing, closed when `stack` exits; each
+    path joins `written` once created."""
+    files = []
+    for path in paths:
+        files.append(stack.enter_context(open(path, "wb")))
+        written.append(path)
+    return files
+
+
+def _write_shards(buckets: Iterable[list[list[bytes]]], out_dir: str, dataset: str,
+                  shard_count: int, compress: bool, written: list[str]) -> list[dict]:
+    """Write shard file i as the i-th line list of each item of `buckets`
+    (the shards of one spill bucket, as `shuffle_and_shard` deals them), in
+    order, streaming its sha256 and, under `compress`, its gzip member. A
+    `zlib.compressobj(9, DEFLATED, 31)` writes zlib's own header (mtime 0)
+    and the same bytes however the payload is fed, on every CPython; that is
+    `gzip.compress(payload, mtime=0)` on 3.11, while 3.10 and 3.13 write 255
+    in place of zlib's OS byte. Each path joins `written` once opened."""
     suffix = ".jsonl.gz" if compress else ".jsonl"
-    for i, lines in enumerate(shards):
-        name = f"{dataset}-{i:05d}-of-{len(shards):05d}{suffix}"
-        path = os.path.join(out_dir, name)
-        payload = b"".join(lines)
-        if compress:
-            # fixed mtime so compressed shards are byte-reproducible
-            data = gzip.compress(payload, mtime=0)
-        else:
-            data = payload
-        with open(path, "wb") as fh:
-            written.append(path)
-            fh.write(data)
-        infos.append({
-            "file": name,
-            "examples": len(lines),
-            "sha256": hashlib.sha256(data).hexdigest(),
-        })
-    return infos
+    names = [f"{dataset}-{i:05d}-of-{shard_count:05d}{suffix}" for i in range(shard_count)]
+    counts = [0] * shard_count
+    digests = [hashlib.sha256() for _ in names]
+    gzips = [zlib.compressobj(9, zlib.DEFLATED, 31) for _ in names] if compress else None
+    with ExitStack() as stack:
+        files = _create([os.path.join(out_dir, name) for name in names], written, stack)
+        for shards in buckets:
+            for i, lines in enumerate(shards):
+                counts[i] += len(lines)
+                data = b"".join(lines)
+                if gzips:
+                    data = gzips[i].compress(data)
+                digests[i].update(data)
+                files[i].write(data)
+        for gz, digest, fh in zip(gzips or (), digests, files):
+            tail = gz.flush()
+            digest.update(tail)
+            fh.write(tail)
+    return [{"file": name, "examples": count, "sha256": digest.hexdigest()}
+            for name, count, digest in zip(names, counts, digests)]
+
+
+SPILL_BUCKET_BYTES = 1 << 19  # kept input bytes per spill bucket of each dataset
+SPILL_FILES_MAX = 512  # spill buckets of all datasets, each an open file during the pass
+
+
+def _bucket_count(inputs: Iterable[str], fraction: float, dataset_count: int) -> int:
+    """Spill buckets per dataset: one per SPILL_BUCKET_BYTES of the input
+    share the subsample keeps (gzip inputs count their compressed size), at
+    least 1, at most an even share of SPILL_FILES_MAX."""
+    kept = fraction * sum(os.path.getsize(path) for path in inputs)
+    return max(1, min(math.ceil(kept / SPILL_BUCKET_BYTES), SPILL_FILES_MAX // dataset_count))
+
+
+def _bucketed(example, seed: int, buckets: int) -> tuple[int, bytes]:
+    """An example's spill bucket, the top of its shuffle key, and its spill record."""
+    key = hash64(seed, "shuffle", example.example_id)
+    return (key * buckets) >> 64, spill_record(key, example.to_json())
+
+
+def _read_spill(path: str) -> list[bytes]:
+    """The spill records of one bucket file."""
+    with open(path, "rb") as fh:
+        return fh.read().splitlines(keepends=True)
+
+
+def _dealt_buckets(paths: list[str], shard_count: int) -> Iterator[list[list[bytes]]]:
+    """Each spill bucket of one dataset, in key order, read and removed, then
+    dealt by `shuffle_and_shard` from where the previous bucket stopped: the
+    shards of the whole dataset sorted at once, one bucket at a time."""
+    dealt = 0
+    for path in paths:
+        examples = _read_spill(path)
+        os.remove(path)
+        yield shuffle_and_shard(examples, shard_count, dealt)
+        dealt += len(examples)
 
 
 def _config_hash(config: PipelineConfig) -> str:
@@ -347,44 +424,53 @@ def _build(config: PipelineConfig, datasets, manifest_name: str, describe,
     """The one build path. One pass over the kept records adds each to the
     stats, if given, and keeps the (name, eligible, build) datasets whose
     eligible(record) holds; if any, it orders the record's OCR once into
-    texts (None unless order_ocr) and adds build(record, texts) to each.
-    Then each dataset is shuffled/sharded and written, and the manifest:
-    the common head plus describe([(example_count, shard_infos), ...]).
-    Every file this run wrote is removed if any step fails.
+    texts (None unless order_ocr) and spills build(record, texts) to each
+    dataset's buckets. Then each dataset's buckets are dealt to its shards,
+    and the manifest is written: the common head plus
+    describe([(example_count, shard_infos), ...]). Every file this run
+    wrote, spill files included, is removed if any step fails.
 
-    Ordering, building and serializing are the per-record `work` of the
-    ingest, so they run in its worker processes; the stats, the held
-    examples and everything after the pass stay in this one."""
+    Ordering, building, serializing and picking each example's bucket are
+    the per-record `work` of the ingest, so they run in its worker
+    processes; the stats, the spill writes and everything after the pass
+    stay in this one."""
     seed, with_stats = config.seed, stats is not None
-
-    def work(record):
-        """The record's stats entry (None without stats) and, per dataset,
-        its examples as (shuffle key, example_id, UTF-8 JSON line) triples."""
-        builds = [build if eligible(record) else None for _, eligible, build in datasets]
-        texts = None
-        if order_ocr and any(builds):
-            texts = [t.text for t in order_tokens(record.ocr, config.overlap_threshold)]
-        examples = [[(hash64(seed, "shuffle", ex.example_id), ex.example_id,
-                      (ex.to_json() + "\n").encode("utf-8")) for ex in build(record, texts)]
-                    if build else [] for build in builds]
-        return (DatasetStats.entry(record) if with_stats else None), examples
-
     os.makedirs(config.out_dir, exist_ok=True)
     written: list[str] = []
     try:
+        buckets = _bucket_count(config.inputs, config.fraction, len(datasets))
+
+        def work(record):
+            """The record's stats entry (None without stats) and, per dataset,
+            its examples as (bucket, spill record) pairs."""
+            builds = [build if eligible(record) else None for _, eligible, build in datasets]
+            texts = None
+            if order_ocr and any(builds):
+                texts = [t.text for t in order_tokens(record.ocr, config.overlap_threshold)]
+            examples = [[_bucketed(ex, seed, buckets) for ex in build(record, texts)]
+                        if build else [] for build in builds]
+            return (DatasetStats.entry(record) if with_stats else None), examples
+
+        spills = [[os.path.join(config.out_dir, f".{name}-spill-{b:05d}") for b in range(buckets)]
+                  for name, _, _ in datasets]
         counters: Counter = Counter()
-        examples: list[list[tuple[int, str, bytes]]] = [[] for _ in datasets]
-        for _, (entry, built_examples) in ingest(config.inputs, counters, config.fraction, seed,
-                                                 work, threads=config.threads):
-            if with_stats:
-                stats.add(entry)
-            for held, new in zip(examples, built_examples):
-                held.extend(new)
+        # Forked workers inherit these files, but only with empty buffers (the
+        # pool forks at the first chunk, before any write), and they leave by
+        # os._exit, which flushes nothing.
+        with ExitStack() as stack:
+            files = [_create(paths, written, stack) for paths in spills]
+            for _, (entry, spilled) in ingest(config.inputs, counters, config.fraction, seed,
+                                              work, threads=config.threads):
+                if with_stats:
+                    stats.add(entry)
+                for dataset_files, records in zip(files, spilled):
+                    for bucket, record in records:
+                        dataset_files[bucket].write(record)
         built = []
-        for (name, _, _), keyed in zip(datasets, examples):
-            shards = shuffle_and_shard(keyed, config.shard_count)
-            built.append((len(keyed),
-                          _write_shards(shards, config.out_dir, name, config.compress, written)))
+        for (name, _, _), paths in zip(datasets, spills):
+            infos = _write_shards(_dealt_buckets(paths, config.shard_count), config.out_dir, name,
+                                  config.shard_count, config.compress, written)
+            built.append((sum(info["examples"] for info in infos), infos))
         manifest = {
             "tool": "scenetext",
             "version": __version__,

@@ -437,3 +437,113 @@ def oracle_record_violations(record) -> list[str]:
             if tok.x + tok.w > width or tok.y + tok.h > height:
                 violations.append("bbox_out_of_bounds")
     return violations
+
+
+# --- The build's hold-and-sort path as it was before the spill buckets: every
+# example of every dataset held in memory until one sort per dataset, and
+# each shard joined and written at once. Copied verbatim (renamed), so the
+# tests can check that the spill path writes the same shards and manifests:
+# `monkeypatch.setattr(pipeline, "_build", oracle_hold_and_sort_build)`.
+# The names of `scenetext.pipeline` are looked up when called, so a test's
+# patch of `pipeline.hash64` reaches this copy too.
+
+
+def oracle_shuffle_and_shard(examples, shard_count):
+    """Deterministically permute (shuffle_key, example_id, line) triples,
+    where shuffle_key is hash64(seed, "shuffle", example_id), and assign the
+    lines round-robin to shard_count buckets."""
+    shards = [[] for _ in range(shard_count)]
+    for i, (_, _, line) in enumerate(sorted(examples)):
+        shards[i % shard_count].append(line)
+    return shards
+
+
+def oracle_write_shards(shards, out_dir, dataset, compress, written):
+    """Write one file per shard of newline-terminated UTF-8 lines; each path
+    joins `written` once opened."""
+    import os
+    import zlib
+
+    infos = []
+    suffix = ".jsonl.gz" if compress else ".jsonl"
+    for i, lines in enumerate(shards):
+        name = f"{dataset}-{i:05d}-of-{len(shards):05d}{suffix}"
+        path = os.path.join(out_dir, name)
+        payload = b"".join(lines)
+        if compress:
+            # `gzip.compress(payload, mtime=0)` as CPython 3.11 and 3.12.1
+            # compute it; 3.10 and 3.13 write 255 in place of zlib's OS byte
+            data = zlib.compress(payload, 9, wbits=31)
+        else:
+            data = payload
+        with open(path, "wb") as fh:
+            written.append(path)
+            fh.write(data)
+        infos.append({
+            "file": name,
+            "examples": len(lines),
+            "sha256": hashlib.sha256(data).hexdigest(),
+        })
+    return infos
+
+
+def oracle_hold_and_sort_build(config, datasets, manifest_name, describe, stats=None,
+                               order_ocr=True):
+    """The one build path. One pass over the kept records adds each to the
+    stats, if given, and keeps the (name, eligible, build) datasets whose
+    eligible(record) holds; if any, it orders the record's OCR once into
+    texts (None unless order_ocr) and adds build(record, texts) to each.
+    Then each dataset is shuffled/sharded and written, and the manifest:
+    the common head plus describe([(example_count, shard_infos), ...]).
+    Every file this run wrote is removed if any step fails."""
+    import os
+    from scenetext import __version__, pipeline
+
+    seed, with_stats = config.seed, stats is not None
+
+    def work(record):
+        builds = [build if eligible(record) else None for _, eligible, build in datasets]
+        texts = None
+        if order_ocr and any(builds):
+            texts = [t.text for t in pipeline.order_tokens(record.ocr, config.overlap_threshold)]
+        examples = [[(pipeline.hash64(seed, "shuffle", ex.example_id), ex.example_id,
+                      (ex.to_json() + "\n").encode("utf-8")) for ex in build(record, texts)]
+                    if build else [] for build in builds]
+        return (pipeline.DatasetStats.entry(record) if with_stats else None), examples
+
+    os.makedirs(config.out_dir, exist_ok=True)
+    written = []
+    try:
+        counters = Counter()
+        examples = [[] for _ in datasets]
+        for _, (entry, built_examples) in pipeline.ingest(config.inputs, counters, config.fraction,
+                                                          seed, work, threads=config.threads):
+            if with_stats:
+                stats.add(entry)
+            for held, new in zip(examples, built_examples):
+                held.extend(new)
+        built = []
+        for (name, _, _), keyed in zip(datasets, examples):
+            shards = oracle_shuffle_and_shard(keyed, config.shard_count)
+            built.append((len(keyed),
+                          oracle_write_shards(shards, config.out_dir, name, config.compress, written)))
+        manifest = {
+            "tool": "scenetext",
+            "version": __version__,
+            "config": config.to_dict(),
+            "config_hash": pipeline._config_hash(config),
+            "seed": seed,
+            "counters": dict(counters),
+            **describe(built),
+        }
+        manifest_path = os.path.join(config.out_dir, manifest_name)
+        with open(manifest_path, "w", encoding="utf-8") as fh:
+            written.append(manifest_path)
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        return manifest
+    except BaseException:
+        for path in written:
+            if os.path.exists(path):
+                os.remove(path)
+        raise

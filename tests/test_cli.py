@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from scenetext import kernels
+from scenetext import kernels, pipeline
 from scenetext.cli import main
 from scenetext.records import serialize_record
 
@@ -433,12 +433,24 @@ def test_subsample_output_builds_the_same_shards(corpus_with_bad_lines, tmp_path
     (["build-pretrain", "--stages", "splitocr,cap"], "stage1_cap-00001-of-00002.jsonl"),
     (["build-finetune", "--task", "vqa"], "finetune_vqa-00001-of-00002.jsonl"),
 ], ids=["build-pretrain", "build-finetune"])
-def test_failed_build_removes_its_shards(corpus, tmp_path, capsys, argv, blocked):
+def test_failed_build_removes_its_shards(corpus, tmp_path, capsys, monkeypatch, argv, blocked):
     out_dir = tmp_path / "out"
     (out_dir / blocked).mkdir(parents=True)
+    # the out-dir as each dataset's shards start to be written
+    listings = []
+    write_shards = pipeline._write_shards
+
+    def listing_write_shards(*args):
+        listings.append(sorted(p.name for p in out_dir.iterdir()))
+        return write_shards(*args)
+
+    monkeypatch.setattr(pipeline, "_write_shards", listing_write_shards)
     code, _, err = run_cli(capsys, *argv, "--shards", 2, "--in", corpus, "--out-dir", out_dir)
     assert code == 1
     assert err.startswith("error: ")
+    # the failing dataset's hidden spill file was there when its write failed
+    dataset = blocked.split("-")[0]
+    assert f".{dataset}-spill-00000" in listings[-1]
     assert [p.name for p in out_dir.iterdir()] == [blocked]
 
 

@@ -21,12 +21,13 @@ from scenetext.pipeline import (
     run,
     run_finetune,
     shuffle_and_shard,
+    spill_record,
 )
 from scenetext.pretrain import Objective
 from scenetext.records import QaAnnotation, serialize_record
 
 from conftest import make_record, make_token, random_layout_record
-from oracles import oracle_hash64
+from oracles import oracle_hash64, oracle_hold_and_sort_build
 
 
 def write_corpus(path: Path, records):
@@ -148,23 +149,32 @@ def test_compute_stats_empty_stream():
     assert stats.empty_ocr_fraction == 0.0
 
 
+def example_line(example_id, text):
+    return json.dumps({"example_id": example_id, "text": text}, ensure_ascii=False)
+
+
 def keyed(examples, seed):
-    """(example_id, line) pairs as the (shuffle key, example_id, line) triples a build holds."""
-    return [(hash64(seed, "shuffle", ex_id), ex_id, line) for ex_id, line in examples]
+    """(example_id, text) pairs as the spill records of their examples."""
+    return [spill_record(hash64(seed, "shuffle", ex_id), example_line(ex_id, text))
+            for ex_id, text in examples]
+
+
+def lines_of(examples):
+    return [f"{example_line(ex_id, text)}\n".encode() for ex_id, text in examples]
 
 
 def test_shuffle_and_shard_single_shard_permutes():
     examples = [(f"id{i}", f"line{i}") for i in range(100)]
     (shard,) = shuffle_and_shard(keyed(examples, seed=1), shard_count=1)
-    assert sorted(shard) == sorted(line for _, line in examples)
-    assert shard != [line for _, line in examples]
+    assert sorted(shard) == sorted(lines_of(examples))
+    assert shard != lines_of(examples)
 
 
 def test_shuffle_and_shard_conservation():
     examples = [(f"id{i}", f"line{i}") for i in range(103)]
     shards = shuffle_and_shard(keyed(examples, seed=2), shard_count=7)
     merged = Counter(line for shard in shards for line in shard)
-    assert merged == Counter(line for _, line in examples)
+    assert merged == Counter(lines_of(examples))
 
 
 def test_shuffle_and_shard_deterministic():
@@ -174,6 +184,34 @@ def test_shuffle_and_shard_deterministic():
     # the input order does not matter
     assert (shuffle_and_shard(keyed(examples[::-1], 3), 4)
             == shuffle_and_shard(keyed(examples, 3), 4))
+
+
+@given(st.lists(st.tuples(st.sampled_from([0, 1, 2**63, 2**64 - 1]), st.text(max_size=3),
+                          st.text(max_size=3)), max_size=40))
+def test_shuffle_and_shard_orders_colliding_keys_by_example_id(examples):
+    # few keys, so most collide; ids and texts share prefixes and hold any
+    # code point, and an id's order differs from its JSON-escaped order
+    records = [spill_record(key, example_line(ex_id, text)) for key, ex_id, text in examples]
+    expected = sorted((key, ex_id, f"{example_line(ex_id, text)}\n".encode())
+                      for key, ex_id, text in examples)
+    assert shuffle_and_shard(records, 1) == [[line for _, _, line in expected]]
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=60), st.integers(1, 5),
+       st.lists(st.integers(0, 2**64 - 1), max_size=4))
+def test_shuffle_and_shard_dealt_by_key_range_equals_one_deal(keys, shard_count, cuts):
+    # keys may repeat; ties on the key fall back to example_id order
+    examples = [(key, spill_record(key, example_line(f"id{i % 7}", f"line{i}")))
+                for i, key in enumerate(keys)]
+    whole = shuffle_and_shard([record for _, record in examples], shard_count)
+    edges = [0, *sorted(cuts), 2**64]
+    dealt, merged = 0, [[] for _ in range(shard_count)]
+    for low, high in zip(edges, edges[1:]):
+        part = [record for key, record in examples if low <= key < high]
+        for shard, lines in zip(merged, shuffle_and_shard(part, shard_count, dealt)):
+            shard.extend(lines)
+        dealt += len(part)
+    assert merged == whole
 
 
 def run_config(corpus_path, out_dir, **kwargs):
@@ -455,3 +493,122 @@ def test_ineligible_records_yield_no_examples(sparse_corpus, tmp_path, monkeypat
         lines = (out / manifest["shards"][0]["file"]).read_text().splitlines()
         assert ({json.loads(line)["image_id"] for line in lines}
                 == {r.image_id for r in records if has_target(r)})
+
+
+def _build_files(build, out_dir: Path) -> dict[str, bytes]:
+    """Run build() into an empty out_dir; every file it leaves, by name."""
+    build()
+    files = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    for p in out_dir.iterdir():
+        p.unlink()
+    return files
+
+
+SPILL_BUILDS = {
+    "build-pretrain": ["build-pretrain", "--stages", "ocr,splitocr,cap,splitcap", "--passes", "2",
+                       "--shards", "3"],
+    "build-pretrain-half-compress": ["build-pretrain", "--stages", "splitocr,cap", "--shards", "4",
+                                     "--fraction", "0.5", "--compress"],
+    "build-finetune": ["build-finetune", "--task", "vqa", "--shards", "3", "--compress"],
+    "build-finetune-caption": ["build-finetune", "--task", "caption", "--shards", "2",
+                               "--no-ocr-input"],
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("buckets", ["most", "several", "one"])
+@pytest.mark.parametrize("argv", SPILL_BUILDS.values(), ids=SPILL_BUILDS.keys())
+def test_spilled_build_is_byte_identical_to_hold_and_sort(tmp_path, rng, monkeypatch, argv,
+                                                          buckets, threads):
+    from scenetext.cli import main
+
+    monkeypatch.setattr(pipeline, "available_cpus", lambda: 4)
+    path = tmp_path / "hostile.jsonl"
+    _hostile_corpus(path, rng, 13, 1.0)
+    size = path.stat().st_size
+    # a 1-byte target asks for a bucket per kept input byte, so the file cap sets the count
+    monkeypatch.setattr(pipeline, "SPILL_BUCKET_BYTES",
+                        {"most": 1, "several": -(-size // 7), "one": size}[buckets])
+    datasets = len(argv[argv.index("--stages") + 1].split(",")) if "--stages" in argv else 1
+    fraction = float(argv[argv.index("--fraction") + 1]) if "--fraction" in argv else 1.0
+    count = pipeline._bucket_count([str(path)], fraction, datasets)
+    assert count == {"most": pipeline.SPILL_FILES_MAX // datasets, "several": 7 if fraction == 1 else 4,
+                     "one": 1}[buckets]
+    out_dir = tmp_path / "out"
+    command = [*argv, "--seed", "13", "--threads", str(threads), "--in", str(path),
+               "--out-dir", str(out_dir)]
+    read = counted(monkeypatch, pipeline, "_read_spill")
+    spilled = _build_files(lambda: main(command), out_dir)
+    assert len(read) == datasets * count
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "_build", oracle_hold_and_sort_build)
+        held = _build_files(lambda: main(command), out_dir)
+    assert spilled == held
+    assert not [name for name in spilled if name.startswith(".")]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_spilled_build_keeps_key_then_id_order_when_keys_collide(tmp_path, rng, monkeypatch,
+                                                                 threads):
+    # Four keys for every example: both ends of the range and both sides of
+    # its middle, so colliding keys sit at bucket edges and every bucket
+    # boundary is crossed by a run of equal keys ordered by example_id.
+    monkeypatch.setattr(pipeline, "available_cpus", lambda: 4)
+    monkeypatch.setattr(pipeline, "SPILL_BUCKET_BYTES", 1)
+    keys = (0, 2**63 - 1, 2**63, 2**64 - 1)
+
+    def key_of(example_id):
+        return keys[sum(example_id.encode("utf-8")) % 4]
+
+    monkeypatch.setattr(pipeline, "hash64", lambda seed, *parts: key_of(parts[-1]))
+    path = tmp_path / "hostile.jsonl"
+    _hostile_corpus(path, rng, 13, 1.0)
+    out_dir = tmp_path / "out"
+    config = run_config(path, out_dir, seed=13, stages=ALL_STAGES, passes=2, threads=threads)
+    spilled = _build_files(lambda: run(config), out_dir)
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "_build", oracle_hold_and_sort_build)
+        held = _build_files(lambda: run(config), out_dir)
+    assert spilled == held
+    # the first line of shard 0 has the smallest example_id keyed 0
+    ids = [json.loads(line)["example_id"] for name, data in spilled.items()
+           if name.startswith("stage0_ocr") for line in data.splitlines()]
+    first = json.loads(spilled["stage0_ocr-00000-of-00003.jsonl"].splitlines()[0])
+    assert first["example_id"] == min(i for i in ids if key_of(i) == 0)
+
+
+class BuilderFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_build_failing_mid_pass_leaves_the_out_dir_as_it_was(tmp_path, rng, monkeypatch, threads):
+    monkeypatch.setattr(pipeline, "available_cpus", lambda: 4)
+    monkeypatch.setattr(pipeline, "SPILL_BUCKET_BYTES", 4096)
+    path = tmp_path / "hostile.jsonl"
+    _hostile_corpus(path, rng, 13, 1.0)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "keep.txt").write_text("not the build's")
+    at_failure = tmp_path / "at-failure.txt"
+    build_example = pipeline.build_example
+    calls = []
+
+    def fails_on_the_300th_call(*args):
+        calls.append(None)  # per process: each worker counts its own calls
+        if len(calls) == 300:
+            at_failure.write_text("\n".join(sorted(p.name for p in out_dir.iterdir())))
+            raise BuilderFailed("builder failed")
+        return build_example(*args)
+
+    monkeypatch.setattr(pipeline, "build_example", fails_on_the_300th_call)
+    with pytest.raises(BuilderFailed):
+        run(run_config(path, out_dir, seed=13, stages=ALL_STAGES, passes=2, threads=threads))
+    buckets = pipeline._bucket_count([str(path)], 1.0, len(ALL_STAGES))
+    assert buckets > 1
+    # every dataset's spill files were there when the builder failed
+    assert at_failure.read_text().split("\n") == sorted(
+        [".stage0_ocr", ".stage1_splitocr", ".stage2_cap", ".stage3_splitcap"][d] + f"-spill-{b:05d}"
+        for d in range(4) for b in range(buckets)) + ["keep.txt"]
+    assert [p.name for p in out_dir.iterdir()] == ["keep.txt"]
+    assert (out_dir / "keep.txt").read_text() == "not the build's"
