@@ -9,10 +9,14 @@ memory: each example goes, as its shuffle key and UTF-8 JSON line
 directory, picked by the top of its shuffle key. After the pass each
 dataset's buckets are read back one at a time in key order, sorted and
 dealt round-robin to shard files that stay open, so a build holds one
-bucket at a time. Spill files are hidden (`.{dataset}-spill-{bucket}`),
-take about the uncompressed shard bytes of free disk beside the shards, and
-never outlive a build: each is removed once read, and all are removed if
-the build fails.
+bucket at a time; a bucket file that came out over twice its target size
+is first split by the next part of its key range. The number of buckets,
+and of shard files open at once, stays within the descriptors the process
+may still open (its soft RLIMIT_NOFILE); shards beyond that are written
+in groups, each on one more read of the buckets. Spill files are hidden
+(`.{dataset}-spill-{bucket}`), take about the uncompressed shard bytes of
+free disk beside the shards, and never outlive a build: each is removed
+once read for the last time, and all are removed if the build fails.
 
 The per-line work (decode, parse, the per-record validation rules, the
 keep test, ordering, building and serializing) runs on chunks of lines.
@@ -313,7 +317,7 @@ def spill_record(key: int, json_line: str) -> bytes:
     """An example as a spill record: its shuffle key as 16 hex digits, then
     its JSON line and a newline, in UTF-8. A JSON line holds no raw CR or LF,
     so each record is one line of its bucket file."""
-    return f"{key:016x}{json_line}\n".encode("utf-8")
+    return "".join((key.to_bytes(8, "big").hex(), json_line, "\n")).encode("utf-8")
 
 
 def _key_id_line(record: bytes) -> tuple[bytes, str, bytes]:
@@ -346,48 +350,34 @@ def _create(paths: Iterable[str], written: list[str], stack: ExitStack) -> list:
     return files
 
 
-def _write_shards(buckets: Iterable[list[list[bytes]]], out_dir: str, dataset: str,
-                  shard_count: int, compress: bool, written: list[str]) -> list[dict]:
-    """Write shard file i as the i-th line list of each item of `buckets`
-    (the shards of one spill bucket, as `shuffle_and_shard` deals them), in
-    order, streaming its sha256 and, under `compress`, its gzip member. A
-    `zlib.compressobj(9, DEFLATED, 31)` writes zlib's own header (mtime 0)
-    and the same bytes however the payload is fed, on every CPython; that is
-    `gzip.compress(payload, mtime=0)` on 3.11, while 3.10 and 3.13 write 255
-    in place of zlib's OS byte. Each path joins `written` once opened."""
-    suffix = ".jsonl.gz" if compress else ".jsonl"
-    names = [f"{dataset}-{i:05d}-of-{shard_count:05d}{suffix}" for i in range(shard_count)]
-    counts = [0] * shard_count
-    digests = [hashlib.sha256() for _ in names]
-    gzips = [zlib.compressobj(9, zlib.DEFLATED, 31) for _ in names] if compress else None
-    with ExitStack() as stack:
-        files = _create([os.path.join(out_dir, name) for name in names], written, stack)
-        for shards in buckets:
-            for i, lines in enumerate(shards):
-                counts[i] += len(lines)
-                data = b"".join(lines)
-                if gzips:
-                    data = gzips[i].compress(data)
-                digests[i].update(data)
-                files[i].write(data)
-        for gz, digest, fh in zip(gzips or (), digests, files):
-            tail = gz.flush()
-            digest.update(tail)
-            fh.write(tail)
-    return [{"file": name, "examples": count, "sha256": digest.hexdigest()}
-            for name, count, digest in zip(names, counts, digests)]
+SPILL_BUCKET_BYTES = 1 << 19  # spill bytes of a bucket; a bucket file over twice this is split
+OPEN_FILES_MAX = 512  # spill or shard files open at once, each with an 8 KiB write buffer
+OPEN_GZIP_MAX = 32  # compressed shards open at once, each with ~263 KiB of deflate state
 
 
-SPILL_BUCKET_BYTES = 1 << 19  # kept input bytes per spill bucket of each dataset
-SPILL_FILES_MAX = 512  # spill buckets of all datasets, each an open file during the pass
+def _free_descriptors() -> int:
+    """How many more files this process may open: its soft RLIMIT_NOFILE less
+    the descriptors open now (the listing's own included). Where there is no
+    limit, or the platform cannot tell (no `resource` module or no /dev/fd),
+    a count no cap here reaches: the OPEN_* caps alone apply."""
+    try:
+        import resource
+
+        soft, _ = resource.getrlimit(resource.RLIMIT_NOFILE)
+        used = len(os.listdir("/dev/fd"))
+    except (ImportError, OSError):
+        return 1 << 30
+    return 1 << 30 if soft == resource.RLIM_INFINITY else soft - used
 
 
-def _bucket_count(inputs: Iterable[str], fraction: float, dataset_count: int) -> int:
+def _bucket_count(inputs: Iterable[str], fraction: float, dataset_count: int,
+                  files_max: int) -> int:
     """Spill buckets per dataset: one per SPILL_BUCKET_BYTES of the input
-    share the subsample keeps (gzip inputs count their compressed size), at
-    least 1, at most an even share of SPILL_FILES_MAX."""
+    share the subsample keeps, taken as the estimate of a dataset's spill
+    bytes (gzip inputs count their compressed size), at least 1, at most an
+    even share of `files_max` open files."""
     kept = fraction * sum(os.path.getsize(path) for path in inputs)
-    return max(1, min(math.ceil(kept / SPILL_BUCKET_BYTES), SPILL_FILES_MAX // dataset_count))
+    return max(1, min(math.ceil(kept / SPILL_BUCKET_BYTES), files_max // dataset_count))
 
 
 def _bucketed(example, seed: int, buckets: int) -> tuple[int, bytes]:
@@ -396,22 +386,95 @@ def _bucketed(example, seed: int, buckets: int) -> tuple[int, bytes]:
     return (key * buckets) >> 64, spill_record(key, example.to_json())
 
 
+def _split_oversized(paths: list[str], written: list[str]) -> list[str]:
+    """One dataset's spill bucket files, in key order, with each file over
+    twice SPILL_BUCKET_BYTES first split by its key range into parts of about
+    SPILL_BUCKET_BYTES, and those again as needed: bucket `index` of `parts`
+    holds the keys k with k * parts >> 64 == index. Each part joins
+    `written` once created, and a file split is removed. Parts whose split
+    left all of its records in one (keys that collide) are not split again."""
+    kept = []
+    todo = [(path, len(paths), index) for index, path in reversed(list(enumerate(paths)))]
+    while todo:
+        path, parts, index = todo.pop()
+        size, ways = os.path.getsize(path), 1
+        if size > 2 * SPILL_BUCKET_BYTES:
+            ways = min(math.ceil(size / SPILL_BUCKET_BYTES), OPEN_FILES_MAX, _free_descriptors() - 2)
+        if ways < 2:
+            kept.append(path)
+            continue
+        split = [f"{path}-{j:05d}" for j in range(ways)]
+        with ExitStack() as stack:
+            files = _create(split, written, stack)
+            with open(path, "rb") as fh:
+                for record in fh:
+                    files[((int(record[:16], 16) * parts * ways) >> 64) - index * ways].write(record)
+        os.remove(path)
+        if any(os.path.getsize(part) == size for part in split):
+            kept.extend(split)
+        else:
+            todo.extend(reversed([(part, parts * ways, index * ways + j)
+                                  for j, part in enumerate(split)]))
+    return kept
+
+
 def _read_spill(path: str) -> list[bytes]:
     """The spill records of one bucket file."""
     with open(path, "rb") as fh:
         return fh.read().splitlines(keepends=True)
 
 
-def _dealt_buckets(paths: list[str], shard_count: int) -> Iterator[list[list[bytes]]]:
-    """Each spill bucket of one dataset, in key order, read and removed, then
-    dealt by `shuffle_and_shard` from where the previous bucket stopped: the
-    shards of the whole dataset sorted at once, one bucket at a time."""
+def _dealt_buckets(paths: list[str], shard_count: int, remove: bool) -> Iterator[list[list[bytes]]]:
+    """Each spill bucket of one dataset, in key order, read (and removed, if
+    `remove`), then dealt by `shuffle_and_shard` from where the previous
+    bucket stopped: the shards of the whole dataset sorted at once, one
+    bucket at a time."""
     dealt = 0
     for path in paths:
         examples = _read_spill(path)
-        os.remove(path)
+        if remove:
+            os.remove(path)
         yield shuffle_and_shard(examples, shard_count, dealt)
         dealt += len(examples)
+
+
+def _write_shards(spills: list[str], out_dir: str, dataset: str, shard_count: int,
+                  compress: bool, written: list[str]) -> list[dict]:
+    """Write shard file i of a dataset as the i-th line list of each of its
+    spill buckets (`spills`, in key order) as `_dealt_buckets` deals them,
+    streaming its sha256 and, under `compress`, its gzip member. A
+    `zlib.compressobj(9, DEFLATED, 31)` writes zlib's own header (mtime 0)
+    and the same bytes however the payload is fed, on every CPython; that is
+    `gzip.compress(payload, mtime=0)` on 3.11, while 3.10 and 3.13 write 255
+    in place of zlib's OS byte. The shards are written in groups that fit
+    the free descriptors, OPEN_FILES_MAX and, under `compress`,
+    OPEN_GZIP_MAX, each group on one more read of the buckets; the last
+    removes them. Each path joins `written` once opened."""
+    suffix = ".jsonl.gz" if compress else ".jsonl"
+    names = [f"{dataset}-{i:05d}-of-{shard_count:05d}{suffix}" for i in range(shard_count)]
+    counts = [0] * shard_count
+    digests = [hashlib.sha256() for _ in names]
+    # one descriptor is left for the bucket being read, one for the manifest
+    group = max(1, min(OPEN_GZIP_MAX if compress else OPEN_FILES_MAX, _free_descriptors() - 2))
+    for low in range(0, shard_count, group):
+        high = min(low + group, shard_count)
+        gzips = [zlib.compressobj(9, zlib.DEFLATED, 31) for _ in range(low, high)] if compress else ()
+        with ExitStack() as stack:
+            files = _create([os.path.join(out_dir, name) for name in names[low:high]], written, stack)
+            for shards in _dealt_buckets(spills, shard_count, remove=high == shard_count):
+                for i, (lines, fh) in enumerate(zip(shards[low:high], files), low):
+                    counts[i] += len(lines)
+                    data = b"".join(lines)
+                    if gzips:
+                        data = gzips[i - low].compress(data)
+                    digests[i].update(data)
+                    fh.write(data)
+            for gz, digest, fh in zip(gzips, digests[low:high], files):
+                tail = gz.flush()
+                digest.update(tail)
+                fh.write(tail)
+    return [{"file": name, "examples": count, "sha256": digest.hexdigest()}
+            for name, count, digest in zip(names, counts, digests)]
 
 
 def _config_hash(config: PipelineConfig) -> str:
@@ -425,10 +488,10 @@ def _build(config: PipelineConfig, datasets, manifest_name: str, describe,
     stats, if given, and keeps the (name, eligible, build) datasets whose
     eligible(record) holds; if any, it orders the record's OCR once into
     texts (None unless order_ocr) and spills build(record, texts) to each
-    dataset's buckets. Then each dataset's buckets are dealt to its shards,
-    and the manifest is written: the common head plus
-    describe([(example_count, shard_infos), ...]). Every file this run
-    wrote, spill files included, is removed if any step fails.
+    dataset's buckets. Then each dataset's buckets, the oversized ones split
+    first, are dealt to its shards, and the manifest is written: the common
+    head plus describe([(example_count, shard_infos), ...]). Every file this
+    run wrote, spill files included, is removed if any step fails.
 
     Ordering, building, serializing and picking each example's bucket are
     the per-record `work` of the ingest, so they run in its worker
@@ -438,18 +501,28 @@ def _build(config: PipelineConfig, datasets, manifest_name: str, describe,
     os.makedirs(config.out_dir, exist_ok=True)
     written: list[str] = []
     try:
-        buckets = _bucket_count(config.inputs, config.fraction, len(datasets))
+        # the pass keeps the spill files open beside its input file, one
+        # descriptor for transient use and, with workers, the pool's pipes:
+        # 6 plus 2 per worker (counted in /dev/fd on CPython 3.11)
+        workers = min(config.threads, available_cpus())
+        spare = _free_descriptors() - 2 - (6 + 2 * workers if workers > 1 else 0)
+        buckets = _bucket_count(config.inputs, config.fraction, len(datasets),
+                                min(OPEN_FILES_MAX, spare))
 
         def work(record):
-            """The record's stats entry (None without stats) and, per dataset,
-            its examples as (bucket, spill record) pairs."""
+            """The record's stats entry (None without stats) and its examples
+            as (spill file, spill record) pairs, where dataset d's bucket b
+            is spill file d * buckets + b."""
             builds = [build if eligible(record) else None for _, eligible, build in datasets]
             texts = None
             if order_ocr and any(builds):
                 texts = [t.text for t in order_tokens(record.ocr, config.overlap_threshold)]
-            examples = [[_bucketed(ex, seed, buckets) for ex in build(record, texts)]
-                        if build else [] for build in builds]
-            return (DatasetStats.entry(record) if with_stats else None), examples
+            spilled = []
+            for first, build in zip(range(0, buckets * len(builds), buckets), builds):
+                for example in build(record, texts) if build else ():
+                    bucket, line = _bucketed(example, seed, buckets)
+                    spilled.append((first + bucket, line))
+            return (DatasetStats.entry(record) if with_stats else None), spilled
 
         spills = [[os.path.join(config.out_dir, f".{name}-spill-{b:05d}") for b in range(buckets)]
                   for name, _, _ in datasets]
@@ -458,17 +531,16 @@ def _build(config: PipelineConfig, datasets, manifest_name: str, describe,
         # pool forks at the first chunk, before any write), and they leave by
         # os._exit, which flushes nothing.
         with ExitStack() as stack:
-            files = [_create(paths, written, stack) for paths in spills]
+            writes = [fh.write for paths in spills for fh in _create(paths, written, stack)]
             for _, (entry, spilled) in ingest(config.inputs, counters, config.fraction, seed,
                                               work, threads=config.threads):
                 if with_stats:
                     stats.add(entry)
-                for dataset_files, records in zip(files, spilled):
-                    for bucket, record in records:
-                        dataset_files[bucket].write(record)
+                for index, record in spilled:
+                    writes[index](record)
         built = []
         for (name, _, _), paths in zip(datasets, spills):
-            infos = _write_shards(_dealt_buckets(paths, config.shard_count), config.out_dir, name,
+            infos = _write_shards(_split_oversized(paths, written), config.out_dir, name,
                                   config.shard_count, config.compress, written)
             built.append((sum(info["examples"] for info in infos), infos))
         manifest = {

@@ -1,7 +1,9 @@
 import gzip
 import json
 import math
+import os
 import random
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -516,7 +518,7 @@ SPILL_BUILDS = {
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("buckets", ["most", "several", "one"])
+@pytest.mark.parametrize("buckets", ["capped", "several", "one"])
 @pytest.mark.parametrize("argv", SPILL_BUILDS.values(), ids=SPILL_BUILDS.keys())
 def test_spilled_build_is_byte_identical_to_hold_and_sort(tmp_path, rng, monkeypatch, argv,
                                                           buckets, threads):
@@ -526,25 +528,82 @@ def test_spilled_build_is_byte_identical_to_hold_and_sort(tmp_path, rng, monkeyp
     path = tmp_path / "hostile.jsonl"
     _hostile_corpus(path, rng, 13, 1.0)
     size = path.stat().st_size
-    # a 1-byte target asks for a bucket per kept input byte, so the file cap sets the count
-    monkeypatch.setattr(pipeline, "SPILL_BUCKET_BYTES",
-                        {"most": 1, "several": -(-size // 7), "one": size}[buckets])
     datasets = len(argv[argv.index("--stages") + 1].split(",")) if "--stages" in argv else 1
     fraction = float(argv[argv.index("--fraction") + 1]) if "--fraction" in argv else 1.0
-    count = pipeline._bucket_count([str(path)], fraction, datasets)
-    assert count == {"most": pipeline.SPILL_FILES_MAX // datasets, "several": 7 if fraction == 1 else 4,
-                     "one": 1}[buckets]
+    if buckets == "capped":
+        # two open files per dataset for about 40 buckets' worth of input, so
+        # buckets are split when read back, at most 2 * datasets ways at once
+        monkeypatch.setattr(pipeline, "OPEN_FILES_MAX", 2 * datasets)
+    monkeypatch.setattr(pipeline, "SPILL_BUCKET_BYTES",
+                        {"capped": size // 40, "several": -(-size // 7), "one": size}[buckets])
+    count = pipeline._bucket_count([str(path)], fraction, datasets, pipeline.OPEN_FILES_MAX)
+    assert count == {"capped": 2, "several": 7 if fraction == 1 else 4, "one": 1}[buckets]
     out_dir = tmp_path / "out"
     command = [*argv, "--seed", "13", "--threads", str(threads), "--in", str(path),
                "--out-dir", str(out_dir)]
     read = counted(monkeypatch, pipeline, "_read_spill")
     spilled = _build_files(lambda: main(command), out_dir)
-    assert len(read) == datasets * count
+    if buckets == "capped":
+        assert len(read) > datasets * count
+    else:  # no bucket is over twice its target
+        assert len(read) == datasets * count
     with monkeypatch.context() as patch:
         patch.setattr(pipeline, "_build", oracle_hold_and_sort_build)
         held = _build_files(lambda: main(command), out_dir)
     assert spilled == held
     assert not [name for name in spilled if name.startswith(".")]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("argv", [SPILL_BUILDS["build-pretrain"],
+                                  SPILL_BUILDS["build-pretrain-half-compress"]],
+                         ids=["build-pretrain", "build-pretrain-half-compress"])
+def test_build_with_more_shards_than_free_descriptors(tmp_path, rng, monkeypatch, argv, threads):
+    resource = pytest.importorskip("resource")
+    from scenetext.cli import main
+
+    monkeypatch.setattr(pipeline, "available_cpus", lambda: 4)
+    path = tmp_path / "hostile.jsonl"
+    _hostile_corpus(path, rng, 13, 1.0)
+    monkeypatch.setattr(pipeline, "SPILL_BUCKET_BYTES", path.stat().st_size // 40)
+    shards = 100
+    argv = [*argv[:argv.index("--shards")], "--shards", str(shards), "--seed", "13",
+            "--threads", str(threads), "--in", str(path), "--out-dir", str(tmp_path / "out")]
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    # 40 more descriptors than are open now: too few for every shard, or for
+    # a spill file per 40th of the input for each dataset, to be open at once
+    limit = len(os.listdir("/dev/fd")) + 40
+    assert limit < shards
+    read = counted(monkeypatch, pipeline, "_read_spill")
+    resource.setrlimit(resource.RLIMIT_NOFILE, (limit, hard))
+    try:
+        codes = [main(argv)]
+    finally:
+        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+    spilled = _build_files(lambda: None, tmp_path / "out")
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "_build", oracle_hold_and_sort_build)
+        codes.append(main(argv))
+        held = _build_files(lambda: None, tmp_path / "out")
+    assert codes == [0, 0]
+    assert spilled == held
+    datasets = len(argv[argv.index("--stages") + 1].split(","))
+    assert len([name for name in spilled if "-of-" in name]) == datasets * shards
+    # the shards were written in groups, each on one more read of the buckets
+    assert len(read) > len({path for (path,) in read})
+
+
+def test_build_where_the_descriptor_limit_cannot_be_read(tmp_path, rng, monkeypatch):
+    from scenetext.cli import main
+
+    path = tmp_path / "hostile.jsonl"
+    _hostile_corpus(path, rng, 13, 1.0)
+    argv = [*SPILL_BUILDS["build-pretrain"], "--seed", "13", "--in", str(path),
+            "--out-dir", str(tmp_path / "out")]
+    built = _build_files(lambda: main(argv), tmp_path / "out")
+    monkeypatch.setitem(sys.modules, "resource", None)  # as on a platform without it
+    assert pipeline._free_descriptors() > pipeline.OPEN_FILES_MAX
+    assert _build_files(lambda: main(argv), tmp_path / "out") == built
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -554,7 +613,11 @@ def test_spilled_build_keeps_key_then_id_order_when_keys_collide(tmp_path, rng, 
     # its middle, so colliding keys sit at bucket edges and every bucket
     # boundary is crossed by a run of equal keys ordered by example_id.
     monkeypatch.setattr(pipeline, "available_cpus", lambda: 4)
+    # four buckets per dataset; each that holds records is split when read
+    # back, and the split leaves all of them in one part
     monkeypatch.setattr(pipeline, "SPILL_BUCKET_BYTES", 1)
+    monkeypatch.setattr(pipeline, "OPEN_FILES_MAX", 4 * len(ALL_STAGES))
+    split = counted(monkeypatch, pipeline, "_split_oversized")
     keys = (0, 2**63 - 1, 2**63, 2**64 - 1)
 
     def key_of(example_id):
@@ -566,6 +629,7 @@ def test_spilled_build_keeps_key_then_id_order_when_keys_collide(tmp_path, rng, 
     out_dir = tmp_path / "out"
     config = run_config(path, out_dir, seed=13, stages=ALL_STAGES, passes=2, threads=threads)
     spilled = _build_files(lambda: run(config), out_dir)
+    assert [len(paths) for paths, _ in split] == [4] * len(ALL_STAGES)
     with monkeypatch.context() as patch:
         patch.setattr(pipeline, "_build", oracle_hold_and_sort_build)
         held = _build_files(lambda: run(config), out_dir)
@@ -604,7 +668,7 @@ def test_build_failing_mid_pass_leaves_the_out_dir_as_it_was(tmp_path, rng, monk
     monkeypatch.setattr(pipeline, "build_example", fails_on_the_300th_call)
     with pytest.raises(BuilderFailed):
         run(run_config(path, out_dir, seed=13, stages=ALL_STAGES, passes=2, threads=threads))
-    buckets = pipeline._bucket_count([str(path)], 1.0, len(ALL_STAGES))
+    buckets = pipeline._bucket_count([str(path)], 1.0, len(ALL_STAGES), pipeline.OPEN_FILES_MAX)
     assert buckets > 1
     # every dataset's spill files were there when the builder failed
     assert at_failure.read_text().split("\n") == sorted(
