@@ -1,3 +1,4 @@
+import gzip
 import json
 
 import pytest
@@ -450,7 +451,7 @@ def test_failed_build_removes_its_shards(corpus, tmp_path, capsys, monkeypatch, 
     assert err.startswith("error: ")
     # the failing dataset's hidden spill file was there when its write failed
     dataset = blocked.split("-")[0]
-    assert f".{dataset}-spill-00000" in listings[-1]
+    assert f".{dataset}-spill" in listings[-1]
     assert [p.name for p in out_dir.iterdir()] == [blocked]
 
 
@@ -472,3 +473,54 @@ def test_seed_outside_64_bits_is_a_usage_error(corpus, tmp_path, capsys, argv, o
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
+
+
+def write_damaged_gzip(path, data: bytes, damage: str) -> None:
+    """`data` gzipped, then damaged: "truncated" cuts the stream in half;
+    "corrupted" gives the first half of the lines a sound gzip member and
+    the rest a member whose first deflate block has the reserved type."""
+    if damage == "truncated":
+        stream = gzip.compress(data, mtime=0)
+        path.write_bytes(stream[:len(stream) // 2])
+        return
+    lines = data.splitlines(keepends=True)
+    half = len(lines) // 2
+    second = bytearray(gzip.compress(b"".join(lines[half:]), mtime=0))
+    second[10] = 0xFF  # the byte after the 10-byte header: BFINAL 1, BTYPE 11
+    path.write_bytes(gzip.compress(b"".join(lines[:half]), mtime=0) + bytes(second))
+
+
+@pytest.mark.parametrize("damage", ["truncated", "corrupted"])
+@pytest.mark.parametrize("argv,output", [
+    (["validate"], None),
+    (["stats"], None),
+    (["subsample", "--fraction", "0.5", "--out"], "sub.jsonl"),
+    (["build-pretrain", "--stages", "ocr,cap", "--threads", "1", "--out-dir"], "out"),
+    (["build-pretrain", "--stages", "ocr,cap", "--threads", "2", "--out-dir"], "out"),
+    (["build-finetune", "--task", "vqa", "--threads", "2", "--out-dir"], "out"),
+], ids=["validate", "stats", "subsample", "build-pretrain-1", "build-pretrain-2",
+        "build-finetune-2"])
+def test_damaged_gzip_input_exits_1_naming_the_file(tmp_path, rng, capsys, monkeypatch, argv,
+                                                    output, damage):
+    monkeypatch.setattr(pipeline, "available_cpus", lambda: 2)
+    records = [random_layout_record(rng, image_id=f"img{i:03d}", with_caption=True)
+               for i in range(300)]
+    records = [dataclasses.replace(r, qa=(QaAnnotation("q", ("a",) * 10),)) if i % 3 == 0 else r
+               for i, r in enumerate(records)]
+    path = tmp_path / "corpus.jsonl.gz"
+    write_damaged_gzip(path, "".join(serialize_record(r) + "\n" for r in records).encode("utf-8"),
+                       damage)
+    if output == "out":
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "keep.txt").write_text("not the build's")
+    out_arg = [tmp_path / output] if output else []
+    code, out, err = run_cli(capsys, "--json", *argv, *out_arg, "--in", path)
+    assert code == 1
+    assert err.startswith(f"error: {path}: ")
+    assert "Traceback" not in err
+    assert out == ""
+    if output == "out":
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["keep.txt"]
+        assert (tmp_path / "out" / "keep.txt").read_text() == "not the build's"
+    elif output:
+        assert not (tmp_path / output).exists()

@@ -517,41 +517,91 @@ SPILL_BUILDS = {
 }
 
 
+def spill_splits(monkeypatch) -> list[tuple[str, int, int]]:
+    """Wrap pipeline._split_oversized; each call's (file name, parts, file
+    size), the recursive calls included."""
+    calls = []
+    split = pipeline._split_oversized
+
+    def recording(path, written, parts=1, index=0):
+        calls.append((os.path.basename(path), parts, os.path.getsize(path)))
+        return split(path, written, parts, index)
+
+    monkeypatch.setattr(pipeline, "_split_oversized", recording)
+    return calls
+
+
+def spill_reads(monkeypatch) -> list[list[bytes]]:
+    """Wrap pipeline._read_spill; the records of each read."""
+    reads = []
+    read_spill = pipeline._read_spill
+
+    def recording(path):
+        reads.append(read_spill(path))
+        return reads[-1]
+
+    monkeypatch.setattr(pipeline, "_read_spill", recording)
+    return reads
+
+
+def assert_reads_bounded(reads) -> None:
+    """No spill part read back holds over twice SPILL_BUCKET_BYTES, unless
+    its records all share one key, which no split can separate."""
+    for records in reads:
+        assert (sum(map(len, records)) <= 2 * pipeline.SPILL_BUCKET_BYTES
+                or len({record[:16] for record in records}) == 1)
+
+
+def spill_bytes(files: dict[str, bytes]) -> dict[str, int]:
+    """What a build spills per dataset, from its shards: each example line
+    after its 16-digit key."""
+    sizes = Counter()
+    for name, data in files.items():
+        if "-of-" in name:
+            lines = gzip.decompress(data) if name.endswith(".gz") else data
+            sizes[name.split("-")[0]] += len(lines) + 16 * lines.count(b"\n")
+    return dict(sizes)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("buckets", ["capped", "several", "one"])
+@pytest.mark.parametrize("split", ["capped", "several", "one"])
 @pytest.mark.parametrize("argv", SPILL_BUILDS.values(), ids=SPILL_BUILDS.keys())
 def test_spilled_build_is_byte_identical_to_hold_and_sort(tmp_path, rng, monkeypatch, argv,
-                                                          buckets, threads):
+                                                          split, threads):
     from scenetext.cli import main
 
     monkeypatch.setattr(pipeline, "available_cpus", lambda: 4)
     path = tmp_path / "hostile.jsonl"
     _hostile_corpus(path, rng, 13, 1.0)
-    size = path.stat().st_size
-    datasets = len(argv[argv.index("--stages") + 1].split(",")) if "--stages" in argv else 1
-    fraction = float(argv[argv.index("--fraction") + 1]) if "--fraction" in argv else 1.0
-    if buckets == "capped":
-        # two open files per dataset for about 40 buckets' worth of input, so
-        # buckets are split when read back, at most 2 * datasets ways at once
-        monkeypatch.setattr(pipeline, "OPEN_FILES_MAX", 2 * datasets)
-    monkeypatch.setattr(pipeline, "SPILL_BUCKET_BYTES",
-                        {"capped": size // 40, "several": -(-size // 7), "one": size}[buckets])
-    count = pipeline._bucket_count([str(path)], fraction, datasets, pipeline.OPEN_FILES_MAX)
-    assert count == {"capped": 2, "several": 7 if fraction == 1 else 4, "one": 1}[buckets]
     out_dir = tmp_path / "out"
     command = [*argv, "--seed", "13", "--threads", str(threads), "--in", str(path),
                "--out-dir", str(out_dir)]
-    read = counted(monkeypatch, pipeline, "_read_spill")
-    spilled = _build_files(lambda: main(command), out_dir)
-    if buckets == "capped":
-        assert len(read) > datasets * count
-    else:  # no bucket is over twice its target
-        assert len(read) == datasets * count
     with monkeypatch.context() as patch:
         patch.setattr(pipeline, "_build", oracle_hold_and_sort_build)
         held = _build_files(lambda: main(command), out_dir)
+    sizes = spill_bytes(held)
+    if split == "capped":
+        # at most two ways per split, so each spill file is split again and
+        # again until its parts are at most twice the target
+        monkeypatch.setattr(pipeline, "OPEN_FILES_MAX", 2)
+    target = {"capped": min(sizes.values()) // 16, "several": min(sizes.values()) // 4,
+              "one": max(sizes.values())}[split]
+    monkeypatch.setattr(pipeline, "SPILL_BUCKET_BYTES", target)
+    splits, reads = spill_splits(monkeypatch), spill_reads(monkeypatch)
+    spilled = _build_files(lambda: main(command), out_dir)
     assert spilled == held
     assert not [name for name in spilled if name.startswith(".")]
+    # one spill file per dataset, holding what the dataset spilled
+    assert {name[1:-len("-spill")]: size for name, parts, size in splits if parts == 1} == sizes
+    assert_reads_bounded(reads)
+    if split == "one":  # no spill file is over twice the target
+        assert len(splits) == len(reads) == len(sizes)
+    elif split == "several":  # each is split once, into size / target parts or more
+        assert {parts for _, parts, _ in splits} > {1}
+        assert len(reads) >= sum(math.ceil(size / target) for size in sizes.values())
+    else:  # two ways at a time, and three splits or more down to any part read
+        assert {parts for _, parts, _ in splits} >= {1, 2, 4, 8}
+        assert len(reads) >= sum(math.ceil(size / target) for size in sizes.values()) // 2
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -606,18 +656,49 @@ def test_build_where_the_descriptor_limit_cannot_be_read(tmp_path, rng, monkeypa
     assert _build_files(lambda: main(argv), tmp_path / "out") == built
 
 
+def test_spill_split_fits_the_free_descriptors(tmp_path, rng, monkeypatch):
+    resource = pytest.importorskip("resource")
+    from scenetext.cli import main
+
+    path = tmp_path / "hostile.jsonl"
+    _hostile_corpus(path, rng, 13, 1.0)
+    target = path.stat().st_size // 200
+    monkeypatch.setattr(pipeline, "SPILL_BUCKET_BYTES", target)
+    argv = [*SPILL_BUILDS["build-pretrain"], "--seed", "13", "--in", str(path),
+            "--out-dir", str(tmp_path / "out")]
+    splits, reads = spill_splits(monkeypatch), spill_reads(monkeypatch)
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    # 8 more descriptors than are open now: each split opens a few parts at
+    # a time where its size asks for dozens
+    resource.setrlimit(resource.RLIMIT_NOFILE, (len(os.listdir("/dev/fd")) + 8, hard))
+    try:
+        code = main(argv)
+    finally:
+        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+    spilled = _build_files(lambda: None, tmp_path / "out")
+    assert code == 0
+    roots = [size for _, parts, size in splits if parts == 1]
+    first = [parts for _, parts, _ in splits if parts > 1]
+    assert 1 < min(first) < 8 < min(math.ceil(size / target) for size in roots)
+    assert_reads_bounded(reads)
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "_build", oracle_hold_and_sort_build)
+        assert _build_files(lambda: main(argv), tmp_path / "out") == spilled
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_spilled_build_keeps_key_then_id_order_when_keys_collide(tmp_path, rng, monkeypatch,
                                                                  threads):
     # Four keys for every example: both ends of the range and both sides of
-    # its middle, so colliding keys sit at bucket edges and every bucket
+    # its middle, so colliding keys sit at part edges and every part
     # boundary is crossed by a run of equal keys ordered by example_id.
     monkeypatch.setattr(pipeline, "available_cpus", lambda: 4)
-    # four buckets per dataset; each that holds records is split when read
-    # back, and the split leaves all of them in one part
+    # each spill file is split four ways, one key to a part; each part is
+    # split once more and keeps all of its records in one part, so the
+    # split stops there
     monkeypatch.setattr(pipeline, "SPILL_BUCKET_BYTES", 1)
-    monkeypatch.setattr(pipeline, "OPEN_FILES_MAX", 4 * len(ALL_STAGES))
-    split = counted(monkeypatch, pipeline, "_split_oversized")
+    monkeypatch.setattr(pipeline, "OPEN_FILES_MAX", 4)
+    splits, reads = spill_splits(monkeypatch), spill_reads(monkeypatch)
     keys = (0, 2**63 - 1, 2**63, 2**64 - 1)
 
     def key_of(example_id):
@@ -629,7 +710,10 @@ def test_spilled_build_keeps_key_then_id_order_when_keys_collide(tmp_path, rng, 
     out_dir = tmp_path / "out"
     config = run_config(path, out_dir, seed=13, stages=ALL_STAGES, passes=2, threads=threads)
     spilled = _build_files(lambda: run(config), out_dir)
-    assert [len(paths) for paths, _ in split] == [4] * len(ALL_STAGES)
+    assert sorted(parts for _, parts, _ in splits) == [1] * 4 + [4] * 16
+    assert all(size > 2 for _, parts, size in splits if parts == 4)
+    assert_reads_bounded(reads)
+    assert sorted(len({record[:16] for record in records}) for records in reads) == [0] * 48 + [1] * 16
     with monkeypatch.context() as patch:
         patch.setattr(pipeline, "_build", oracle_hold_and_sort_build)
         held = _build_files(lambda: run(config), out_dir)
@@ -646,11 +730,16 @@ class BuilderFailed(Exception):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_build_failing_mid_pass_leaves_the_out_dir_as_it_was(tmp_path, rng, monkeypatch, threads):
+@pytest.mark.parametrize("extra,fraction", [(0, 1.0), (600, 0.5)], ids=["hostile", "larger-half"])
+def test_build_failing_mid_pass_leaves_the_out_dir_as_it_was(tmp_path, rng, monkeypatch, threads,
+                                                             extra, fraction):
     monkeypatch.setattr(pipeline, "available_cpus", lambda: 4)
     monkeypatch.setattr(pipeline, "SPILL_BUCKET_BYTES", 4096)
     path = tmp_path / "hostile.jsonl"
-    _hostile_corpus(path, rng, 13, 1.0)
+    _hostile_corpus(path, rng, 13, fraction)
+    with path.open("a", encoding="utf-8") as fh:
+        for i in range(extra):
+            fh.write(serialize_record(random_layout_record(rng, image_id=f"more{i:04d}")) + "\n")
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     (out_dir / "keep.txt").write_text("not the build's")
@@ -667,12 +756,45 @@ def test_build_failing_mid_pass_leaves_the_out_dir_as_it_was(tmp_path, rng, monk
 
     monkeypatch.setattr(pipeline, "build_example", fails_on_the_300th_call)
     with pytest.raises(BuilderFailed):
-        run(run_config(path, out_dir, seed=13, stages=ALL_STAGES, passes=2, threads=threads))
-    buckets = pipeline._bucket_count([str(path)], 1.0, len(ALL_STAGES), pipeline.OPEN_FILES_MAX)
-    assert buckets > 1
-    # every dataset's spill files were there when the builder failed
-    assert at_failure.read_text().split("\n") == sorted(
-        [".stage0_ocr", ".stage1_splitocr", ".stage2_cap", ".stage3_splitcap"][d] + f"-spill-{b:05d}"
-        for d in range(4) for b in range(buckets)) + ["keep.txt"]
+        run(run_config(path, out_dir, seed=13, stages=ALL_STAGES, passes=2, fraction=fraction,
+                       threads=threads))
+    # one spill file per dataset was there when the builder failed, however
+    # many times over SPILL_BUCKET_BYTES the input is
+    assert path.stat().st_size * fraction > 40 * pipeline.SPILL_BUCKET_BYTES
+    assert at_failure.read_text().split("\n") == [
+        ".stage0_ocr-spill", ".stage1_splitocr-spill", ".stage2_cap-spill", ".stage3_splitcap-spill",
+        "keep.txt"]
     assert [p.name for p in out_dir.iterdir()] == ["keep.txt"]
     assert (out_dir / "keep.txt").read_text() == "not the build's"
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("argv", [SPILL_BUILDS["build-pretrain"], SPILL_BUILDS["build-finetune"]],
+                         ids=["build-pretrain", "build-finetune"])
+def test_gzip_input_builds_the_shards_of_the_plain_file(tmp_path, rng, monkeypatch, argv, threads):
+    from scenetext.cli import main
+
+    monkeypatch.setattr(pipeline, "available_cpus", lambda: 4)
+    path = tmp_path / "hostile.jsonl"
+    expected = _hostile_corpus(path, rng, 13, 1.0)
+    gz = tmp_path / "hostile.jsonl.gz"
+    gz.write_bytes(gzip.compress(path.read_bytes()))
+    # small enough that every dataset's spill file is split
+    target = path.stat().st_size // 100
+    monkeypatch.setattr(pipeline, "SPILL_BUCKET_BYTES", target)
+    splits = spill_splits(monkeypatch)
+    built = []
+    for corpus in (path, gz):
+        out_dir = tmp_path / "out"
+        assert main([*argv, "--seed", "13", "--threads", str(threads), "--in", str(corpus),
+                     "--out-dir", str(out_dir)]) == 0
+        files = _build_files(lambda: None, out_dir)
+        [manifest] = [json.loads(data) for name, data in files.items() if name.endswith(".json")]
+        built.append(({name: data for name, data in files.items() if "-of-" in name},
+                      manifest["counters"]))
+    assert built[1] == built[0]
+    assert {k: built[0][1][k] for k in expected} == expected
+    # both builds spilled the same bytes, and split every spill file
+    roots = [(name, size) for name, parts, size in splits if parts == 1]
+    assert roots[:len(roots) // 2] == roots[len(roots) // 2:]
+    assert min(size for _, size in roots) > 2 * target
