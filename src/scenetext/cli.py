@@ -4,6 +4,9 @@ subsample, evaluate.
 Human-readable summaries go to stderr; machine-readable JSON goes to
 stdout when --json is set. Exit codes: 0 success, 1 runtime failure,
 2 usage error.
+
+A command imports the library modules it runs when it runs, so
+`evaluate` loads no build code and the builds load no metrics.
 """
 
 import argparse
@@ -13,12 +16,22 @@ import os
 import sys
 from collections import Counter
 
-from . import kernels
 from .errors import SceneTextError
-from .metrics import EvalTask, evaluate, read_golds, read_predictions
-from .pipeline import DatasetStats, PipelineConfig, ingest, run, run_finetune
-from .pretrain import Objective
-from .finetune import Task
+
+
+def __getattr__(name):
+    """`run`, `run_finetune`, `evaluate`, `read_golds` and `read_predictions`
+    load on first access (PEP 562) and are then bound here. `main` looks
+    them up on this module, so it calls whatever a caller (a tracer, a test)
+    has set in their place."""
+    if name in ("run", "run_finetune"):
+        from . import pipeline as owner
+    elif name in ("evaluate", "read_golds", "read_predictions"):
+        from . import metrics as owner
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(owner, name)
+    return value
 
 
 def uint64(text: str) -> int:
@@ -108,6 +121,8 @@ def _emit(summary: str, payload: dict, as_json: bool) -> None:
 
 
 def _cmd_validate(args) -> dict:
+    from .pipeline import ingest
+
     counters: Counter = Counter()
     violations: Counter = Counter()
     for _ in ingest(args.inputs, counters, violations=violations):
@@ -117,7 +132,9 @@ def _cmd_validate(args) -> dict:
     return {"counts": counts, "violations": dict(violations)}
 
 
-def _pipeline_config(args, stages=None) -> PipelineConfig:
+def _pipeline_config(args, stages=None) -> "PipelineConfig":
+    from .pipeline import PipelineConfig
+
     return PipelineConfig(
         inputs=tuple(args.inputs),
         out_dir=args.out_dir,
@@ -141,6 +158,7 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
+    cli = sys.modules[__name__]
     try:
         if args.command == "validate":
             payload = _cmd_validate(args)
@@ -151,6 +169,8 @@ def main(argv=None) -> int:
                   payload, args.json)
 
         elif args.command == "stats":
+            from .pipeline import DatasetStats, ingest
+
             counters: Counter = Counter()
             stats = DatasetStats()
             for _, entry in ingest(args.inputs, counters, args.fraction, args.seed,
@@ -162,32 +182,43 @@ def main(argv=None) -> int:
                   payload, args.json)
 
         elif args.command == "build-pretrain":
+            from .pretrain import Objective
+
             if args.stages:
                 stages = [Objective.from_tag(s) for s in args.stages.split(",") if s]
             else:
                 stages = [Objective.from_tag(args.objective)]
-            manifest = run(_pipeline_config(args, stages))
+            manifest = cli.run(_pipeline_config(args, stages))
             total = sum(s["example_count"] for s in manifest["stages"])
             _emit(f"built {len(manifest['stages'])} stage(s), {total} examples "
                   f"-> {args.out_dir}", manifest, args.json)
 
         elif args.command == "build-finetune":
+            from .finetune import Task
+
             task = Task.VQA if args.task == "vqa" else Task.CAPTION
-            manifest = run_finetune(_pipeline_config(args), task,
-                                    ocr_included=not args.no_ocr_input)
+            manifest = cli.run_finetune(_pipeline_config(args), task,
+                                        ocr_included=not args.no_ocr_input)
             _emit(f"built {manifest['example_count']} {task.value} examples "
                   f"-> {args.out_dir}", manifest, args.json)
 
         elif args.command == "subsample":
+            from .pipeline import ingest
+
             counters = Counter()
             pairs = ingest(args.inputs, counters, args.fraction, args.seed)
-            out = open(args.out, "wb")
+            # written under a hidden name and renamed once whole, so a failed
+            # run leaves no partial sample and keeps an earlier --out file
+            head, name = os.path.split(args.out)
+            part = os.path.join(head, f".{name}.{os.getpid()}")
+            out = open(part, "wb")
             try:
                 with out:
                     for line, _ in pairs:
                         out.write(line if line.endswith(b"\n") else line + b"\n")
+                os.replace(part, args.out)
             except BaseException:
-                os.remove(args.out)  # no partial sample is left behind
+                os.remove(part)
                 raise
             total, kept = counters["lines"], counters["subsampled_records"]
             payload = {"total": total, "kept": kept, "counters": dict(counters),
@@ -196,9 +227,12 @@ def main(argv=None) -> int:
                   payload, args.json)
 
         elif args.command == "evaluate":
+            from . import kernels
+            from .metrics import EvalTask
+
             task = EvalTask(args.task.upper())
-            report = evaluate(read_predictions(args.pred), read_golds(args.gold),
-                              task, tau=args.tau)
+            report = cli.evaluate(cli.read_predictions(args.pred), cli.read_golds(args.gold),
+                                  task, tau=args.tau)
             payload = {"n_items": report.n_items, "aggregate": report.aggregate,
                        "kernels": kernels.BACKEND}
             if args.per_item:

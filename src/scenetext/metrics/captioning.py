@@ -67,18 +67,19 @@ def caption_scores(items, max_n: int = 4, sigma: float = 6.0, beta: float = 1.2)
     if not items:
         raise ContractError("caption metrics need at least one item")
 
-    cand_tokens = [tokenize(it.candidate) for it in items]
-    ref_tokens = [[tokenize(r) for r in it.references] for it in items]
+    # one str per distinct token, shared by every string's tokens and n-grams
+    one_copy = {}.setdefault
+    cand_tokens = [[one_copy(t, t) for t in tokenize(it.candidate)] for it in items]
+    ref_tokens = [[[one_copy(t, t) for t in tokenize(r)] for r in it.references] for it in items]
 
     # document frequency: number of items whose references contain the
-    # n-gram, turned in place into log(N / df); an n-gram that no reference
+    # n-gram; idf[df] is log(N / df), and an n-gram that no reference
     # contains counts as df = 1
-    idf: Counter = Counter()
+    df: Counter = Counter()
     for refs in ref_tokens:
-        idf.update({ng for ref in refs for n in range(1, max_n + 1) for ng in _ngrams(ref, n)})
+        df.update({ng for ref in refs for n in range(1, max_n + 1) for ng in _ngrams(ref, n)})
     log_corpus = math.log(float(len(items)))
-    for ngram, df in idf.items():
-        idf[ngram] = log_corpus - math.log(df)
+    idf = [0.0] + [log_corpus - math.log(d) for d in range(1, len(items) + 1)]
 
     # Every float below is the same operation, in the same order, as in
     # the textbook form with one TF-IDF dict per string: a reference's
@@ -92,7 +93,7 @@ def caption_scores(items, max_n: int = 4, sigma: float = 6.0, beta: float = 1.2)
         cand_counts = _ngram_counts(cand, max_n)
         ref_counts = [_ngram_counts(r, max_n) for r in refs]
 
-        cvecs = [{ng: count * idf.get(ng, log_corpus) for ng, count in counts.items()}
+        cvecs = [{ng: count * idf[df.get(ng, 1)] for ng, count in counts.items()}
                  for counts in cand_counts]
         cnorms = [math.sqrt(sum(w * w for w in vec.values())) for vec in cvecs]
         total = 0.0
@@ -103,9 +104,10 @@ def caption_scores(items, max_n: int = 4, sigma: float = 6.0, beta: float = 1.2)
                 if cnorms[n] == 0:
                     continue
                 rc = rcounts[n]
-                rnorm = math.sqrt(sum(w * w for w in (count * idf[ng] for ng, count in rc.items())))
+                rweights = (count * idf[df[ng]] for ng, count in rc.items())
+                rnorm = math.sqrt(sum(w * w for w in rweights))
                 if rnorm > 0:
-                    shared = [(w, rc[ng] * idf[ng]) for ng, w in cvecs[n].items() if ng in rc]
+                    shared = [(w, rc[ng] * idf[df[ng]]) for ng, w in cvecs[n].items() if ng in rc]
                     dot = sum(min(w, rw) * rw for w, rw in shared)
                     sim += dot / (cnorms[n] * rnorm) * penalty
             total += sim / max_n

@@ -1,9 +1,13 @@
 import gzip
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from scenetext import kernels, pipeline
+import scenetext
+from scenetext import cli, kernels, pipeline
 from scenetext.cli import main
 from scenetext.records import serialize_record
 
@@ -524,3 +528,126 @@ def test_damaged_gzip_input_exits_1_naming_the_file(tmp_path, rng, capsys, monke
         assert (tmp_path / "out" / "keep.txt").read_text() == "not the build's"
     elif output:
         assert not (tmp_path / output).exists()
+
+
+@pytest.mark.parametrize("damage", ["truncated", "corrupted"])
+def test_failed_subsample_keeps_an_existing_output(tmp_path, rng, capsys, damage):
+    records = [random_layout_record(rng, image_id=f"img{i:03d}") for i in range(300)]
+    data = "".join(serialize_record(r) + "\n" for r in records).encode("utf-8")
+    good = tmp_path / "corpus.jsonl"
+    good.write_bytes(data)
+    bad = tmp_path / "damaged.jsonl.gz"
+    write_damaged_gzip(bad, data, damage)
+    out_file = tmp_path / "sub.jsonl"
+    out_file.write_bytes(b"earlier sample\n")
+    code, out, err = run_cli(capsys, "subsample", "--in", bad, "--out", out_file,
+                             "--fraction", 0.5)
+    assert code == 1
+    assert err.startswith(f"error: {bad}: ")
+    assert out_file.read_bytes() == b"earlier sample\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "damaged.jsonl.gz",
+                                                         "sub.jsonl"]
+    # a run that succeeds replaces it
+    assert run_cli(capsys, "subsample", "--in", good, "--out", out_file, "--fraction", 1)[0] == 0
+    assert out_file.read_bytes() == data
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "damaged.jsonl.gz",
+                                                         "sub.jsonl"]
+
+
+BUILD_MODULES = {f"scenetext.{name}" for name in
+                 ("pipeline", "pretrain", "finetune", "records", "ordering", "hashing", "textformat")}
+METRIC_MODULES = {"scenetext.metrics", "scenetext.kernels"}
+
+
+def run_fresh(code: str, *argv):
+    """The JSON that `code` prints, run with `argv` in a fresh interpreter
+    that imports this scenetext package."""
+    src = os.path.dirname(os.path.dirname(scenetext.__file__))
+    done = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def modules_after_main(*argv):
+    """Exit code of `main(argv)` in a fresh interpreter, and the scenetext
+    modules that interpreter then holds."""
+    exit_code, modules = run_fresh(
+        "import contextlib, io, json, sys\n"
+        "from scenetext.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n", *argv)
+    return exit_code, {m for m in modules if m.split(".")[0] == "scenetext"}
+
+
+@pytest.mark.parametrize("task,gold_key", [("vqa_anls", "answers"), ("caption", "references")])
+def test_evaluate_loads_no_build_module(tmp_path, task, gold_key):
+    gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+    gold.write_text("".join(json.dumps({"example_id": f"e{i}", gold_key: ["a red sign"]}) + "\n"
+                            for i in range(2)))
+    pred.write_text("".join(json.dumps({"example_id": f"e{i}", "prediction": "a sign"}) + "\n"
+                            for i in range(2)))
+    code, modules = modules_after_main("--json", "evaluate", "--task", task,
+                                       "--pred", pred, "--gold", gold)
+    assert code == 0
+    assert "scenetext.metrics" in modules
+    assert not modules & BUILD_MODULES
+
+
+@pytest.mark.parametrize("argv", [["build-pretrain", "--stages", "ocr,cap", "--out-dir"],
+                                  ["validate"]], ids=["build-pretrain", "validate"])
+def test_builds_load_no_metric_module(corpus, tmp_path, argv):
+    out_arg = [tmp_path / "out"] if "--out-dir" in argv else []
+    code, modules = modules_after_main(*argv, *out_arg, "--in", corpus)
+    assert code == 0
+    assert "scenetext.pipeline" in modules
+    assert not modules & METRIC_MODULES
+
+
+def test_package_reexports_load_on_first_access():
+    names = ("OcrToken", "QaAnnotation", "Record", "parse_record", "order_tokens", "Objective",
+             "PretrainExample", "build_stage_plan", "FinetuneExample", "Task")
+    assert run_fresh("import json, sys, scenetext\n"
+                     "loaded = sorted(m for m in sys.modules if m.startswith('scenetext.'))\n"
+                     f"from scenetext import {', '.join(names)}\n"
+                     "print(json.dumps(loaded))\n") == []
+    from scenetext import finetune, ordering, pretrain, records
+    owners = {"OcrToken": records, "QaAnnotation": records, "Record": records,
+              "parse_record": records, "order_tokens": ordering, "Objective": pretrain,
+              "PretrainExample": pretrain, "build_stage_plan": pretrain,
+              "FinetuneExample": finetune, "Task": finetune}
+    assert set(owners) == set(names)
+    for name, owner in owners.items():
+        assert getattr(scenetext, name) is getattr(owner, name)
+    with pytest.raises(AttributeError):
+        scenetext.not_a_name
+
+
+def test_main_calls_the_functions_bound_on_the_cli_module(corpus, tmp_path, capsys, monkeypatch):
+    """A tracer wraps `scenetext.cli.run` and friends by setting attributes
+    on the module; `main` must call whatever is bound there."""
+    calls = []
+
+    def wrap(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(cli, name, wrapper)
+
+    for name in ("run", "run_finetune", "read_predictions", "read_golds", "evaluate"):
+        wrap(name)
+    assert run_cli(capsys, "build-pretrain", "--objective", "ocr", "--in", corpus,
+                   "--out-dir", tmp_path / "pre")[0] == 0
+    assert run_cli(capsys, "build-finetune", "--task", "vqa", "--in", corpus,
+                   "--out-dir", tmp_path / "fine")[0] == 0
+    gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+    gold.write_text(json.dumps({"example_id": "e0", "answers": ["stop"] * 10}) + "\n")
+    pred.write_text(json.dumps({"example_id": "e0", "prediction": "stop"}) + "\n")
+    assert run_cli(capsys, "evaluate", "--task", "vqa", "--pred", pred, "--gold", gold)[0] == 0
+    assert calls == ["run", "run_finetune", "read_predictions", "read_golds", "evaluate"]
+    with pytest.raises(AttributeError):
+        cli.not_a_name

@@ -215,3 +215,62 @@ def test_evaluate_tokenizes_each_caption_string_once(monkeypatch):
 def test_evaluate_caption_needs_two_items():
     with pytest.raises(ContractError, match="at least 2 items"):
         evaluate({"e0": "a sign"}, {"e0": {"references": ["a sign"]}}, EvalTask.CAPTION)
+
+
+def _document_frequencies(items):
+    """n-gram -> number of items whose references hold it, by the oracle's tokenizer."""
+    df = {}
+    for item in items:
+        grams = set()
+        for ref in item.references:
+            tokens = oracle_tokenize(ref)
+            grams.update(tuple(tokens[i:i + n]) for n in range(1, 5) for i in range(len(tokens) - n + 1))
+        for gram in grams:
+            df[gram] = df.get(gram, 0) + 1
+    return df
+
+
+def _unseen_candidate_ngrams():
+    return [CaptionItem("zebra quokka", ("a red sign", "the red sign")),
+            CaptionItem("a red sign by the zebra", ("a red sign", "two dogs in a park")),
+            CaptionItem("two dogs", ("two dogs in a park",))]
+
+
+def _ngram_in_every_item():
+    return [CaptionItem("the sign is red", ("the sign is red", "a sign")),
+            CaptionItem("a sign on a pole", ("a sign on a pole",)),
+            CaptionItem("sign", ("dogs near the sign", "sign sign"))]
+
+
+def _more_items_than_small_ints():
+    rng = random.Random(7)
+    items = []
+    for i in range(300):
+        refs = ["the " + " ".join(rng.choice(_POOL) for _ in range(rng.randint(2, 8))),
+                "street corner" if i < 270 else "old cafe"]
+        items.append(CaptionItem(rng.choice(refs) + " " + rng.choice(_POOL), tuple(refs)))
+    return items
+
+
+def _repeated_non_ascii_tokens():
+    return [CaptionItem("Straße straße café CAFÉ café ÇA", ("straße café ça ça", "café café")),
+            CaptionItem("ÿes ÿes ÿes", ("ÿes ÿes", "straße ÿes")),
+            CaptionItem("日本 日本 語", ("日本 語 日本", "語"))]
+
+
+@pytest.mark.parametrize("make,check", [
+    (_unseen_candidate_ngrams,
+     lambda items, df: ("zebra",) not in df and ("quokka",) not in df),
+    (_ngram_in_every_item, lambda items, df: df[("sign",)] == len(items)),
+    (_more_items_than_small_ints,
+     lambda items, df: df[("the",)] == 300 and 256 < df[("street",)] < 300),
+    (_repeated_non_ascii_tokens,
+     lambda items, df: df[("straße",)] == 2 and oracle_tokenize(items[0].candidate).count("café") == 3),
+], ids=["df-0", "df-N", "df-over-256", "repeated-non-ascii"])
+def test_one_pass_equals_exact_on_document_frequency_edges(make, check):
+    items = make()
+    assert check(items, _document_frequencies(items))  # the corpus has the edge it is named for
+    scores = caption_scores(items)
+    assert (scores.cider, scores.cider_per_item) == exact_cider(items)
+    assert scores.bleu4 == exact_bleu4(items)
+    assert scores.rouge_l == [exact_rouge_l(item) for item in items]

@@ -620,8 +620,9 @@ def test_build_with_more_shards_than_free_descriptors(tmp_path, rng, monkeypatch
     argv = [*argv[:argv.index("--shards")], "--shards", str(shards), "--seed", "13",
             "--threads", str(threads), "--in", str(path), "--out-dir", str(tmp_path / "out")]
     soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
-    # 40 more descriptors than are open now: too few for every shard, or for
-    # a spill file per 40th of the input for each dataset, to be open at once
+    # 40 more descriptors than are open now: too few for every shard to be
+    # open at once; and the split of each dataset's spill file, into parts
+    # of a 40th of the input, may open no more parts than are still free
     limit = len(os.listdir("/dev/fd")) + 40
     assert limit < shards
     read = counted(monkeypatch, pipeline, "_read_spill")
