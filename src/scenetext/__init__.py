@@ -10,8 +10,8 @@ def __getattr__(name):
     one submodule, such as `scenetext.metrics`, loads none of the others."""
     for module, names in (("records", ("OcrToken", "QaAnnotation", "Record", "parse_record")),
                           ("ordering", ("order_tokens",)),
-                          ("pretrain", ("Objective", "PretrainExample", "build_stage_plan")),
-                          ("finetune", ("FinetuneExample", "Task"))):
+                          ("pretrain", ("Objective", "build_stage_plan")),
+                          ("finetune", ("Task",))):
         if name in names:
             value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
             return value

@@ -62,7 +62,7 @@ def _add_build_flags(parser):
     parser.add_argument("--compress", action="store_true",
                         help="gzip-compress output shards")
     parser.add_argument("--resolution", type=int, default=None,
-                        help="image resolution tag recorded in the manifest")
+                        help="image resolution tag (pixels, >= 1) recorded in the manifest")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,19 +1,26 @@
-"""Fine-tuning example builders for scene-text VQA and captioning.
+"""Fine-tuning examples for scene-text VQA and captioning.
 
 Both tasks are open-ended generation: input is prompt [+ question]
 [+ ordered OCR], target is the answer or caption. The pipeline builds only
 the records that `Task.eligible` admits, so the builders check nothing.
-They take the record's OCR texts in reading order; texts=None drops the
-OCR segment entirely for the no-OCR-input ablation.
+They take the record's `pretrain.Fragments`; fragments without texts drop
+the OCR segment entirely for the no-OCR-input ablation.
+
+As in `pretrain`, an example is only ever its JSON line: what
+`json.JSONEncoder(ensure_ascii=False)` writes for {"example_id",
+"image_id", "task", "input_text", "target", "ocr_included"[, "answers"]},
+spliced from escaped literals. The input text is `render_input`'s, whose
+parts are escaped apart: the prompt once per build, the OCR segment once
+per record, and each question once.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-from .pretrain import DEFAULT_CONFIG, ObjectiveConfig, encode_json
+from .pretrain import Fragments, escape
 from .records import Record
-from .textformat import render_input
+from .textformat import TextFormat
 
 
 class Task(str, Enum):
@@ -25,28 +32,21 @@ class Task(str, Enum):
         return bool(record.qa) if self is Task.VQA else bool(record.caption)
 
 
-@dataclass(frozen=True)
-class FinetuneExample:
-    example_id: str
-    image_id: str
-    task: Task
-    input_text: str
-    target: str
-    ocr_included: bool
-    answers: tuple[str, ...] = ()  # all gold answers, carried through for eval
+class Layout(NamedTuple):
+    """What one task adds to each of its lines, built once."""
 
-    def to_json(self) -> str:
-        obj = {
-            "example_id": self.example_id,
-            "image_id": self.image_id,
-            "task": self.task.value,
-            "input_text": self.input_text,
-            "target": self.target,
-            "ocr_included": self.ocr_included,
-        }
-        if self.answers:
-            obj["answers"] = list(self.answers)
-        return encode_json(obj)
+    id_suffix: str  # example_id = image_id + id_suffix + the question index
+    middle: str  # from the image_id literal to the input text literal
+    prompt: str  # the input text literal up to the question or the OCR segment
+    segment: str  # the OCR segment before the texts
+    separator: str  # the token separator
+
+
+def layout(task: Task, fmt: TextFormat) -> Layout:
+    prompt = f"{fmt.vqa_prompt} " if task is Task.VQA else fmt.caption_prompt
+    return Layout(f"/{task.value.lower()}/", f', "task": "{task.value}", "input_text": ',
+                  escape(prompt)[:-1], f"{fmt.segment_separator}{fmt.ocr_label}",
+                  fmt.token_separator)
 
 
 def majority_answer(answers) -> str:
@@ -56,45 +56,37 @@ def majority_answer(answers) -> str:
     return min(a for a, c in counts.items() if c == top)
 
 
-def _ocr_text(texts: list[str] | None, config: ObjectiveConfig) -> str | None:
-    return None if texts is None else config.fmt.token_separator.join(texts)
+def _input_tail(frags: Fragments, layout: Layout) -> str:
+    """The input text's literal from after the question to its closing quote."""
+    if frags.texts is None:
+        return '"'
+    return escape(layout.segment + layout.separator.join(frags.texts))[1:]
 
 
-def build_vqa_examples(record: Record, texts: list[str] | None,
-                       config: ObjectiveConfig = DEFAULT_CONFIG) -> list[FinetuneExample]:
-    """One example per question; training target is the majority answer."""
-    ocr_text = _ocr_text(texts, config)
-    examples = []
-    for i, qa in enumerate(record.qa):
-        input_text = render_input(
-            config.fmt.vqa_prompt, config.fmt, question=qa.question, ocr_text=ocr_text
-        )
-        examples.append(
-            FinetuneExample(
-                example_id=f"{record.image_id}/vqa/{i}",
-                image_id=record.image_id,
-                task=Task.VQA,
-                input_text=input_text,
-                target=majority_answer(qa.answers),
-                ocr_included=texts is not None,
-                answers=qa.answers,
-            )
-        )
-    return examples
+def _line(frags: Fragments, layout: Layout, index: int, input_text: str, target: str,
+          answers: str = "") -> str:
+    """Example `index`'s line, given its input text's and target's literals
+    and, for VQA, its answers' key and array."""
+    image_id = frags.image_id
+    included = "false" if frags.texts is None else "true"
+    return (f'{{"example_id": {image_id[:-1]}{layout.id_suffix}{index}", "image_id": {image_id}'
+            f'{layout.middle}{input_text}, "target": {target}, "ocr_included": {included}'
+            f'{answers}}}')
 
 
-def build_caption_examples(record: Record, texts: list[str] | None,
-                           config: ObjectiveConfig = DEFAULT_CONFIG) -> list[FinetuneExample]:
-    input_text = render_input(
-        config.fmt.caption_prompt, config.fmt, ocr_text=_ocr_text(texts, config)
-    )
-    return [
-        FinetuneExample(
-            example_id=f"{record.image_id}/caption/0",
-            image_id=record.image_id,
-            task=Task.CAPTION,
-            input_text=input_text,
-            target=record.caption,
-            ocr_included=texts is not None,
-        )
-    ]
+def build_vqa_examples(record: Record, frags: Fragments, layout: Layout) -> list[tuple[str, str]]:
+    """The (example_id, JSON line) of each question; the training target is
+    the majority answer, and every gold answer is carried through for eval."""
+    tail = _input_tail(frags, layout)
+    return [(f"{record.image_id}{layout.id_suffix}{i}",
+             _line(frags, layout, i, f"{layout.prompt}{escape(qa.question)[1:-1]}{tail}",
+                   escape(majority_answer(qa.answers)),
+                   f', "answers": [{", ".join(map(escape, qa.answers))}]'))
+            for i, qa in enumerate(record.qa)]
+
+
+def build_caption_examples(record: Record, frags: Fragments,
+                           layout: Layout) -> list[tuple[str, str]]:
+    return [(f"{record.image_id}{layout.id_suffix}0",
+             _line(frags, layout, 0, f"{layout.prompt}{_input_tail(frags, layout)}",
+                   escape(record.caption)))]

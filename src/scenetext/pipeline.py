@@ -47,10 +47,10 @@ from typing import Iterable, Iterator
 
 from . import __version__
 from .errors import ConfigError, ParseError, SceneTextError, SchemaError
-from .finetune import Task, build_caption_examples, build_vqa_examples
+from .finetune import Task, build_caption_examples, build_vqa_examples, layout
 from .hashing import hash64, keep_fraction
 from .ordering import order_tokens
-from .pretrain import Objective, ObjectiveConfig, build_example, build_stage_plan
+from .pretrain import Objective, build_example, build_stage_plan, fragments, layouts
 from .records import Record, parse_record, record_violations
 from .textformat import TextFormat
 
@@ -68,13 +68,15 @@ class PipelineConfig:
     passes: int = 1
     threads: int = 1  # up to this many forked worker processes; output is the same for any
     compress: bool = False
-    resolution: int | None = None  # image-resolution tag, manifest metadata only
+    resolution: int | None = None  # image-resolution tag in pixels, manifest metadata only
 
     def __post_init__(self):
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        if self.resolution is not None and self.resolution < 1:
+            raise ConfigError(f"resolution must be >= 1, got {self.resolution}")
         _check_fraction(self.fraction)
         for stage in self.stages:
             if not isinstance(stage, Objective):
@@ -469,9 +471,11 @@ def _build(config: PipelineConfig, datasets, manifest_name: str, describe,
     """The one build path. One pass over the kept records adds each to the
     stats, if given, and keeps the (name, eligible, build) datasets whose
     eligible(record) holds; if any, it orders the record's OCR once into
-    texts (None unless order_ocr) and appends build(record, texts) to each
-    dataset's spill file. Then each dataset's spill file, split into parts
-    by `_split_oversized`, is dealt to its shards, and the manifest is
+    texts (None unless order_ocr), escapes its `fragments` once, and
+    appends the (example_id, JSON line) pairs of build(record, fragments)
+    to each dataset's spill file, keyed hash64(seed, "shuffle",
+    example_id). Then each dataset's spill file, split into parts by
+    `_split_oversized`, is dealt to its shards, and the manifest is
     written: the common head plus describe([(example_count, shard_infos),
     ...]). Every file this run wrote, spill files included, is removed if
     any step fails.
@@ -488,13 +492,15 @@ def _build(config: PipelineConfig, datasets, manifest_name: str, describe,
             dataset, its examples' spill records joined (b"" for a dataset
             that does not want the record)."""
             builds = [build if eligible(record) else None for _, eligible, build in datasets]
-            texts = None
-            if order_ocr and any(builds):
-                texts = [t.text for t in order_tokens(record.ocr, config.overlap_threshold)]
-            spilled = [b"".join([spill_record(hash64(seed, "shuffle", example.example_id),
-                                              example.to_json())
-                                 for example in build(record, texts)]) if build else b""
-                       for build in builds]
+            spilled = [b""] * len(builds)
+            if any(builds):
+                texts = None
+                if order_ocr:
+                    texts = [t.text for t in order_tokens(record.ocr, config.overlap_threshold)]
+                frags = fragments(record.image_id, texts)
+                spilled = [b"".join([spill_record(hash64(seed, "shuffle", example_id), line)
+                                     for example_id, line in build(record, frags)])
+                           if build else b"" for build in builds]
             return (DatasetStats.entry(record) if with_stats else None), spilled
 
         spills = [os.path.join(config.out_dir, f".{name}-spill") for name, _, _ in datasets]
@@ -542,12 +548,12 @@ def run(config: PipelineConfig) -> dict:
     """Build every stage dataset (and the stats) from one pass over the
     kept records, shuffle/shard each, and write a reproducibility manifest."""
     stages = build_stage_plan(config.stages)
-    configs = [ObjectiveConfig(fmt=config.fmt, pass_index=p) for p in range(config.passes)]
     stats = DatasetStats()
 
     def stage_build(objective):
-        return lambda record, texts: [build_example(record, texts, objective, config.seed, c)
-                                      for c in configs]
+        passes = layouts(objective, config.fmt, config.passes)
+        return lambda record, frags: [build_example(record, frags, config.seed, pass_layout)
+                                      for pass_layout in passes]
 
     def describe(built):
         return {
@@ -564,7 +570,7 @@ def run(config: PipelineConfig) -> dict:
 
 def run_finetune(config: PipelineConfig, task: Task, ocr_included: bool = True) -> dict:
     """Fine-tuning variant of run(): one dataset instead of stage datasets."""
-    obj_config = ObjectiveConfig(fmt=config.fmt)
+    task_layout = layout(task, config.fmt)
     builder = build_vqa_examples if task is Task.VQA else build_caption_examples
     dataset = f"finetune_{task.value.lower()}"
 
@@ -574,5 +580,5 @@ def run_finetune(config: PipelineConfig, task: Task, ocr_included: bool = True) 
                 "shards": shards}
 
     return _build(config, [(dataset, task.eligible,
-                            lambda record, texts: builder(record, texts, obj_config))],
+                            lambda record, frags: builder(record, frags, task_layout))],
                   f"{dataset}_manifest.json", describe, order_ocr=ocr_included)

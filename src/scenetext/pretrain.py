@@ -1,25 +1,35 @@
-"""Pre-training example builders: OCR, SPLITOCR, CAP, SPLITCAP.
+"""Pre-training examples: OCR, SPLITOCR, CAP, SPLITCAP.
 
 `Objective.eligible` is the one rule for which records can yield an
 objective's target; the pipeline builds and counts only records that pass
-it, so the builders check nothing. Each builder takes the record and its
-OCR texts in reading order (see `ordering.order_tokens`). SPLITOCR splits
-the ordered texts at a uniform random point; the prefix becomes extra
-model input and the suffix the generation target. OCR is the degenerate
-case with an empty prefix. CAP targets the caption conditioned on the
-full ordered OCR; SPLITCAP additionally feeds a caption prefix and
-targets the remainder.
+it, so the builders check nothing. A builder takes the record and its
+`Fragments`, made once from its OCR texts in reading order (see
+`ordering.order_tokens`). SPLITOCR splits the ordered texts at a uniform
+random point; the prefix becomes extra model input and the suffix the
+generation target. OCR is the degenerate case with an empty prefix. CAP
+targets the caption conditioned on the full ordered OCR; SPLITCAP
+additionally feeds a caption prefix and targets the remainder.
+
+An example is only ever its JSON line: what `json.JSONEncoder(
+ensure_ascii=False)` writes for {"example_id", "image_id", "objective",
+"prompt", "input_ocr", "input_caption_prefix", "target"}, in that key
+order, spliced from string literals escaped by the encoder's own escaper.
+The record's literals are escaped once per record (`fragments`), and a
+dataset's and pass's once per build (`layouts`). Escaping works character
+by character, so escape(a + b) == escape(a)[:-1] + escape(b)[1:]: the
+literal of an example_id is the image_id's with the plain-ASCII suffix
+spliced in before the closing quote.
 """
 
-import json
 import random
-from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring as escape
+from typing import NamedTuple
 
 from .errors import ConfigError
 from .hashing import derive_rng
 from .records import Record
-from .textformat import DEFAULT_FORMAT, TextFormat, render_input
+from .textformat import TextFormat
 
 
 class Objective(str, Enum):
@@ -45,57 +55,40 @@ class Objective(str, Enum):
         return bool(record.caption and record.caption.split())
 
 
-@dataclass(frozen=True)
-class ObjectiveConfig:
-    fmt: TextFormat = DEFAULT_FORMAT
-    pass_index: int = 0
+class Fragments(NamedTuple):
+    """A record's strings as JSON string literals, each escaped once and
+    shared by every dataset and pass built from the record."""
+
+    image_id: str  # the image_id's literal
+    texts: list[str] | None  # the ordered OCR texts; None leaves OCR out
+    ocr: list[str]  # each ordered text's literal
+    input_ocr: str  # the JSON array of every text
 
 
-DEFAULT_CONFIG = ObjectiveConfig()
-
-# The encoder json.dumps(obj, ensure_ascii=False) builds on every call,
-# built once: same defaults, same bytes. Example lines use it.
-encode_json = json.JSONEncoder(ensure_ascii=False).encode
+def fragments(image_id: str, texts: list[str] | None) -> Fragments:
+    ocr = [] if texts is None else list(map(escape, texts))
+    return Fragments(escape(image_id), texts, ocr, f"[{', '.join(ocr)}]")
 
 
-@dataclass(frozen=True)
-class PretrainExample:
-    example_id: str
-    image_id: str
+class Layout(NamedTuple):
+    """What one (objective, pass) adds to each of its lines, built once."""
+
     objective: Objective
-    prompt: str
-    input_ocr: tuple[str, ...]
-    input_caption_prefix: str
-    target: str
-
-    def input_text(self, fmt: TextFormat = DEFAULT_FORMAT) -> str:
-        """Rendered model input; byte-compatible with the fine-tune formats."""
-        if self.objective in (Objective.OCR, Objective.SPLITOCR):
-            # the plain-OCR case conditions on the image and prompt only
-            ocr_text = fmt.token_separator.join(self.input_ocr) if self.input_ocr else None
-            return render_input(self.prompt, fmt, ocr_text=ocr_text)
-        ocr_text = fmt.token_separator.join(self.input_ocr)
-        prefix = self.input_caption_prefix or None
-        return render_input(self.prompt, fmt, caption_prefix=prefix, ocr_text=ocr_text)
-
-    def to_json(self) -> str:
-        return encode_json(
-            {
-                "example_id": self.example_id,
-                "image_id": self.image_id,
-                "objective": self.objective.value,
-                "prompt": self.prompt,
-                "input_ocr": list(self.input_ocr),
-                "input_caption_prefix": self.input_caption_prefix,
-                "target": self.target,
-            }
-        )
+    id_suffix: str  # example_id = image_id + id_suffix
+    rng_parts: tuple[str, str]  # the objective's value and the pass index
+    head: str  # from the example_id's suffix to the image_id literal
+    middle: str  # from the image_id literal to the input_ocr array
+    separator: str  # the token separator
 
 
-def rng_for(seed: int, image_id: str, objective: Objective, pass_index: int = 0) -> random.Random:
-    """Per-record RNG; identical (seed, image_id) gives identical draws
-    regardless of processing order or worker count."""
-    return derive_rng(seed, image_id, objective.value, str(pass_index))
+def layouts(objective: Objective, fmt: TextFormat, passes: int = 1) -> list[Layout]:
+    """The layout of each pass of one objective."""
+    prompt = fmt.ocr_prompt if objective in (Objective.OCR, Objective.SPLITOCR) else fmt.caption_prompt
+    middle = f', "objective": "{objective.value}", "prompt": {escape(prompt)}, "input_ocr": '
+    suffixes = [f"/{objective.value.lower()}/{p}" for p in range(passes)]
+    return [Layout(objective, suffix, (objective.value, str(p)), f'{suffix}", "image_id": ', middle,
+                   fmt.token_separator)
+            for p, suffix in enumerate(suffixes)]
 
 
 def sample_split_point(n: int, rng: random.Random) -> int:
@@ -104,80 +97,29 @@ def sample_split_point(n: int, rng: random.Random) -> int:
     return rng.randrange(n)
 
 
-def _example_id(record: Record, objective: Objective, config: ObjectiveConfig) -> str:
-    return f"{record.image_id}/{objective.value.lower()}/{config.pass_index}"
-
-
-def build_splitocr(record: Record, texts: list[str], rng: random.Random,
-                   config: ObjectiveConfig = DEFAULT_CONFIG) -> PretrainExample:
-    k = sample_split_point(len(texts), rng)
-    sep = config.fmt.token_separator
-    return PretrainExample(
-        example_id=_example_id(record, Objective.SPLITOCR, config),
-        image_id=record.image_id,
-        objective=Objective.SPLITOCR,
-        prompt=config.fmt.ocr_prompt,
-        input_ocr=tuple(texts[:k]),
-        input_caption_prefix="",
-        target=sep.join(texts[k:]),
-    )
-
-
-def build_ocr(record: Record, texts: list[str],
-              config: ObjectiveConfig = DEFAULT_CONFIG) -> PretrainExample:
-    return PretrainExample(
-        example_id=_example_id(record, Objective.OCR, config),
-        image_id=record.image_id,
-        objective=Objective.OCR,
-        prompt=config.fmt.ocr_prompt,
-        input_ocr=(),
-        input_caption_prefix="",
-        target=config.fmt.token_separator.join(texts),
-    )
-
-
-def build_cap(record: Record, texts: list[str],
-              config: ObjectiveConfig = DEFAULT_CONFIG) -> PretrainExample:
-    return PretrainExample(
-        example_id=_example_id(record, Objective.CAP, config),
-        image_id=record.image_id,
-        objective=Objective.CAP,
-        prompt=config.fmt.caption_prompt,
-        input_ocr=tuple(texts),
-        input_caption_prefix="",
-        target=record.caption,
-    )
-
-
-def build_splitcap(record: Record, texts: list[str], rng: random.Random,
-                   config: ObjectiveConfig = DEFAULT_CONFIG) -> PretrainExample:
-    words = record.caption.split()
-    k = sample_split_point(len(words), rng)
-    return PretrainExample(
-        example_id=_example_id(record, Objective.SPLITCAP, config),
-        image_id=record.image_id,
-        objective=Objective.SPLITCAP,
-        prompt=config.fmt.caption_prompt,
-        input_ocr=tuple(texts),
-        input_caption_prefix=" ".join(words[:k]),
-        target=" ".join(words[k:]),
-    )
-
-
-def build_example(record: Record, texts: list[str], objective: Objective, seed: int,
-                  config: ObjectiveConfig = DEFAULT_CONFIG) -> PretrainExample:
-    """Dispatch on objective for an eligible record; only the split
-    objectives derive the per-record RNG, because only they draw from it."""
+def build_example(record: Record, frags: Fragments, seed: int, layout: Layout) -> tuple[str, str]:
+    """The (example_id, JSON line) of an eligible record's example. Only
+    the split objectives derive the per-record RNG, from (seed, image_id,
+    objective, pass), because only they draw from it."""
+    objective, prefix = layout.objective, '""'
     if objective is Objective.OCR:
-        return build_ocr(record, texts, config)
-    if objective is Objective.CAP:
-        return build_cap(record, texts, config)
-    rng = rng_for(seed, record.image_id, objective, config.pass_index)
-    if objective is Objective.SPLITOCR:
-        return build_splitocr(record, texts, rng, config)
-    if objective is Objective.SPLITCAP:
-        return build_splitcap(record, texts, rng, config)
-    raise ConfigError(f"unknown objective {objective!r}")
+        input_ocr, target = "[]", escape(layout.separator.join(frags.texts))
+    elif objective is Objective.CAP:
+        input_ocr, target = frags.input_ocr, escape(record.caption)
+    elif objective is Objective.SPLITOCR:
+        texts = frags.texts
+        k = sample_split_point(len(texts), derive_rng(seed, record.image_id, *layout.rng_parts))
+        input_ocr = f"[{', '.join(frags.ocr[:k])}]"
+        target = escape(layout.separator.join(texts[k:]))
+    else:
+        words = record.caption.split()
+        k = sample_split_point(len(words), derive_rng(seed, record.image_id, *layout.rng_parts))
+        input_ocr, prefix = frags.input_ocr, escape(" ".join(words[:k]))
+        target = escape(" ".join(words[k:]))
+    image_id = frags.image_id
+    return (record.image_id + layout.id_suffix,
+            f'{{"example_id": {image_id[:-1]}{layout.head}{image_id}{layout.middle}{input_ocr}, '
+            f'"input_caption_prefix": {prefix}, "target": {target}}}')
 
 
 def build_stage_plan(stages) -> tuple[Objective, ...]:

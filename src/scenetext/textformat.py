@@ -1,9 +1,12 @@
 """Model-facing input text assembly.
 
-One renderer serves both pre-training and fine-tuning so that a CAP
-pre-training example and a CAPTION fine-tune example for the same record
-produce byte-identical input text. Delimiters and prompts are configuration
-with fixed defaults; effective values are recorded in run manifests.
+One renderer defines the input text of both pre-training and fine-tuning,
+so that a CAP pre-training example and a CAPTION fine-tune example for the
+same record render byte-identical input text. A fine-tune line holds its
+input text (`finetune` splices it from escaped parts); a pre-training line
+holds the parts that `render_input` joins (prompt, input_ocr,
+input_caption_prefix). Delimiters and prompts are configuration with fixed
+defaults; effective values are recorded in run manifests.
 """
 
 from dataclasses import dataclass

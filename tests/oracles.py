@@ -439,6 +439,221 @@ def oracle_record_violations(record) -> list[str]:
     return violations
 
 
+# --- The example dataclasses, builders and `to_json`s as they were before
+# lines were spliced from escaped fragments: copied verbatim, so the tests
+# can check that the library writes the same lines. They are defined on
+# the first call of `old_examples`, because perfbench loads this file
+# without `scenetext` on the path.
+
+
+@lru_cache(maxsize=None)
+def old_examples():
+    """The old example code, as a namespace: `ObjectiveConfig`,
+    `PretrainExample`, `build_example` (and the per-objective builders),
+    `FinetuneExample`, `build_vqa_examples` and `build_caption_examples`."""
+    import random
+    from dataclasses import dataclass
+    from types import SimpleNamespace
+
+    from scenetext.errors import ConfigError
+    from scenetext.finetune import Task, majority_answer
+    from scenetext.hashing import derive_rng
+    from scenetext.pretrain import Objective
+    from scenetext.records import Record
+    from scenetext.textformat import DEFAULT_FORMAT, TextFormat, render_input
+
+    @dataclass(frozen=True)
+    class ObjectiveConfig:
+        fmt: TextFormat = DEFAULT_FORMAT
+        pass_index: int = 0
+
+    DEFAULT_CONFIG = ObjectiveConfig()
+
+    # The encoder json.dumps(obj, ensure_ascii=False) builds on every call,
+    # built once: same defaults, same bytes. Example lines use it.
+    encode_json = json.JSONEncoder(ensure_ascii=False).encode
+
+    @dataclass(frozen=True)
+    class PretrainExample:
+        example_id: str
+        image_id: str
+        objective: Objective
+        prompt: str
+        input_ocr: tuple[str, ...]
+        input_caption_prefix: str
+        target: str
+
+        def input_text(self, fmt: TextFormat = DEFAULT_FORMAT) -> str:
+            """Rendered model input; byte-compatible with the fine-tune formats."""
+            if self.objective in (Objective.OCR, Objective.SPLITOCR):
+                # the plain-OCR case conditions on the image and prompt only
+                ocr_text = fmt.token_separator.join(self.input_ocr) if self.input_ocr else None
+                return render_input(self.prompt, fmt, ocr_text=ocr_text)
+            ocr_text = fmt.token_separator.join(self.input_ocr)
+            prefix = self.input_caption_prefix or None
+            return render_input(self.prompt, fmt, caption_prefix=prefix, ocr_text=ocr_text)
+
+        def to_json(self) -> str:
+            return encode_json(
+                {
+                    "example_id": self.example_id,
+                    "image_id": self.image_id,
+                    "objective": self.objective.value,
+                    "prompt": self.prompt,
+                    "input_ocr": list(self.input_ocr),
+                    "input_caption_prefix": self.input_caption_prefix,
+                    "target": self.target,
+                }
+            )
+
+    def rng_for(seed: int, image_id: str, objective: Objective, pass_index: int = 0) -> random.Random:
+        """Per-record RNG; identical (seed, image_id) gives identical draws
+        regardless of processing order or worker count."""
+        return derive_rng(seed, image_id, objective.value, str(pass_index))
+
+    def sample_split_point(n: int, rng: random.Random) -> int:
+        """Uniform split point in {0..n-1} for n >= 1; k=0 means an empty input
+        part and the target part is never empty."""
+        return rng.randrange(n)
+
+    def _example_id(record: Record, objective: Objective, config: ObjectiveConfig) -> str:
+        return f"{record.image_id}/{objective.value.lower()}/{config.pass_index}"
+
+    def build_splitocr(record: Record, texts: list[str], rng: random.Random,
+                       config: ObjectiveConfig = DEFAULT_CONFIG) -> PretrainExample:
+        k = sample_split_point(len(texts), rng)
+        sep = config.fmt.token_separator
+        return PretrainExample(
+            example_id=_example_id(record, Objective.SPLITOCR, config),
+            image_id=record.image_id,
+            objective=Objective.SPLITOCR,
+            prompt=config.fmt.ocr_prompt,
+            input_ocr=tuple(texts[:k]),
+            input_caption_prefix="",
+            target=sep.join(texts[k:]),
+        )
+
+    def build_ocr(record: Record, texts: list[str],
+                  config: ObjectiveConfig = DEFAULT_CONFIG) -> PretrainExample:
+        return PretrainExample(
+            example_id=_example_id(record, Objective.OCR, config),
+            image_id=record.image_id,
+            objective=Objective.OCR,
+            prompt=config.fmt.ocr_prompt,
+            input_ocr=(),
+            input_caption_prefix="",
+            target=config.fmt.token_separator.join(texts),
+        )
+
+    def build_cap(record: Record, texts: list[str],
+                  config: ObjectiveConfig = DEFAULT_CONFIG) -> PretrainExample:
+        return PretrainExample(
+            example_id=_example_id(record, Objective.CAP, config),
+            image_id=record.image_id,
+            objective=Objective.CAP,
+            prompt=config.fmt.caption_prompt,
+            input_ocr=tuple(texts),
+            input_caption_prefix="",
+            target=record.caption,
+        )
+
+    def build_splitcap(record: Record, texts: list[str], rng: random.Random,
+                       config: ObjectiveConfig = DEFAULT_CONFIG) -> PretrainExample:
+        words = record.caption.split()
+        k = sample_split_point(len(words), rng)
+        return PretrainExample(
+            example_id=_example_id(record, Objective.SPLITCAP, config),
+            image_id=record.image_id,
+            objective=Objective.SPLITCAP,
+            prompt=config.fmt.caption_prompt,
+            input_ocr=tuple(texts),
+            input_caption_prefix=" ".join(words[:k]),
+            target=" ".join(words[k:]),
+        )
+
+    def build_example(record: Record, texts: list[str], objective: Objective, seed: int,
+                      config: ObjectiveConfig = DEFAULT_CONFIG) -> PretrainExample:
+        """Dispatch on objective for an eligible record; only the split
+        objectives derive the per-record RNG, because only they draw from it."""
+        if objective is Objective.OCR:
+            return build_ocr(record, texts, config)
+        if objective is Objective.CAP:
+            return build_cap(record, texts, config)
+        rng = rng_for(seed, record.image_id, objective, config.pass_index)
+        if objective is Objective.SPLITOCR:
+            return build_splitocr(record, texts, rng, config)
+        if objective is Objective.SPLITCAP:
+            return build_splitcap(record, texts, rng, config)
+        raise ConfigError(f"unknown objective {objective!r}")
+
+    @dataclass(frozen=True)
+    class FinetuneExample:
+        example_id: str
+        image_id: str
+        task: Task
+        input_text: str
+        target: str
+        ocr_included: bool
+        answers: tuple[str, ...] = ()  # all gold answers, carried through for eval
+
+        def to_json(self) -> str:
+            obj = {
+                "example_id": self.example_id,
+                "image_id": self.image_id,
+                "task": self.task.value,
+                "input_text": self.input_text,
+                "target": self.target,
+                "ocr_included": self.ocr_included,
+            }
+            if self.answers:
+                obj["answers"] = list(self.answers)
+            return encode_json(obj)
+
+    def _ocr_text(texts: list[str] | None, config: ObjectiveConfig) -> str | None:
+        return None if texts is None else config.fmt.token_separator.join(texts)
+
+    def build_vqa_examples(record: Record, texts: list[str] | None,
+                           config: ObjectiveConfig = DEFAULT_CONFIG) -> list[FinetuneExample]:
+        """One example per question; training target is the majority answer."""
+        ocr_text = _ocr_text(texts, config)
+        examples = []
+        for i, qa in enumerate(record.qa):
+            input_text = render_input(
+                config.fmt.vqa_prompt, config.fmt, question=qa.question, ocr_text=ocr_text
+            )
+            examples.append(
+                FinetuneExample(
+                    example_id=f"{record.image_id}/vqa/{i}",
+                    image_id=record.image_id,
+                    task=Task.VQA,
+                    input_text=input_text,
+                    target=majority_answer(qa.answers),
+                    ocr_included=texts is not None,
+                    answers=qa.answers,
+                )
+            )
+        return examples
+
+    def build_caption_examples(record: Record, texts: list[str] | None,
+                               config: ObjectiveConfig = DEFAULT_CONFIG) -> list[FinetuneExample]:
+        input_text = render_input(
+            config.fmt.caption_prompt, config.fmt, ocr_text=_ocr_text(texts, config)
+        )
+        return [
+            FinetuneExample(
+                example_id=f"{record.image_id}/caption/0",
+                image_id=record.image_id,
+                task=Task.CAPTION,
+                input_text=input_text,
+                target=record.caption,
+                ocr_included=texts is not None,
+            )
+        ]
+
+    return SimpleNamespace(**{name: value for name, value in locals().items()
+                              if not name.startswith("__")})
+
+
 # --- The build's hold-and-sort path as it was before the spill buckets: every
 # example of every dataset held in memory until one sort per dataset, and
 # each shard joined and written at once. Copied verbatim (renamed), so the
@@ -492,17 +707,32 @@ def oracle_hold_and_sort_build(config, datasets, manifest_name, describe, stats=
     """The one build path. One pass over the kept records adds each to the
     stats, if given, and keeps the (name, eligible, build) datasets whose
     eligible(record) holds; if any, it orders the record's OCR once into
-    texts (None unless order_ocr) and adds build(record, texts) to each.
-    Then each dataset is shuffled/sharded and written, and the manifest:
+    texts (None unless order_ocr) and adds the examples of the dataset's
+    old builder (`old_examples`, not its build) to each. Then each dataset is shuffled/sharded and written, and the manifest:
     the common head plus describe([(example_count, shard_infos), ...]).
     Every file this run wrote is removed if any step fails."""
     import os
     from scenetext import __version__, pipeline
 
     seed, with_stats = config.seed, stats is not None
+    old = old_examples()
+    if manifest_name == "manifest.json":  # run's stage datasets, in stage order
+        configs = [old.ObjectiveConfig(fmt=config.fmt, pass_index=p) for p in range(config.passes)]
+
+        def stage_build(objective):
+            return lambda record, texts: [old.build_example(record, texts, objective, seed, c)
+                                          for c in configs]
+
+        builders = [stage_build(objective) for objective in config.stages]
+    else:  # run_finetune's one dataset, finetune_{task}
+        [(name, _, _)] = datasets
+        builder = old.build_vqa_examples if name == "finetune_vqa" else old.build_caption_examples
+        obj_config = old.ObjectiveConfig(fmt=config.fmt)
+        builders = [lambda record, texts: builder(record, texts, obj_config)]
 
     def work(record):
-        builds = [build if eligible(record) else None for _, eligible, build in datasets]
+        builds = [build if eligible(record) else None
+                  for (_, eligible, _), build in zip(datasets, builders)]
         texts = None
         if order_ocr and any(builds):
             texts = [t.text for t in pipeline.order_tokens(record.ocr, config.overlap_threshold)]

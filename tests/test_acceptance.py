@@ -7,6 +7,7 @@ lines alongside pytest's own verdicts.
 import dataclasses
 import gzip
 import hashlib
+import json
 import random
 import string
 import time
@@ -14,7 +15,7 @@ import time
 import pytest
 from scipy.stats import chisquare
 
-from scenetext.finetune import build_caption_examples, build_vqa_examples
+from scenetext.finetune import Task, build_caption_examples, build_vqa_examples, layout
 from scenetext.hashing import hash64, keep_fraction
 from scenetext.kernels import levenshtein
 from scenetext.metrics import (
@@ -28,8 +29,9 @@ from scenetext.metrics import (
 )
 from scenetext.ordering import order_tokens
 from scenetext.pipeline import PipelineConfig, run
-from scenetext.pretrain import Objective, build_example, sample_split_point
+from scenetext.pretrain import Objective, build_example, fragments, layouts, sample_split_point
 from scenetext.records import QaAnnotation, serialize_record
+from scenetext.textformat import DEFAULT_FORMAT, render_input
 
 from conftest import make_record, make_token, ordered_texts, random_layout_record
 from oracles import levenshtein_memo, oracle_bleu4, oracle_cider_d, vqa_accuracy_leave_one_out
@@ -115,13 +117,15 @@ def test_criterion_splitocr_contract_suite(tmp_path):
     seed = 71
 
     # (a) input ++ target reconstructs the full ordered OCR on 10,000 records
+    [split_layout] = layouts(Objective.SPLITOCR, DEFAULT_FORMAT)
     for i in range(10_000):
         record = random_layout_record(rng, image_id=f"rec{i}")
         texts = ordered_texts(record)
-        ex = build_example(record, texts, Objective.SPLITOCR, seed)
+        _, line = build_example(record, fragments(record.image_id, texts), seed, split_layout)
+        ex = json.loads(line)
         full = " ".join(texts)
-        assert " ".join(list(ex.input_ocr) + [ex.target]) == full
-        assert ex.target
+        assert " ".join(ex["input_ocr"] + [ex["target"]]) == full
+        assert ex["target"]
 
     # (b) split-point uniformity for n=4, 100,000 draws
     draw_rng = random.Random(41)
@@ -220,6 +224,8 @@ def test_criterion_subsample_bookkeeping():
 def test_criterion_input_format_congruence():
     rng = random.Random(43)
     ocr_marker = "XQZ"
+    [cap_layout] = layouts(Objective.CAP, DEFAULT_FORMAT)
+    caption_layout, vqa_layout = layout(Task.CAPTION, DEFAULT_FORMAT), layout(Task.VQA, DEFAULT_FORMAT)
     congruent = True
     clean = True
     for i in range(1000):
@@ -234,13 +240,19 @@ def test_criterion_input_format_congruence():
             qa=(QaAnnotation(f"what is item {i}", tuple(["thing"] * 10)),),
         )
         texts = ordered_texts(record)
-        cap_pretrain = build_example(record, texts, Objective.CAP, seed=1)
-        (cap_finetune,) = build_caption_examples(record, texts)
-        congruent &= cap_pretrain.input_text() == cap_finetune.input_text
+        frags = fragments(record.image_id, texts)
+        cap_pretrain = json.loads(build_example(record, frags, 1, cap_layout)[1])
+        ((_, cap_finetune),) = build_caption_examples(record, frags, caption_layout)
+        rendered = render_input(cap_pretrain["prompt"], DEFAULT_FORMAT,
+                                caption_prefix=cap_pretrain["input_caption_prefix"] or None,
+                                ocr_text=" ".join(cap_pretrain["input_ocr"]))
+        congruent &= rendered == json.loads(cap_finetune)["input_text"]
 
-        for builder in (build_caption_examples, build_vqa_examples):
-            for ex in builder(record, None):
-                clean &= all(t.text not in ex.input_text for t in tokens)
+        no_ocr = fragments(record.image_id, None)
+        for builder, task_layout in ((build_caption_examples, caption_layout),
+                                     (build_vqa_examples, vqa_layout)):
+            for _, line in builder(record, no_ocr, task_layout):
+                clean &= all(t.text not in json.loads(line)["input_text"] for t in tokens)
     report("Input-format congruence", congruent and clean,
            "CAP == CAPTION input; no OCR text under --no-ocr-input")
 

@@ -406,6 +406,27 @@ def test_build_rejects_thread_count_below_one(corpus, tmp_path, capsys, threads)
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("argv", [["build-pretrain", "--objective", "ocr"],
+                                  ["build-finetune", "--task", "vqa"]],
+                         ids=["build-pretrain", "build-finetune"])
+@pytest.mark.parametrize("resolution", ["0", "-5"])
+def test_build_rejects_resolution_below_one(corpus, tmp_path, capsys, argv, resolution):
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, *argv, "--resolution", resolution, "--in", corpus,
+                             "--out-dir", out_dir)
+    assert code == 1
+    assert err.startswith(f"error: resolution must be >= 1, got {resolution}")
+    assert out == ""
+    assert not out_dir.exists()
+
+
+def test_build_records_a_positive_resolution(corpus, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert run_cli(capsys, "build-pretrain", "--objective", "ocr", "--resolution", "1",
+                   "--in", corpus, "--out-dir", out_dir)[0] == 0
+    assert json.loads((out_dir / "manifest.json").read_text())["config"]["resolution"] == 1
+
+
 def test_subsample_skips_and_counts_bad_lines(corpus, corpus_with_bad_lines, tmp_path, capsys):
     out_file = tmp_path / "sub.jsonl"
     code, out, _ = run_cli(capsys, "--json", "subsample", "--in", corpus_with_bad_lines,
@@ -608,7 +629,7 @@ def test_builds_load_no_metric_module(corpus, tmp_path, argv):
 
 def test_package_reexports_load_on_first_access():
     names = ("OcrToken", "QaAnnotation", "Record", "parse_record", "order_tokens", "Objective",
-             "PretrainExample", "build_stage_plan", "FinetuneExample", "Task")
+             "build_stage_plan", "Task")
     assert run_fresh("import json, sys, scenetext\n"
                      "loaded = sorted(m for m in sys.modules if m.startswith('scenetext.'))\n"
                      f"from scenetext import {', '.join(names)}\n"
@@ -616,8 +637,7 @@ def test_package_reexports_load_on_first_access():
     from scenetext import finetune, ordering, pretrain, records
     owners = {"OcrToken": records, "QaAnnotation": records, "Record": records,
               "parse_record": records, "order_tokens": ordering, "Objective": pretrain,
-              "PretrainExample": pretrain, "build_stage_plan": pretrain,
-              "FinetuneExample": finetune, "Task": finetune}
+              "build_stage_plan": pretrain, "Task": finetune}
     assert set(owners) == set(names)
     for name, owner in owners.items():
         assert getattr(scenetext, name) is getattr(owner, name)
