@@ -5,9 +5,17 @@ shuffle rank, split point) is a pure function of (seed, id) and therefore
 independent of stream order, worker count, and platform.
 """
 
-import hashlib
 import random
 from functools import lru_cache
+
+try:  # the package's hash constructors: hashlib's, without the ~3.6 MB of OpenSSL it loads
+    from _blake2 import blake2b
+    try:
+        from _sha2 import sha256  # CPython 3.12+
+    except ImportError:
+        from _sha256 import sha256
+except ImportError:  # an interpreter without them
+    from hashlib import blake2b, sha256
 
 _SCALE = float(2**64)
 
@@ -15,7 +23,7 @@ _SCALE = float(2**64)
 @lru_cache(maxsize=8)
 def _keyed(seed: int):
     """The blake2b keyed with the seed, before any input: hash64 copies it."""
-    return hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little", signed=False))
+    return blake2b(digest_size=8, key=seed.to_bytes(8, "little", signed=False))
 
 
 def hash64(seed: int, *parts: str) -> int:

@@ -5,7 +5,7 @@ dataset's eligibility rule (`Objective.eligible`, `Task.eligible`) is
 ordered once (`ordering.order_tokens`) and handed with its ordered OCR
 texts to those datasets' builders, then dropped. Nothing built is held in
 memory: each example goes, as its shuffle key and UTF-8 JSON line
-(`spill_record`), to its dataset's one spill file in the output directory.
+(`spill_records`), to its dataset's one spill file in the output directory.
 After the pass each dataset's spill file is split by its key range into
 parts of about SPILL_BUCKET_BYTES, as many as its size asks for, within
 the descriptors the process may still open (its soft RLIMIT_NOFILE). The
@@ -20,9 +20,10 @@ for the last time, and all are removed if the build fails.
 The per-line work (decode, parse, the per-record validation rules, the
 keep test, ordering, building and serializing) runs on chunks of lines.
 With `threads` > 1 it runs in up to that many forked worker processes,
-capped at the CPUs available; with 1 it runs in this process. Either way
-this process reads the lines, applies the duplicate rule and the counters
-in line order, and shuffles and writes, so the chunking changes nothing.
+capped at the CPUs available, that read regular-file inputs themselves
+(`_map_chunks`); with 1 it runs in this process. Either way this process
+reads the lines, applies the duplicate rule and the counters in line
+order, and shuffles and writes, so the chunking changes nothing.
 
 Every output is a pure function of (inputs, config): subsampling and
 shuffling key off stable hashes of record ids, per-record RNGs are derived
@@ -33,22 +34,21 @@ records share an image_id.
 
 import dataclasses
 import gzip
-import hashlib
 import json
 import math
 import os
 import zlib
 from collections import Counter
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn
 
 from . import __version__
 from .errors import ConfigError, ParseError, SceneTextError, SchemaError
 from .finetune import Task, build_caption_examples, build_vqa_examples, layout
-from .hashing import hash64, keep_fraction
+from .hashing import hash64, keep_fraction, sha256
 from .ordering import order_tokens
 from .pretrain import Objective, build_example, build_stage_plan, fragments, layouts
 from .records import Record, parse_record, record_violations
@@ -95,6 +95,9 @@ class PipelineConfig:
         return d
 
 
+_ELIGIBILITY = tuple((objective.value, objective.eligible) for objective in Objective)
+
+
 @dataclass
 class DatasetStats:
     record_count: int = 0
@@ -107,7 +110,7 @@ class DatasetStats:
         """What `add` counts of one record: its OCR token count, its caption
         word count (None without a caption) and its eligible objectives."""
         return (len(record.ocr), len(record.caption.split()) if record.caption else None,
-                tuple([o.value for o in Objective if o.eligible(record)]))
+                tuple([value for value, eligible in _ELIGIBILITY if eligible(record)]))
 
     def add(self, entry: tuple[int, int | None, tuple[str, ...]]) -> None:
         """Count one record, given as its `entry`."""
@@ -153,7 +156,6 @@ def iter_lines(paths: Iterable[str]) -> Iterator[bytes]:
 
 
 CHUNK_LINES = 64  # lines per unit of work handed to a worker
-CHUNKS_PER_WORKER = 4  # chunks in flight per worker: enough to keep each busy
 
 
 def available_cpus() -> int:
@@ -189,72 +191,62 @@ def _check_chunk(lines: list[bytes], work, seed: int, fraction: float) -> list:
     return results
 
 
-_worker_job = None  # in a worker process: the chunk function of its pool
-
-
-def _start_worker(job) -> None:
-    import multiprocessing
+def _map_chunks(job, paths: tuple[str, ...], workers: int) -> Iterator[tuple[list, list]]:
+    """Yield (chunk, job(chunk)) for each chunk of the inputs' lines, in
+    order. With more than one worker, where processes can fork and every
+    input is a regular file, chunk k's job runs in forked worker k mod
+    `workers`, else here. However this ends, every worker is killed and reaped."""
+    if workers < 2 or not hasattr(os, "fork") or not all(map(os.path.isfile, paths)):
+        for chunk in _chunks(paths):
+            yield chunk, job(chunk)
+        return
+    import fcntl
+    import pickle
     import signal
-    import threading
 
-    global _worker_job
-    _worker_job = job
-    # Ctrl-C reaches the whole process group; the parent alone handles it
-    # and shuts the pool down.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    # A parent killed outright runs no shutdown, and its workers would wait
-    # for work forever: each exits as soon as its parent is gone.
-    sentinel = multiprocessing.parent_process().sentinel
-    threading.Thread(target=_exit_with_parent, args=(sentinel,), daemon=True).start()
+    def work(index: int, pipe) -> NoReturn:
+        """Worker `index`: pickle job(chunk) to `pipe` for chunks index, index +
+        workers, ..., or the exception that ends the work, and exit. It ignores Ctrl-C
+        and holds no read end, so it exits at its next write once the parent is gone."""
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            for read_end in pipes:
+                read_end.close()
+            for k, chunk in enumerate(_chunks(paths)):
+                if k % workers == index:
+                    pickle.dump(job(chunk), pipe)
+                    pipe.flush()
+        except Exception as exc:
+            pickle.dump(exc, pipe)
+            pipe.flush()
+        finally:  # also when the handler above fails
+            os._exit(0)  # runs none of the parent's cleanup: no buffer or file is flushed
 
-
-def _exit_with_parent(sentinel: int) -> None:
-    from multiprocessing.connection import wait
-
-    wait([sentinel])
-    os._exit(1)
-
-
-def _run_job(lines: list[bytes]) -> list:
-    return _worker_job(lines)
-
-
-def _map_chunks(job, chunks: Iterator[list[bytes]], workers: int) -> Iterator[tuple[list, list]]:
-    """Yield (chunk, job(chunk)) for each chunk, in order. With more than one
-    worker, and where processes can fork, `workers` forked processes run the
-    job with a bounded window of chunks in flight; otherwise it runs here."""
-    if workers > 1:
-        import multiprocessing
-        if "fork" in multiprocessing.get_all_start_methods():
-            yield from _pooled(job, chunks, multiprocessing.get_context("fork"), workers)
-            return
-    for chunk in chunks:
-        yield chunk, job(chunk)
-
-
-def _pooled(job, chunks, context, workers: int) -> Iterator[tuple[list, list]]:
-    from collections import deque
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    # Under fork the pool starts every worker at the first submit, before
-    # its manager thread; the job reaches them by fork, not by pickling.
-    pool = ProcessPoolExecutor(workers, mp_context=context, initializer=_start_worker,
-                               initargs=(job,))
+    pids, pipes = [], []
     try:
-        window: deque = deque()
-        for chunk in chunks:
-            window.append((chunk, pool.submit(_run_job, chunk)))
-            if len(window) >= CHUNKS_PER_WORKER * workers:
-                chunk, future = window.popleft()
-                yield chunk, future.result()
-        while window:
-            chunk, future = window.popleft()
-            yield chunk, future.result()
-    except BrokenProcessPool:
-        raise SceneTextError("a build worker process died") from None
+        for index in range(workers):
+            read_end, write_end = os.pipe()
+            pipes.append(open(read_end, "rb"))
+            with suppress(AttributeError, OSError):  # Linux only, within its limits
+                fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 1 << 20)  # not 64 KiB: ~5 chunks' results
+            with open(write_end, "wb") as pipe:
+                if (pid := os.fork()) == 0:
+                    work(index, pipe)
+                pids.append(pid)
+        for k, chunk in enumerate(_chunks(paths)):
+            try:
+                result = pickle.load(pipes[k % workers])
+            except (EOFError, pickle.UnpicklingError):
+                raise SceneTextError("a build worker process died") from None
+            if isinstance(result, Exception):
+                raise result
+            yield chunk, result
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
 
 
 def _same(record: Record) -> Record:
@@ -286,7 +278,7 @@ def ingest(paths: Iterable[str], counters: Counter, fraction: float = 1.0, seed:
     """
     _check_fraction(fraction)
     job = partial(_check_chunk, work=work, seed=seed, fraction=fraction)
-    return _ingest(_map_chunks(job, _chunks(paths), min(threads, available_cpus())),
+    return _ingest(_map_chunks(job, tuple(paths), min(threads, available_cpus())),
                    counters, violations)
 
 
@@ -319,11 +311,11 @@ def _check_fraction(fraction: float) -> None:
         raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
 
 
-def spill_record(key: int, json_line: str) -> bytes:
-    """An example as a spill record: its shuffle key as 16 hex digits, then
-    its JSON line and a newline, in UTF-8. A JSON line holds no raw CR or LF,
-    so each record is one line of its spill file."""
-    return "".join((key.to_bytes(8, "big").hex(), json_line, "\n")).encode("utf-8")
+def spill_records(keyed: Iterable[tuple[int, str]]) -> bytes:
+    """(shuffle key, JSON line) pairs as spill records, encoded at once: each
+    key as 16 hex digits, then its line and a newline, in UTF-8. A JSON line
+    holds no raw CR or LF, so each record is one line of its spill file."""
+    return "".join([f"{key:016x}{json_line}\n" for key, json_line in keyed]).encode("utf-8")
 
 
 def _key_id_line(record: bytes) -> tuple[bytes, str, bytes]:
@@ -332,7 +324,7 @@ def _key_id_line(record: bytes) -> tuple[bytes, str, bytes]:
 
 
 def shuffle_and_shard(records: list[bytes], shard_count: int, start: int = 0) -> list[list[bytes]]:
-    """Deterministically permute examples given as `spill_record`s, keyed by
+    """Deterministically permute examples given as `spill_records`, keyed by
     hash64(seed, "shuffle", example_id), into (key, example_id, line) order,
     and deal their lines round-robin to shard_count shards, the first to
     shard `start` mod shard_count. Records sort by key, then line; only
@@ -437,7 +429,7 @@ def _write_shards(spills: list[str], out_dir: str, dataset: str, shard_count: in
     suffix = ".jsonl.gz" if compress else ".jsonl"
     names = [f"{dataset}-{i:05d}-of-{shard_count:05d}{suffix}" for i in range(shard_count)]
     counts = [0] * shard_count
-    digests = [hashlib.sha256() for _ in names]
+    digests = [sha256() for _ in names]
     # one descriptor is left for the part being read, one for the manifest
     group = max(1, min(OPEN_GZIP_MAX if compress else OPEN_FILES_MAX, _free_descriptors() - 2))
     for low in range(0, shard_count, group):
@@ -463,7 +455,7 @@ def _write_shards(spills: list[str], out_dir: str, dataset: str, shard_count: in
 
 def _config_hash(config: PipelineConfig) -> str:
     canon = json.dumps(config.to_dict(), sort_keys=True).encode("utf-8")
-    return hashlib.sha256(canon).hexdigest()
+    return sha256(canon).hexdigest()
 
 
 def _build(config: PipelineConfig, datasets, manifest_name: str, describe,
@@ -498,16 +490,15 @@ def _build(config: PipelineConfig, datasets, manifest_name: str, describe,
                 if order_ocr:
                     texts = [t.text for t in order_tokens(record.ocr, config.overlap_threshold)]
                 frags = fragments(record.image_id, texts)
-                spilled = [b"".join([spill_record(hash64(seed, "shuffle", example_id), line)
-                                     for example_id, line in build(record, frags)])
+                spilled = [spill_records([(hash64(seed, "shuffle", example_id), line)
+                                          for example_id, line in build(record, frags)])
                            if build else b"" for build in builds]
             return (DatasetStats.entry(record) if with_stats else None), spilled
 
         spills = [os.path.join(config.out_dir, f".{name}-spill") for name, _, _ in datasets]
         counters: Counter = Counter()
-        # Forked workers inherit these files, but only with empty buffers (the
-        # pool forks at the first chunk, before any write), and they leave by
-        # os._exit, which flushes nothing.
+        # Forked workers inherit these files with empty buffers (they fork at
+        # the first chunk, before any write) and leave by os._exit, which flushes nothing.
         with ExitStack() as stack:
             writes = [fh.write for fh in _create(spills, written, stack)]
             for _, (entry, spilled) in ingest(config.inputs, counters, config.fraction, seed,

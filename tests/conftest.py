@@ -1,3 +1,4 @@
+import gzip
 import random
 import sys
 from pathlib import Path
@@ -51,3 +52,18 @@ def random_layout_record(rng: random.Random, image_id="img", min_tokens=1,
 @pytest.fixture
 def rng():
     return random.Random(1234)
+
+
+def write_damaged_gzip(path, data: bytes, damage: str) -> None:
+    """`data` gzipped, then damaged: "truncated" cuts the stream in half;
+    "corrupted" gives the first half of the lines a sound gzip member and
+    the rest a member whose first deflate block has the reserved type."""
+    if damage == "truncated":
+        stream = gzip.compress(data, mtime=0)
+        path.write_bytes(stream[:len(stream) // 2])
+        return
+    lines = data.splitlines(keepends=True)
+    half = len(lines) // 2
+    second = bytearray(gzip.compress(b"".join(lines[half:]), mtime=0))
+    second[10] = 0xFF  # the byte after the 10-byte header: BFINAL 1, BTYPE 11
+    path.write_bytes(gzip.compress(b"".join(lines[:half]), mtime=0) + bytes(second))

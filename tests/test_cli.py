@@ -1,4 +1,3 @@
-import gzip
 import json
 import os
 import subprocess
@@ -11,7 +10,7 @@ from scenetext import cli, kernels, pipeline
 from scenetext.cli import main
 from scenetext.records import serialize_record
 
-from conftest import random_layout_record
+from conftest import random_layout_record, write_damaged_gzip
 from scenetext.records import QaAnnotation
 import dataclasses
 
@@ -500,21 +499,6 @@ def test_seed_outside_64_bits_is_a_usage_error(corpus, tmp_path, capsys, argv, o
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
 
 
-def write_damaged_gzip(path, data: bytes, damage: str) -> None:
-    """`data` gzipped, then damaged: "truncated" cuts the stream in half;
-    "corrupted" gives the first half of the lines a sound gzip member and
-    the rest a member whose first deflate block has the reserved type."""
-    if damage == "truncated":
-        stream = gzip.compress(data, mtime=0)
-        path.write_bytes(stream[:len(stream) // 2])
-        return
-    lines = data.splitlines(keepends=True)
-    half = len(lines) // 2
-    second = bytearray(gzip.compress(b"".join(lines[half:]), mtime=0))
-    second[10] = 0xFF  # the byte after the 10-byte header: BFINAL 1, BTYPE 11
-    path.write_bytes(gzip.compress(b"".join(lines[:half]), mtime=0) + bytes(second))
-
-
 @pytest.mark.parametrize("damage", ["truncated", "corrupted"])
 @pytest.mark.parametrize("argv,output", [
     (["validate"], None),
@@ -591,16 +575,17 @@ def run_fresh(code: str, *argv):
     return json.loads(done.stdout)
 
 
-def modules_after_main(*argv):
-    """Exit code of `main(argv)` in a fresh interpreter, and the scenetext
-    modules that interpreter then holds."""
+def modules_after_main(*argv, setup=""):
+    """Exit code of `main(argv)` in a fresh interpreter that first runs
+    `setup`, and the modules that interpreter then holds."""
     exit_code, modules = run_fresh(
         "import contextlib, io, json, sys\n"
+        f"{setup}\n"
         "from scenetext.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
         "    code = main(sys.argv[1:])\n"
         "print(json.dumps([code, sorted(sys.modules)]))\n", *argv)
-    return exit_code, {m for m in modules if m.split(".")[0] == "scenetext"}
+    return exit_code, set(modules)
 
 
 @pytest.mark.parametrize("task,gold_key", [("vqa_anls", "answers"), ("caption", "references")])
@@ -625,6 +610,18 @@ def test_builds_load_no_metric_module(corpus, tmp_path, argv):
     assert code == 0
     assert "scenetext.pipeline" in modules
     assert not modules & METRIC_MODULES
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_builds_load_no_openssl_and_no_process_pool(corpus, tmp_path, threads):
+    # the CPU cap lifted, so --threads 2 forks its workers on any machine
+    code, modules = modules_after_main(
+        "build-pretrain", "--stages", "ocr,cap", "--threads", threads, "--out-dir",
+        tmp_path / "out", "--in", corpus,
+        setup="from scenetext import pipeline; pipeline.available_cpus = lambda: 2")
+    assert code == 0
+    assert len(list((tmp_path / "out").iterdir())) == 3
+    assert not modules & {"hashlib", "_hashlib", "concurrent.futures", "multiprocessing"}
 
 
 def test_package_reexports_load_on_first_access():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from scenetext.finetune import Task, build_caption_examples, build_vqa_examples, layout
 from scenetext.hashing import hash64
-from scenetext.pipeline import spill_record
+from scenetext.pipeline import spill_records
 from scenetext.pretrain import Objective, build_example, fragments, layouts
 from scenetext.records import QaAnnotation
 from scenetext.textformat import DEFAULT_FORMAT, TextFormat
@@ -81,8 +81,8 @@ def spilled(seed, pairs):
     """The spill records of the pairs pairs() builds, or the error that
     building or encoding them raised."""
     try:
-        return [spill_record(hash64(seed, "shuffle", example_id), line)
-                for example_id, line in pairs()]
+        return spill_records([(hash64(seed, "shuffle", example_id), line)
+                              for example_id, line in pairs()])
     except UnicodeEncodeError as exc:
         return repr(exc)
 

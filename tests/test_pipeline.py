@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import json
 import math
 import os
@@ -23,7 +24,7 @@ from scenetext.pipeline import (
     run,
     run_finetune,
     shuffle_and_shard,
-    spill_record,
+    spill_records,
 )
 from scenetext.pretrain import Objective
 from scenetext.records import QaAnnotation, serialize_record
@@ -54,6 +55,20 @@ def test_hash64_is_stable():
 
 _PARTS = [(), ("",), ("", ""), ("img0",), ("a", "b"), ("ab",), ("café", "東京", "ñ"),
           ("a\x1fb",), ("a", "\x1f", "b"), ("shuffle", "x" * 300)]
+
+
+def test_builtin_hash_constructors_match_hashlib():
+    for data in (b"", "café 東京 \x1f".encode("utf-8"), bytes(range(256)) * 4096):
+        assert hashing.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+        for key in (b"", b"seed\x00\xff", (2**64 - 1).to_bytes(8, "little")):
+            for size in (8, 64):
+                ours = hashing.blake2b(data, digest_size=size, key=key)
+                assert ours.digest() == hashlib.blake2b(data, digest_size=size, key=key).digest()
+    # streamed in pieces, and from a copy, as the builds feed them
+    digest = hashing.sha256()
+    for piece in (b"a", b"", "ü".encode("utf-8") * 1000):
+        digest.update(piece)
+    assert digest.copy().hexdigest() == hashlib.sha256(b"a" + "ü".encode("utf-8") * 1000).hexdigest()
 
 
 def test_hash64_matches_reference():
@@ -157,8 +172,8 @@ def example_line(example_id, text):
 
 def keyed(examples, seed):
     """(example_id, text) pairs as the spill records of their examples."""
-    return [spill_record(hash64(seed, "shuffle", ex_id), example_line(ex_id, text))
-            for ex_id, text in examples]
+    return spill_records([(hash64(seed, "shuffle", ex_id), example_line(ex_id, text))
+                          for ex_id, text in examples]).splitlines(keepends=True)
 
 
 def lines_of(examples):
@@ -193,7 +208,8 @@ def test_shuffle_and_shard_deterministic():
 def test_shuffle_and_shard_orders_colliding_keys_by_example_id(examples):
     # few keys, so most collide; ids and texts share prefixes and hold any
     # code point, and an id's order differs from its JSON-escaped order
-    records = [spill_record(key, example_line(ex_id, text)) for key, ex_id, text in examples]
+    records = spill_records([(key, example_line(ex_id, text))
+                             for key, ex_id, text in examples]).splitlines(keepends=True)
     expected = sorted((key, ex_id, f"{example_line(ex_id, text)}\n".encode())
                       for key, ex_id, text in examples)
     assert shuffle_and_shard(records, 1) == [[line for _, _, line in expected]]
@@ -203,7 +219,7 @@ def test_shuffle_and_shard_orders_colliding_keys_by_example_id(examples):
        st.lists(st.integers(0, 2**64 - 1), max_size=4))
 def test_shuffle_and_shard_dealt_by_key_range_equals_one_deal(keys, shard_count, cuts):
     # keys may repeat; ties on the key fall back to example_id order
-    examples = [(key, spill_record(key, example_line(f"id{i % 7}", f"line{i}")))
+    examples = [(key, spill_records([(key, example_line(f"id{i % 7}", f"line{i}"))]))
                 for i, key in enumerate(keys)]
     whole = shuffle_and_shard([record for _, record in examples], shard_count)
     edges = [0, *sorted(cuts), 2**64]

@@ -1,11 +1,12 @@
 """Builds with worker processes: none outlives a build, and a failure in a
 worker fails the build cleanly.
 
-Every test lifts the CPU cap (`pipeline.available_cpus`), so the pool runs
-even on a one-CPU machine.
+Every test lifts the CPU cap (`pipeline.available_cpus`), so the workers
+run even on a one-CPU machine. Workers are forked with `os.fork`, so the
+checks ask the OS (`waitpid`, /proc) which children this process has.
 """
 
-import multiprocessing
+import gzip
 import os
 import signal
 import subprocess
@@ -22,7 +23,7 @@ from scenetext.pipeline import PipelineConfig, ingest, run
 from scenetext.pretrain import Objective
 from scenetext.records import serialize_record
 
-from conftest import random_layout_record
+from conftest import random_layout_record, write_damaged_gzip
 
 SRC = str(Path(scenetext.__file__).resolve().parents[1])
 
@@ -75,20 +76,22 @@ def pooled(monkeypatch):
     monkeypatch.setattr(pipeline, "available_cpus", lambda: 4)
 
 
-def start_cli_in_own_session(tmp_path, argv, patch="", stderr=subprocess.PIPE):
+def start_cli_in_own_session(tmp_path, argv, patch="", stderr=subprocess.PIPE, stdin=None):
     """Start the CLI as the leader of a new session, whose id names its
     process group too."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     return subprocess.Popen([sys.executable, "-c", CLI.format(patch=patch), *map(str, argv)],
-                            cwd=tmp_path, env=env, start_new_session=True,
-                            stdout=subprocess.DEVNULL, stderr=stderr, text=True)
+                            cwd=tmp_path, env=env, start_new_session=True, stdin=stdin,
+                            stdout=subprocess.DEVNULL, stderr=stderr, encoding="utf-8")
 
 
-def run_cli_in_own_session(tmp_path, argv, patch=""):
-    """Run the CLI in a new session; return (exit code, stderr, session id)."""
-    proc = start_cli_in_own_session(tmp_path, argv, patch)
+def run_cli_in_own_session(tmp_path, argv, patch="", stdin_text=None):
+    """Run the CLI in a new session, with `stdin_text`, if given, fed to its
+    stdin through a pipe; return (exit code, stderr, session id)."""
+    proc = start_cli_in_own_session(tmp_path, argv, patch,
+                                    stdin=None if stdin_text is None else subprocess.PIPE)
     try:
-        _, err = proc.communicate(timeout=120)
+        _, err = proc.communicate(stdin_text, timeout=120)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         raise
@@ -98,6 +101,26 @@ def run_cli_in_own_session(tmp_path, argv, patch=""):
 def assert_no_process_left(session):
     with pytest.raises(ProcessLookupError):
         os.killpg(session, 0)
+
+
+def children() -> list[int]:
+    """The pids of this process's children, running or not yet reaped."""
+    found = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                ppid = fh.read().rsplit(")", 1)[1].split()[1]  # after "pid (comm) state"
+        except OSError:  # gone since the listing
+            continue
+        if int(ppid) == os.getpid():
+            found.append(int(pid))
+    return found
+
+
+def assert_no_child_left():
+    """This process has no child at all, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_cli_build_leaves_no_process(corpus, tmp_path):
@@ -165,7 +188,7 @@ def config(corpus, out_dir):
 def test_pooled_run_leaves_no_process(corpus, tmp_path, pooled):
     manifest = run(config(corpus, tmp_path / "out"))
     assert manifest["counters"]["valid_records"] == 5 * pipeline.CHUNK_LINES
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_exception_in_worker_fails_the_run_cleanly(corpus, tmp_path, pooled, monkeypatch):
@@ -177,7 +200,7 @@ def test_exception_in_worker_fails_the_run_cleanly(corpus, tmp_path, pooled, mon
     with pytest.raises(RuntimeError, match="failed in process") as raised:
         run(config(corpus, out_dir))
     assert int(str(raised.value).split()[-1]) != os.getpid()
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
     assert list(out_dir.iterdir()) == []
 
 
@@ -193,7 +216,7 @@ def test_interrupt_during_ingest_stops_the_workers(corpus, tmp_path, pooled, mon
     out_dir = tmp_path / "out"
     with pytest.raises(KeyboardInterrupt):
         run(config(corpus, out_dir))
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
     assert list(out_dir.iterdir()) == []
 
 
@@ -201,7 +224,48 @@ def test_closing_the_ingest_stops_the_workers(corpus, pooled):
     counters = Counter()
     lines = ingest([str(corpus)], counters, threads=2)
     next(lines)
-    assert len(multiprocessing.active_children()) == 2
+    assert len(children()) == 2
     lines.close()
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
     assert counters["valid_records"] == 1
+
+
+def shards_of(out_dir):
+    return {p.name: p.read_bytes() for p in out_dir.iterdir() if "-of-" in p.name}
+
+
+def test_gzip_and_stdin_inputs_build_the_shards_of_the_plain_file(corpus, tmp_path):
+    """Each worker rereads a gzip input itself; a pipe (here /dev/stdin) is
+    read once, by the build's own process, whatever --threads asks for."""
+    build = ["build-pretrain", "--stages", "splitocr,cap", "--passes", 2, "--shards", 2]
+    assert run_cli_in_own_session(tmp_path, [*build, "--in", corpus, "--out-dir", "plain"])[0] == 0
+    expected = shards_of(tmp_path / "plain")
+    assert len(expected) == 4
+    gz = tmp_path / "corpus.jsonl.gz"
+    gz.write_bytes(gzip.compress(corpus.read_bytes()))
+    for threads in (1, 2):
+        for name, source, stdin_text in (("gzip", gz, None),
+                                         ("stdin", "/dev/stdin", corpus.read_text("utf-8"))):
+            out_dir = tmp_path / f"{name}{threads}"
+            code, err, session = run_cli_in_own_session(
+                tmp_path, [*build, "--threads", threads, "--in", source, "--out-dir", out_dir],
+                stdin_text=stdin_text)
+            assert (code, err.startswith("built 2 stage(s)")) == (0, True)
+            assert shards_of(out_dir) == expected, (name, threads)
+            assert_no_process_left(session)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("damage", ["truncated", "corrupted"])
+def test_damaged_gzip_input_fails_the_build_cleanly(corpus, tmp_path, damage, threads):
+    gz = tmp_path / "damaged.jsonl.gz"
+    write_damaged_gzip(gz, corpus.read_bytes(), damage)
+    out_dir = tmp_path / "out"
+    code, err, session = run_cli_in_own_session(
+        tmp_path, ["build-pretrain", "--stages", "splitocr,cap", "--threads", threads,
+                   "--in", gz, "--out-dir", out_dir])
+    assert code == 1
+    assert err.startswith(f"error: {gz}: ")
+    assert "Traceback" not in err
+    assert list(out_dir.iterdir()) == []
+    assert_no_process_left(session)
