@@ -9,13 +9,15 @@ memory: each example goes, as its shuffle key and UTF-8 JSON line
 After the pass each dataset's spill file is split by its key range into
 parts of about SPILL_BUCKET_BYTES, as many as its size asks for, within
 the descriptors the process may still open (its soft RLIMIT_NOFILE). The
-parts are read back one at a time in key order, sorted and dealt
-round-robin to shard files that stay open, so a build holds one part at a
-time; shards beyond the free descriptors are written in groups, each on
-one more read of the parts. Spill files are hidden (`.{dataset}-spill`, a
-part adds `-{part}`), take about the uncompressed shard bytes of free disk
-beside the shards, and never outlive a build: each is removed once read
-for the last time, and all are removed if the build fails.
+parts are read back once each, in key order, sorted and dealt
+round-robin, each shard's lines appended to its hidden shard file; then
+the shards are finalized one at a time, so a build holds one part, or one
+shard's compressor, at a time. Hidden files (`.{dataset}-spill`, a part
+adds `-{part}`, and `.{dataset}-{i}-of-{n}.jsonl`) take about the
+uncompressed shard bytes of free disk beside the shards and never outlive
+a build: each is removed or renamed once done, and all are removed if the
+build fails. A build that succeeds removes the shards of its datasets its
+manifest does not list.
 
 The per-line work (decode, parse, the per-record validation rules, the
 keep test, ordering, building and serializing) runs on chunks of lines.
@@ -37,6 +39,7 @@ import gzip
 import json
 import math
 import os
+import re
 import zlib
 from collections import Counter
 from contextlib import ExitStack, suppress
@@ -349,15 +352,14 @@ def _create(paths: Iterable[str], written: list[str], stack: ExitStack) -> list:
 
 
 SPILL_BUCKET_BYTES = 1 << 17  # spill bytes of a part read back; a file over twice this is split
-OPEN_FILES_MAX = 512  # spill or shard files open at once, each with an 8 KiB write buffer
-OPEN_GZIP_MAX = 32  # compressed shards open at once, each with ~263 KiB of deflate state
+OPEN_FILES_MAX = 512  # spill parts a split opens at once, each with an 8 KiB write buffer
 
 
 def _free_descriptors() -> int:
     """How many more files this process may open: its soft RLIMIT_NOFILE less
     the descriptors open now (the listing's own included). Where there is no
     limit, or the platform cannot tell (no `resource` module or no /dev/fd),
-    a count no cap here reaches: the OPEN_* caps alone apply."""
+    a count no cap here reaches: OPEN_FILES_MAX alone applies."""
     try:
         import resource
 
@@ -400,56 +402,54 @@ def _read_spill(path: str) -> list[bytes]:
         return fh.read().splitlines(keepends=True)
 
 
-def _dealt_buckets(paths: list[str], shard_count: int, remove: bool) -> Iterator[list[list[bytes]]]:
-    """Each spill part of one dataset, in key order, read (and removed, if
-    `remove`), then dealt by `shuffle_and_shard` from where the previous
-    part stopped: the shards of the whole dataset sorted at once, one part
-    at a time."""
-    dealt = 0
-    for path in paths:
-        examples = _read_spill(path)
-        if remove:
-            os.remove(path)
-        yield shuffle_and_shard(examples, shard_count, dealt)
-        dealt += len(examples)
-
-
 def _write_shards(spills: list[str], out_dir: str, dataset: str, shard_count: int,
                   compress: bool, written: list[str]) -> list[dict]:
     """Write shard file i of a dataset as the i-th line list of each of its
-    spill parts (`spills`, in key order) as `_dealt_buckets` deals them,
-    streaming its sha256 and, under `compress`, its gzip member. A
-    `zlib.compressobj(9, DEFLATED, 31)` writes zlib's own header (mtime 0)
-    and the same bytes however the payload is fed, on every CPython; that is
-    `gzip.compress(payload, mtime=0)` on 3.11, while 3.10 and 3.13 write 255
-    in place of zlib's OS byte. The shards are written in groups that fit
-    the free descriptors, OPEN_FILES_MAX and, under `compress`,
-    OPEN_GZIP_MAX, each group on one more read of the parts; the last
-    removes them. Each path joins `written` once opened."""
-    suffix = ".jsonl.gz" if compress else ".jsonl"
-    names = [f"{dataset}-{i:05d}-of-{shard_count:05d}{suffix}" for i in range(shard_count)]
-    counts = [0] * shard_count
-    digests = [sha256() for _ in names]
-    # one descriptor is left for the part being read, one for the manifest
-    group = max(1, min(OPEN_GZIP_MAX if compress else OPEN_FILES_MAX, _free_descriptors() - 2))
-    for low in range(0, shard_count, group):
-        high = min(low + group, shard_count)
-        gzips = [zlib.compressobj(9, zlib.DEFLATED, 31) for _ in range(low, high)] if compress else ()
-        with ExitStack() as stack:
-            files = _create([os.path.join(out_dir, name) for name in names[low:high]], written, stack)
-            for shards in _dealt_buckets(spills, shard_count, remove=high == shard_count):
-                for i, (lines, fh) in enumerate(zip(shards[low:high], files), low):
-                    counts[i] += len(lines)
-                    data = b"".join(lines)
-                    if gzips:
-                        data = gzips[i - low].compress(data)
+    spill parts (`spills`, in key order), each read once and removed, then
+    dealt by `shuffle_and_shard` from where the previous part stopped: the
+    shards of the whole dataset sorted at once. Each line list is appended
+    to its shard's hidden file `.{name}`. Then, one shard at a time, that
+    file is renamed to `name`, or under `compress` read in blocks into a
+    `zlib.compressobj(9, DEFLATED, 31)` writing `name.gz`, and removed. The
+    compressor writes zlib's own header (mtime 0) and the same bytes however
+    the payload is fed, on every CPython: `gzip.compress(payload, mtime=0)`
+    on 3.11, while 3.10 and 3.13 write 255 in place of zlib's OS byte. Each
+    path joins `written` once created."""
+    names = [f"{dataset}-{i:05d}-of-{shard_count:05d}.jsonl" for i in range(shard_count)]
+    hidden = [os.path.join(out_dir, f".{name}") for name in names]
+    for path in hidden:
+        open(path, "wb").close()
+        written.append(path)
+    counts, digests, dealt = [0] * shard_count, [sha256() for _ in names], 0
+    for spill in spills:
+        examples = _read_spill(spill)
+        os.remove(spill)
+        for i, lines in enumerate(shuffle_and_shard(examples, shard_count, dealt)):
+            if lines:
+                data = b"".join(lines)
+                counts[i] += len(lines)
+                if not compress:  # a gzip shard's digest is of its compressed bytes
                     digests[i].update(data)
+                with open(hidden[i], "ab") as fh:
                     fh.write(data)
-            for gz, digest, fh in zip(gzips, digests[low:high], files):
-                tail = gz.flush()
-                digest.update(tail)
-                fh.write(tail)
-    return [{"file": name, "examples": count, "sha256": digest.hexdigest()}
+        dealt += len(examples)
+    suffix = ".gz" if compress else ""
+    for name, path, digest in zip(names, hidden, digests):
+        final = os.path.join(out_dir, name + suffix)
+        if compress:
+            gz = zlib.compressobj(9, zlib.DEFLATED, 31)
+            with open(path, "rb") as fh, open(final, "wb") as out:
+                written.append(final)
+                for block in iter(partial(fh.read, 1 << 16), b""):
+                    out.write(data := gz.compress(block))
+                    digest.update(data)
+                out.write(data := gz.flush())
+                digest.update(data)
+            os.remove(path)
+        else:
+            os.replace(path, final)
+            written.append(final)
+    return [{"file": name + suffix, "examples": count, "sha256": digest.hexdigest()}
             for name, count, digest in zip(names, counts, digests)]
 
 
@@ -470,7 +470,8 @@ def _build(config: PipelineConfig, datasets, manifest_name: str, describe,
     `_split_oversized`, is dealt to its shards, and the manifest is
     written: the common head plus describe([(example_count, shard_infos),
     ...]). Every file this run wrote, spill files included, is removed if
-    any step fails.
+    any step fails; once the manifest is written, every shard file of these
+    datasets that it does not list is removed.
 
     Ordering, building and serializing are the per-record `work` of the
     ingest, so they run in its worker processes; the stats, the spill
@@ -527,12 +528,20 @@ def _build(config: PipelineConfig, datasets, manifest_name: str, describe,
             written.append(manifest_path)
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        return manifest
     except BaseException:
         for path in written:
             if os.path.exists(path):
                 os.remove(path)
         raise
+    # an earlier build's shards of these datasets, which a loader that globs
+    # a dataset's shards would read with this build's
+    shard_name = re.compile(r"(?:%s)-[0-9]{5,}-of-[0-9]{5,}\.jsonl(?:\.gz)?"
+                            % "|".join(re.escape(name) for name, _, _ in datasets))
+    listed = {info["file"] for _, infos in built for info in infos}
+    for name in os.listdir(config.out_dir):
+        if shard_name.fullmatch(name) and name not in listed:
+            os.remove(os.path.join(config.out_dir, name))
+    return manifest
 
 
 def run(config: PipelineConfig) -> dict:

@@ -479,6 +479,38 @@ def test_failed_build_removes_its_shards(corpus, tmp_path, capsys, monkeypatch, 
     assert [p.name for p in out_dir.iterdir()] == [blocked]
 
 
+@pytest.mark.parametrize("compress", [[], ["--compress"]], ids=["plain", "compress"])
+@pytest.mark.parametrize("argv,blocked", [
+    (["build-pretrain", "--stages", "splitocr,cap"], "stage1_cap-00002-of-00003.jsonl"),
+    (["build-finetune", "--task", "vqa"], "finetune_vqa-00002-of-00003.jsonl"),
+], ids=["build-pretrain", "build-finetune"])
+def test_rebuild_leaves_only_the_shards_its_manifest_lists(corpus, tmp_path, capsys, argv,
+                                                           blocked, compress):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    # not the datasets of this build: kept
+    others = ["stage2_ocr-00000-of-00004.jsonl", "finetune_caption-00000-of-00001.jsonl.gz",
+              "notes.txt"]
+    for name in others:
+        (out_dir / name).write_text("not this build's")
+    build = [*argv, "--in", corpus, "--out-dir", out_dir]
+    assert run_cli(capsys, *build, "--shards", 4)[0] == 0
+    code, out, _ = run_cli(capsys, "--json", *build, "--shards", 2, *compress)
+    assert code == 0
+    manifest = json.loads(out)
+    listed = [shard["file"] for dataset in manifest.get("stages", [manifest])
+              for shard in dataset["shards"]]
+    assert len(listed) == len(manifest.get("stages", [manifest])) * 2
+    built = sorted(p.name for p in out_dir.iterdir())
+    assert [name for name in built if "-of-" in name and name not in others] == sorted(listed)
+    assert set(others) <= set(built)
+    # a failed rebuild removes none of them
+    blocked += ".gz" if compress else ""
+    (out_dir / blocked).mkdir()
+    assert run_cli(capsys, *build, "--shards", 3, *compress)[0] == 1
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted([*built, blocked])
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 @pytest.mark.parametrize("argv,output", [
     (["build-pretrain", "--objective", "splitocr", "--out-dir"], "out"),

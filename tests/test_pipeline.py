@@ -604,9 +604,11 @@ def test_spilled_build_is_byte_identical_to_hold_and_sort(tmp_path, rng, monkeyp
               "one": max(sizes.values())}[split]
     monkeypatch.setattr(pipeline, "SPILL_BUCKET_BYTES", target)
     splits, reads = spill_splits(monkeypatch), spill_reads(monkeypatch)
+    read = counted(monkeypatch, pipeline, "_read_spill")
     spilled = _build_files(lambda: main(command), out_dir)
     assert spilled == held
     assert not [name for name in spilled if name.startswith(".")]
+    assert len(read) == len({path for (path,) in read})  # each spill part read once
     # one spill file per dataset, holding what the dataset spilled
     assert {name[1:-len("-spill")]: size for name, parts, size in splits if parts == 1} == sizes
     assert_reads_bounded(reads)
@@ -656,8 +658,29 @@ def test_build_with_more_shards_than_free_descriptors(tmp_path, rng, monkeypatch
     assert spilled == held
     datasets = len(argv[argv.index("--stages") + 1].split(","))
     assert len([name for name in spilled if "-of-" in name]) == datasets * shards
-    # the shards were written in groups, each on one more read of the buckets
-    assert len(read) > len({path for (path,) in read})
+    # each spill part was read once, however many shards it was dealt to
+    assert len(read) == len({path for (path,) in read}) > 0
+
+
+def test_compressed_build_memory_does_not_grow_with_shards(tmp_path, rng):
+    import tracemalloc
+
+    from scenetext.cli import main
+
+    path = tmp_path / "hostile.jsonl"
+    _hostile_corpus(path, rng, 13, 1.0)
+    argv = ["build-finetune", "--task", "vqa", "--shards", "64", "--compress", "--seed", "13",
+            "--in", str(path), "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 0  # loads the modules and fills their caches outside the trace
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a gzip compressor holds ~263 KiB of deflate state: one open per shard
+    # would take 16 MiB here
+    assert peak < 3 << 20
 
 
 def test_build_where_the_descriptor_limit_cannot_be_read(tmp_path, rng, monkeypatch):
