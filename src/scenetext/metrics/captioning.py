@@ -4,7 +4,10 @@ All three share one tokenizer (lowercase, split on non-alphanumerics) so
 scores are comparable across metrics, and one pass computes them:
 `caption_scores` tokenizes each string once, counts each string's n-grams
 once, and feeds those counts to all three. `cider`, `bleu4` and `rouge_l`
-are views of that pass.
+are views of that pass. The pass is split at the item: `caption_scorer`
+does the corpus-wide work and scores one item at a time, and
+`combine_caption_rows` makes the corpus scores of the items' rows, so
+`evaluate` can score the items in worker processes.
 """
 
 import math
@@ -64,6 +67,17 @@ def caption_scores(items, max_n: int = 4, sigma: float = 6.0, beta: float = 1.2)
     every CIDEr-D weight and score is 0; `cider` and `evaluate` reject such
     a corpus with `require_cider_corpus`.
     """
+    score = caption_scorer(items, max_n, sigma, beta)
+    return combine_caption_rows([score(i) for i in range(len(items))])
+
+
+def caption_scorer(items, max_n: int = 4, sigma: float = 6.0, beta: float = 1.2):
+    """The corpus-wide part of `caption_scores`: tokenize every string once
+    and count document frequencies. Returns score(i), item i's row: (CIDEr-D,
+    ROUGE-L, BLEU's clipped n-gram matches and n-gram totals for n = 1..max_n,
+    candidate length, closest reference length). A row depends on the corpus
+    only through what this call computed, so rows may be scored in any
+    process that holds it, in any order."""
     if not items:
         raise ContractError("caption metrics need at least one item")
 
@@ -85,11 +99,8 @@ def caption_scores(items, max_n: int = 4, sigma: float = 6.0, beta: float = 1.2)
     # the textbook form with one TF-IDF dict per string: a reference's
     # weights are its counts times idf, and the n-grams a reference lacks
     # only add +0.0 terms to the dot product, so they are not visited.
-    cider_per_item, rouge_per_item = [], []
-    matched = [0] * max_n
-    totals = [0] * max_n
-    cand_len = ref_len = 0
-    for cand, refs in zip(cand_tokens, ref_tokens):
+    def score(i: int) -> tuple:
+        cand, refs = cand_tokens[i], ref_tokens[i]
         cand_counts = _ngram_counts(cand, max_n)
         ref_counts = [_ngram_counts(r, max_n) for r in refs]
 
@@ -111,25 +122,35 @@ def caption_scores(items, max_n: int = 4, sigma: float = 6.0, beta: float = 1.2)
                     dot = sum(min(w, rw) * rw for w, rw in shared)
                     sim += dot / (cnorms[n] * rnorm) * penalty
             total += sim / max_n
-        cider_per_item.append(10.0 * total / len(refs))
 
-        cand_len += len(cand)
-        ref_len += min((abs(len(r) - len(cand)), len(r)) for r in refs)[1]
-        for n, counts in enumerate(cand_counts):
-            totals[n] += sum(counts.values())
-            matched[n] += sum(min(count, max(rc[n].get(ng, 0) for rc in ref_counts))
-                              for ng, count in counts.items())
+        matched = tuple(sum(min(count, max(rc[n].get(ng, 0) for rc in ref_counts))
+                            for ng, count in counts.items())
+                        for n, counts in enumerate(cand_counts))
+        totals = tuple(sum(counts.values()) for counts in cand_counts)
+        ref_len = min((abs(len(r) - len(cand)), len(r)) for r in refs)[1]
+        return (10.0 * total / len(refs), _rouge_l(cand, refs, beta), matched, totals,
+                len(cand), ref_len)
 
-        rouge_per_item.append(_rouge_l(cand, refs, beta))
+    return score
 
+
+def combine_caption_rows(rows: list[tuple]) -> CaptionScores:
+    """The scores of a corpus from its `caption_scorer` rows, in item order:
+    the floats are summed in that order and BLEU's counts are integers, so
+    the scores do not depend on where each row was computed."""
+    cider_per_item = [row[0] for row in rows]
+    matched = [sum(counts) for counts in zip(*(row[2] for row in rows))]
+    totals = [sum(counts) for counts in zip(*(row[3] for row in rows))]
+    cand_len = sum(row[4] for row in rows)
+    ref_len = sum(row[5] for row in rows)
     if any(t == 0 or m == 0 for m, t in zip(matched, totals)):
         bleu = 0.0
     else:
-        log_prec = sum(math.log(m / t) for m, t in zip(matched, totals)) / max_n
+        log_prec = sum(math.log(m / t) for m, t in zip(matched, totals)) / len(totals)
         bp = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / max(cand_len, 1))
         bleu = bp * math.exp(log_prec)
     return CaptionScores(sum(cider_per_item) / len(cider_per_item), cider_per_item,
-                         bleu, rouge_per_item)
+                         bleu, [row[1] for row in rows])
 
 
 def _rouge_l(cand: list[str], refs: list[list[str]], beta: float) -> float:

@@ -4,8 +4,9 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .. import workers
 from ..errors import AlignmentError, ContractError, ParseError
-from .captioning import CaptionItem, caption_scores, require_cider_corpus
+from .captioning import CaptionItem, caption_scorer, combine_caption_rows, require_cider_corpus
 from .vqa import VqaItem, anls, require_tau, vqa_accuracy
 
 
@@ -44,12 +45,33 @@ def _gold_texts(ex_id: str, texts, what: str) -> list[str]:
     return texts
 
 
+def _scored(score, count: int) -> list:
+    """[score(i) for i in range(count)], scored in chunks of CHUNK_ITEMS
+    items by forked workers, one per CPU and chunk at most, or here when
+    that is one (`workers.map`). A worker inherits all that `score` reads,
+    so only the rows cross a pipe."""
+    size = workers.CHUNK_ITEMS
+
+    def chunks():
+        return (range(start, min(start + size, count)) for start in range(0, count, size))
+
+    def job(chunk: range) -> list:
+        return [score(i) for i in chunk]
+
+    return [row for _, rows in workers.map(job, chunks, -(-count // size)) for row in rows]
+
+
 def evaluate(predictions: dict[str, str], golds: dict[str, dict],
              task: EvalTask, tau: float = 0.5) -> MetricReport:
     """Score aligned predictions against gold entries.
 
     Gold entries carry "answers" (VQA tasks) or "references" (CAPTION).
     `tau` must be in [0, 1] for every task, also where ANLS does not run.
+
+    Everything that reads the whole input or can reject it runs here
+    first; then the items are scored one by one (`_scored`), possibly in
+    worker processes, and their scores summed here in item order, so the
+    report is the same wherever they ran.
     """
     require_tau(tau)
     ids = _align(predictions, golds)
@@ -60,14 +82,20 @@ def evaluate(predictions: dict[str, str], golds: dict[str, dict],
         # golds carry one or two, so VQA_ANLS scores accuracy only when
         # every gold has ten, and VQA lets VqaItem reject the rest.
         with_accuracy = task is EvalTask.VQA or all(len(a) == 10 for a in answer_lists)
-        per_item = []
-        for ex_id, answers in zip(ids, answer_lists):
-            row = {"example_id": ex_id}
+        if with_accuracy:
+            items = [VqaItem(predictions[ex_id], tuple(answers))
+                     for ex_id, answers in zip(ids, answer_lists)]
+
+        def score(i: int) -> dict:
+            row = {}
             if with_accuracy:
-                row["accuracy"] = vqa_accuracy(VqaItem(predictions[ex_id], tuple(answers)))
+                row["accuracy"] = vqa_accuracy(items[i])
             if task is EvalTask.VQA_ANLS:
-                row["anls"] = anls(predictions[ex_id], answers, tau=tau)
-            per_item.append(row)
+                row["anls"] = anls(predictions[ids[i]], answer_lists[i], tau=tau)
+            return row
+
+        per_item = [{"example_id": ex_id, **row}
+                    for ex_id, row in zip(ids, _scored(score, len(ids)))]
         aggregate = {metric: sum(r[metric] for r in per_item) / len(per_item)
                      for metric in per_item[0] if metric != "example_id"}
         return MetricReport(aggregate=aggregate, per_item=per_item)
@@ -79,7 +107,7 @@ def evaluate(predictions: dict[str, str], golds: dict[str, dict],
             refs = _gold_texts(ex_id, gold.get("references") or gold.get("answers"), "references")
             items.append(CaptionItem(predictions[ex_id], tuple(refs)))
         require_cider_corpus(items)
-        scores = caption_scores(items)
+        scores = combine_caption_rows(_scored(caption_scorer(items), len(items)))
         per_item = [
             {"example_id": ex_id, "cider": c, "rougeL": r}
             for ex_id, c, r in zip(ids, scores.cider_per_item, scores.rouge_l)

@@ -9,7 +9,6 @@ lowercase + trim.
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ..errors import ContractError
 from ..kernels import levenshtein
@@ -47,12 +46,11 @@ def normalize_answer(text: str) -> str:
 
 
 # Closed form in the match count m: m of the ten leave-one-out subsets hold
-# m-1 matches and 10-m hold m. Rational arithmetic, so each entry equals
-# the subset enumeration bit-for-bit.
+# m-1 matches and 10-m hold m, each scoring min(matches, 3) / 3. The mean
+# is one int-by-int true division, which Python rounds correctly, so each
+# entry is the exact rational mean rounded once.
 _ACCURACY_BY_MATCHES = tuple(
-    float((m * min(Fraction(max(m - 1, 0), 3), Fraction(1))
-           + (10 - m) * min(Fraction(m, 3), Fraction(1))) / 10)
-    for m in range(11)
+    (m * min(max(m - 1, 0), 3) + (10 - m) * min(m, 3)) / 30 for m in range(11)
 )
 
 

@@ -16,14 +16,16 @@ shard's compressor, at a time. Hidden files (`.{dataset}-spill`, a part
 adds `-{part}`, and `.{dataset}-{i}-of-{n}.jsonl`) take about the
 uncompressed shard bytes of free disk beside the shards and never outlive
 a build: each is removed or renamed once done, and all are removed if the
-build fails. A build that succeeds removes the shards of its datasets its
-manifest does not list.
+build fails. A build that succeeds removes every shard of the datasets it
+owns that its manifest does not list: a pre-training build owns every
+stage dataset (`stage{i}_{objective}`), since only its manifest.json
+lists them, and a fine-tuning build its task's.
 
 The per-line work (decode, parse, the per-record validation rules, the
 keep test, ordering, building and serializing) runs on chunks of lines.
 With `threads` > 1 it runs in up to that many forked worker processes,
 capped at the CPUs available, that read regular-file inputs themselves
-(`_map_chunks`); with 1 it runs in this process. Either way this process
+(`workers.map`); with 1 it runs in this process. Either way this process
 reads the lines, applies the duplicate rule and the counters in line
 order, and shuffles and writes, so the chunking changes nothing.
 
@@ -42,13 +44,13 @@ import os
 import re
 import zlib
 from collections import Counter
-from contextlib import ExitStack, suppress
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
-from typing import Iterable, Iterator, NoReturn
+from typing import Iterable, Iterator
 
-from . import __version__
+from . import __version__, workers
 from .errors import ConfigError, ParseError, SceneTextError, SchemaError
 from .finetune import Task, build_caption_examples, build_vqa_examples, layout
 from .hashing import hash64, keep_fraction, sha256
@@ -158,20 +160,9 @@ def iter_lines(paths: Iterable[str]) -> Iterator[bytes]:
                 raise SceneTextError(f"{path}: {exc}") from None
 
 
-CHUNK_LINES = 64  # lines per unit of work handed to a worker
-
-
-def available_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _chunks(paths: Iterable[str]) -> Iterator[list[bytes]]:
     lines = iter_lines(paths)
-    while chunk := list(islice(lines, CHUNK_LINES)):
+    while chunk := list(islice(lines, workers.CHUNK_ITEMS)):
         yield chunk
 
 
@@ -194,64 +185,6 @@ def _check_chunk(lines: list[bytes], work, seed: int, fraction: float) -> list:
     return results
 
 
-def _map_chunks(job, paths: tuple[str, ...], workers: int) -> Iterator[tuple[list, list]]:
-    """Yield (chunk, job(chunk)) for each chunk of the inputs' lines, in
-    order. With more than one worker, where processes can fork and every
-    input is a regular file, chunk k's job runs in forked worker k mod
-    `workers`, else here. However this ends, every worker is killed and reaped."""
-    if workers < 2 or not hasattr(os, "fork") or not all(map(os.path.isfile, paths)):
-        for chunk in _chunks(paths):
-            yield chunk, job(chunk)
-        return
-    import fcntl
-    import pickle
-    import signal
-
-    def work(index: int, pipe) -> NoReturn:
-        """Worker `index`: pickle job(chunk) to `pipe` for chunks index, index +
-        workers, ..., or the exception that ends the work, and exit. It ignores Ctrl-C
-        and holds no read end, so it exits at its next write once the parent is gone."""
-        try:
-            signal.signal(signal.SIGINT, signal.SIG_IGN)
-            for read_end in pipes:
-                read_end.close()
-            for k, chunk in enumerate(_chunks(paths)):
-                if k % workers == index:
-                    pickle.dump(job(chunk), pipe)
-                    pipe.flush()
-        except Exception as exc:
-            pickle.dump(exc, pipe)
-            pipe.flush()
-        finally:  # also when the handler above fails
-            os._exit(0)  # runs none of the parent's cleanup: no buffer or file is flushed
-
-    pids, pipes = [], []
-    try:
-        for index in range(workers):
-            read_end, write_end = os.pipe()
-            pipes.append(open(read_end, "rb"))
-            with suppress(AttributeError, OSError):  # Linux only, within its limits
-                fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 1 << 20)  # not 64 KiB: ~5 chunks' results
-            with open(write_end, "wb") as pipe:
-                if (pid := os.fork()) == 0:
-                    work(index, pipe)
-                pids.append(pid)
-        for k, chunk in enumerate(_chunks(paths)):
-            try:
-                result = pickle.load(pipes[k % workers])
-            except (EOFError, pickle.UnpicklingError):
-                raise SceneTextError("a build worker process died") from None
-            if isinstance(result, Exception):
-                raise result
-            yield chunk, result
-    finally:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for pipe in pipes:
-            pipe.close()
-
-
 def _same(record: Record) -> Record:
     return record
 
@@ -272,17 +205,20 @@ def ingest(paths: Iterable[str], counters: Counter, fraction: float = 1.0, seed:
     subsamples are order-independent and nested across fractions.
 
     The fraction is checked at once, before any line is read. Parsing, the
-    per-record rules, the keep test and `work` run on chunks of lines in up
-    to `threads` processes (capped at `available_cpus()`); the duplicate
+    per-record rules, the keep test and `work` run on chunks of lines: in up
+    to `threads` forked processes (`workers.map`) when every input is a
+    regular file, which each worker reads itself, else here; the duplicate
     rule and the counters run here, in line order, so neither depends on
     the chunking. A kept duplicate's work is done and dropped. This is the
     one place that sets `valid_records` and `subsampled_records`, both
     reported even when no line is valid.
     """
     _check_fraction(fraction)
+    paths = tuple(paths)
     job = partial(_check_chunk, work=work, seed=seed, fraction=fraction)
-    return _ingest(_map_chunks(job, tuple(paths), min(threads, available_cpus())),
-                   counters, violations)
+    if not all(map(os.path.isfile, paths)):  # a pipe is read once, here
+        threads = 1
+    return _ingest(workers.map(job, partial(_chunks, paths), threads), counters, violations)
 
 
 def _ingest(chunk_results, counters: Counter, violations: Counter | None):
@@ -458,7 +394,7 @@ def _config_hash(config: PipelineConfig) -> str:
     return sha256(canon).hexdigest()
 
 
-def _build(config: PipelineConfig, datasets, manifest_name: str, describe,
+def _build(config: PipelineConfig, datasets, manifest_name: str, describe, owned: str,
            stats: DatasetStats | None = None, order_ocr: bool = True) -> dict:
     """The one build path. One pass over the kept records adds each to the
     stats, if given, and keeps the (name, eligible, build) datasets whose
@@ -470,8 +406,9 @@ def _build(config: PipelineConfig, datasets, manifest_name: str, describe,
     `_split_oversized`, is dealt to its shards, and the manifest is
     written: the common head plus describe([(example_count, shard_infos),
     ...]). Every file this run wrote, spill files included, is removed if
-    any step fails; once the manifest is written, every shard file of these
-    datasets that it does not list is removed.
+    any step fails; once the manifest is written, every shard file that it
+    does not list of a dataset whose name fully matches the regex `owned`
+    is removed.
 
     Ordering, building and serializing are the per-record `work` of the
     ingest, so they run in its worker processes; the stats, the spill
@@ -533,10 +470,9 @@ def _build(config: PipelineConfig, datasets, manifest_name: str, describe,
             if os.path.exists(path):
                 os.remove(path)
         raise
-    # an earlier build's shards of these datasets, which a loader that globs
-    # a dataset's shards would read with this build's
-    shard_name = re.compile(r"(?:%s)-[0-9]{5,}-of-[0-9]{5,}\.jsonl(?:\.gz)?"
-                            % "|".join(re.escape(name) for name, _, _ in datasets))
+    # an earlier build's shards of the datasets this build owns, which a
+    # loader that globs a dataset's shards would read with this build's
+    shard_name = re.compile(r"(?:%s)-[0-9]{5,}-of-[0-9]{5,}\.jsonl(?:\.gz)?" % owned)
     listed = {info["file"] for _, infos in built for info in infos}
     for name in os.listdir(config.out_dir):
         if shard_name.fullmatch(name) and name not in listed:
@@ -565,7 +501,9 @@ def run(config: PipelineConfig) -> dict:
 
     datasets = [(f"stage{i}_{objective.value.lower()}", objective.eligible,
                  stage_build(objective)) for i, objective in enumerate(stages)]
-    return _build(config, datasets, "manifest.json", describe, stats)
+    # every stage dataset: manifest.json, now this build's, lists no other
+    owned = r"stage[0-9]+_(?:%s)" % "|".join(objective.value.lower() for objective in Objective)
+    return _build(config, datasets, "manifest.json", describe, owned, stats)
 
 
 def run_finetune(config: PipelineConfig, task: Task, ocr_included: bool = True) -> dict:
@@ -581,4 +519,5 @@ def run_finetune(config: PipelineConfig, task: Task, ocr_included: bool = True) 
 
     return _build(config, [(dataset, task.eligible,
                             lambda record, frags: builder(record, frags, task_layout))],
-                  f"{dataset}_manifest.json", describe, order_ocr=ocr_included)
+                  f"{dataset}_manifest.json", describe, re.escape(dataset),
+                  order_ocr=ocr_included)

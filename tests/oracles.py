@@ -702,7 +702,7 @@ def oracle_write_shards(shards, out_dir, dataset, compress, written):
     return infos
 
 
-def oracle_hold_and_sort_build(config, datasets, manifest_name, describe, stats=None,
+def oracle_hold_and_sort_build(config, datasets, manifest_name, describe, owned, stats=None,
                                order_ocr=True):
     """The one build path. One pass over the kept records adds each to the
     stats, if given, and keeps the (name, eligible, build) datasets whose
@@ -710,7 +710,8 @@ def oracle_hold_and_sort_build(config, datasets, manifest_name, describe, stats=
     texts (None unless order_ocr) and adds the examples of the dataset's
     old builder (`old_examples`, not its build) to each. Then each dataset is shuffled/sharded and written, and the manifest:
     the common head plus describe([(example_count, shard_infos), ...]).
-    Every file this run wrote is removed if any step fails."""
+    Every file this run wrote is removed if any step fails. It removes no
+    earlier build's shards, so `owned` is unused."""
     import os
     from scenetext import __version__, pipeline
 

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import scenetext
-from scenetext import cli, kernels, pipeline
+from scenetext import cli, kernels, pipeline, workers
 from scenetext.cli import main
 from scenetext.records import serialize_record
 
@@ -488,9 +488,13 @@ def test_rebuild_leaves_only_the_shards_its_manifest_lists(corpus, tmp_path, cap
                                                            blocked, compress):
     out_dir = tmp_path / "out"
     out_dir.mkdir()
-    # not the datasets of this build: kept
-    others = ["stage2_ocr-00000-of-00004.jsonl", "finetune_caption-00000-of-00001.jsonl.gz",
-              "notes.txt"]
+    # not the datasets of this build: kept, but for another stage plan's
+    # shards, which only a pre-training build's manifest.json could list
+    other_stage = "stage2_ocr-00000-of-00004.jsonl"
+    others = ["finetune_caption-00000-of-00001.jsonl.gz", "notes.txt"]
+    (out_dir / other_stage).write_text("an earlier stage plan's")
+    if argv[0] == "build-finetune":
+        others.append(other_stage)
     for name in others:
         (out_dir / name).write_text("not this build's")
     build = [*argv, "--in", corpus, "--out-dir", out_dir]
@@ -504,11 +508,29 @@ def test_rebuild_leaves_only_the_shards_its_manifest_lists(corpus, tmp_path, cap
     built = sorted(p.name for p in out_dir.iterdir())
     assert [name for name in built if "-of-" in name and name not in others] == sorted(listed)
     assert set(others) <= set(built)
+    assert (other_stage in built) == (argv[0] == "build-finetune")
     # a failed rebuild removes none of them
     blocked += ".gz" if compress else ""
     (out_dir / blocked).mkdir()
     assert run_cli(capsys, *build, "--shards", 3, *compress)[0] == 1
     assert sorted(p.name for p in out_dir.iterdir()) == sorted([*built, blocked])
+
+
+def test_pretrain_rebuild_with_other_stages_removes_the_earlier_stage_shards(corpus, tmp_path,
+                                                                            capsys):
+    out_dir = tmp_path / "out"
+    build = ["build-pretrain", "--shards", 2, "--in", corpus, "--out-dir", out_dir]
+    assert run_cli(capsys, *build, "--stages", "ocr,cap", "--compress")[0] == 0
+    assert run_cli(capsys, "build-finetune", "--task", "vqa", "--in", corpus,
+                   "--out-dir", out_dir)[0] == 0
+    finetune = sorted(p.name for p in out_dir.iterdir() if p.name.startswith("finetune_"))
+    assert finetune == ["finetune_vqa-00000-of-00001.jsonl", "finetune_vqa_manifest.json"]
+    code, out, _ = run_cli(capsys, "--json", *build, "--stages", "splitocr")
+    assert code == 0
+    assert [s["objective"] for s in json.loads(out)["stages"]] == ["SPLITOCR"]
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        *finetune, "manifest.json", "stage0_splitocr-00000-of-00002.jsonl",
+        "stage0_splitocr-00001-of-00002.jsonl"]
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
@@ -543,7 +565,7 @@ def test_seed_outside_64_bits_is_a_usage_error(corpus, tmp_path, capsys, argv, o
         "build-finetune-2"])
 def test_damaged_gzip_input_exits_1_naming_the_file(tmp_path, rng, capsys, monkeypatch, argv,
                                                     output, damage):
-    monkeypatch.setattr(pipeline, "available_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "available_cpus", lambda: 2)
     records = [random_layout_record(rng, image_id=f"img{i:03d}", with_caption=True)
                for i in range(300)]
     records = [dataclasses.replace(r, qa=(QaAnnotation("q", ("a",) * 10),)) if i % 3 == 0 else r
@@ -620,18 +642,33 @@ def modules_after_main(*argv, setup=""):
     return exit_code, set(modules)
 
 
+# The CPU cap lifted, and a fork marked by a name in sys.modules, which
+# `modules_after_main` reports.
+FORKING = """
+import os, sys
+from scenetext import workers
+workers.available_cpus = lambda: 2
+fork = os.fork
+os.fork = lambda: sys.modules.setdefault("<forked>", sys) and fork()
+"""
+
+
 @pytest.mark.parametrize("task,gold_key", [("vqa_anls", "answers"), ("caption", "references")])
-def test_evaluate_loads_no_build_module(tmp_path, task, gold_key):
+@pytest.mark.parametrize("count", [2, 2 * workers.CHUNK_ITEMS + 1], ids=["here", "forked"])
+def test_evaluate_loads_no_build_module(tmp_path, task, gold_key, count):
     gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
     gold.write_text("".join(json.dumps({"example_id": f"e{i}", gold_key: ["a red sign"]}) + "\n"
-                            for i in range(2)))
+                            for i in range(count)))
     pred.write_text("".join(json.dumps({"example_id": f"e{i}", "prediction": "a sign"}) + "\n"
-                            for i in range(2)))
+                            for i in range(count)))
     code, modules = modules_after_main("--json", "evaluate", "--task", task,
-                                       "--pred", pred, "--gold", gold)
+                                       "--pred", pred, "--gold", gold, setup=FORKING)
     assert code == 0
     assert "scenetext.metrics" in modules
+    assert ("<forked>" in modules) == (count > workers.CHUNK_ITEMS)
     assert not modules & BUILD_MODULES
+    assert not modules & {"hashlib", "_hashlib", "concurrent.futures", "multiprocessing",
+                          "fractions", "decimal"}
 
 
 @pytest.mark.parametrize("argv", [["build-pretrain", "--stages", "ocr,cap", "--out-dir"],
@@ -650,7 +687,7 @@ def test_builds_load_no_openssl_and_no_process_pool(corpus, tmp_path, threads):
     code, modules = modules_after_main(
         "build-pretrain", "--stages", "ocr,cap", "--threads", threads, "--out-dir",
         tmp_path / "out", "--in", corpus,
-        setup="from scenetext import pipeline; pipeline.available_cpus = lambda: 2")
+        setup="from scenetext import workers; workers.available_cpus = lambda: 2")
     assert code == 0
     assert len(list((tmp_path / "out").iterdir())) == 3
     assert not modules & {"hashlib", "_hashlib", "concurrent.futures", "multiprocessing"}

@@ -1,5 +1,6 @@
 import random
 import string
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +40,16 @@ def test_vqa_accuracy_matches_brute_force_all_match_counts():
         item = VqaItem("yes", ten_answers(m))
         expected = vqa_accuracy_leave_one_out("yes", [normalize_answer(a) for a in item.answers])
         assert vqa_accuracy(item) == pytest.approx(expected)
+
+
+def test_accuracy_table_is_the_exact_leave_one_out_mean_rounded_once():
+    for m in range(11):
+        # m subsets hold m-1 matches and 10-m hold m, each scoring min(matches/3, 1)
+        exact = (m * min(Fraction(max(m - 1, 0), 3), Fraction(1))
+                 + (10 - m) * min(Fraction(m, 3), Fraction(1))) / 10
+        assert vqa._ACCURACY_BY_MATCHES[m] == float(exact)
+        answers = ten_answers(m)
+        assert vqa_accuracy(VqaItem("yes", answers)) == vqa_accuracy_leave_one_out("yes", answers)
 
 
 def test_vqa_accuracy_normalizes_both_sides():

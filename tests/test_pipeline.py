@@ -6,6 +6,7 @@ import os
 import random
 import sys
 from collections import Counter
+from contextlib import suppress
 from pathlib import Path
 
 import dataclasses
@@ -13,7 +14,7 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
-from scenetext import hashing, pipeline, pretrain
+from scenetext import hashing, pipeline, pretrain, workers
 from scenetext.errors import ConfigError
 from scenetext.finetune import Task
 from scenetext.hashing import hash64, keep_fraction
@@ -272,7 +273,7 @@ def _hostile_corpus(path: Path, rng, seed, fraction):
     bad JSON, a 0xff byte, a schema error, each per-record rule, and later
     copies of image_ids (in the first copy's chunk and in later chunks) with
     other content. Returns the counters every build of it must report."""
-    chunk = pipeline.CHUNK_LINES
+    chunk = workers.CHUNK_ITEMS
     records = [random_layout_record(rng, image_id=f"img{i:04d}", with_caption=i % 2 == 0)
                for i in range(4 * chunk + 17)]
     records = [dataclasses.replace(r, qa=(QaAnnotation(f"q {r.image_id}", ("a",) * 10),))
@@ -306,7 +307,7 @@ def _hostile_corpus(path: Path, rng, seed, fraction):
 
 def test_run_thread_count_does_not_change_output(tmp_path, rng, monkeypatch):
     # up to 3 workers wherever the test runs, so 2 and 3 both use the pool
-    monkeypatch.setattr(pipeline, "available_cpus", lambda: 4)
+    monkeypatch.setattr(workers, "available_cpus", lambda: 4)
     seed = 13
 
     def without_threads(manifest):
@@ -586,7 +587,7 @@ def test_spilled_build_is_byte_identical_to_hold_and_sort(tmp_path, rng, monkeyp
                                                           split, threads):
     from scenetext.cli import main
 
-    monkeypatch.setattr(pipeline, "available_cpus", lambda: 4)
+    monkeypatch.setattr(workers, "available_cpus", lambda: 4)
     path = tmp_path / "hostile.jsonl"
     _hostile_corpus(path, rng, 13, 1.0)
     out_dir = tmp_path / "out"
@@ -630,7 +631,7 @@ def test_build_with_more_shards_than_free_descriptors(tmp_path, rng, monkeypatch
     resource = pytest.importorskip("resource")
     from scenetext.cli import main
 
-    monkeypatch.setattr(pipeline, "available_cpus", lambda: 4)
+    monkeypatch.setattr(workers, "available_cpus", lambda: 4)
     path = tmp_path / "hostile.jsonl"
     _hostile_corpus(path, rng, 13, 1.0)
     monkeypatch.setattr(pipeline, "SPILL_BUCKET_BYTES", path.stat().st_size // 40)
@@ -732,7 +733,7 @@ def test_spilled_build_keeps_key_then_id_order_when_keys_collide(tmp_path, rng, 
     # Four keys for every example: both ends of the range and both sides of
     # its middle, so colliding keys sit at part edges and every part
     # boundary is crossed by a run of equal keys ordered by example_id.
-    monkeypatch.setattr(pipeline, "available_cpus", lambda: 4)
+    monkeypatch.setattr(workers, "available_cpus", lambda: 4)
     # each spill file is split four ways, one key to a part; each part is
     # split once more and keeps all of its records in one part, so the
     # split stops there
@@ -773,7 +774,7 @@ class BuilderFailed(Exception):
 @pytest.mark.parametrize("extra,fraction", [(0, 1.0), (600, 0.5)], ids=["hostile", "larger-half"])
 def test_build_failing_mid_pass_leaves_the_out_dir_as_it_was(tmp_path, rng, monkeypatch, threads,
                                                              extra, fraction):
-    monkeypatch.setattr(pipeline, "available_cpus", lambda: 4)
+    monkeypatch.setattr(workers, "available_cpus", lambda: 4)
     monkeypatch.setattr(pipeline, "SPILL_BUCKET_BYTES", 4096)
     path = tmp_path / "hostile.jsonl"
     _hostile_corpus(path, rng, 13, fraction)
@@ -790,7 +791,13 @@ def test_build_failing_mid_pass_leaves_the_out_dir_as_it_was(tmp_path, rng, monk
     def fails_on_the_300th_call(*args):
         calls.append(None)  # per process: each worker counts its own calls
         if len(calls) == 300:
-            at_failure.write_text("\n".join(sorted(p.name for p in out_dir.iterdir())))
+            # the first failure's whole listing, linked into place: another
+            # worker's may come after the main process has already failed
+            # and cleaned up, and a worker may be killed mid-write
+            listing = tmp_path / f"listing-{os.getpid()}.txt"
+            listing.write_text("\n".join(sorted(p.name for p in out_dir.iterdir())))
+            with suppress(FileExistsError):
+                os.link(listing, at_failure)
             raise BuilderFailed("builder failed")
         return build_example(*args)
 
@@ -814,7 +821,7 @@ def test_build_failing_mid_pass_leaves_the_out_dir_as_it_was(tmp_path, rng, monk
 def test_gzip_input_builds_the_shards_of_the_plain_file(tmp_path, rng, monkeypatch, argv, threads):
     from scenetext.cli import main
 
-    monkeypatch.setattr(pipeline, "available_cpus", lambda: 4)
+    monkeypatch.setattr(workers, "available_cpus", lambda: 4)
     path = tmp_path / "hostile.jsonl"
     expected = _hostile_corpus(path, rng, 13, 1.0)
     gz = tmp_path / "hostile.jsonl.gz"

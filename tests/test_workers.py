@@ -1,12 +1,15 @@
-"""Builds with worker processes: none outlives a build, and a failure in a
-worker fails the build cleanly.
+"""Builds and `evaluate` with worker processes: none outlives a command,
+the output is the same for any worker count, and a failure in a worker
+fails the command cleanly.
 
-Every test lifts the CPU cap (`pipeline.available_cpus`), so the workers
+Every test lifts the CPU cap (`workers.available_cpus`), so the workers
 run even on a one-CPU machine. Workers are forked with `os.fork`, so the
 checks ask the OS (`waitpid`, /proc) which children this process has.
 """
 
 import gzip
+import json
+import math
 import os
 import signal
 import subprocess
@@ -18,7 +21,8 @@ from pathlib import Path
 import pytest
 
 import scenetext
-from scenetext import pipeline
+from scenetext import pipeline, workers
+from scenetext.cli import main
 from scenetext.pipeline import PipelineConfig, ingest, run
 from scenetext.pretrain import Objective
 from scenetext.records import serialize_record
@@ -30,8 +34,8 @@ SRC = str(Path(scenetext.__file__).resolve().parents[1])
 # The CLI with the CPU cap lifted; {patch} may replace more of the pipeline.
 CLI = """
 import os, sys
-from scenetext import cli, pipeline
-pipeline.available_cpus = lambda: 4
+from scenetext import cli, pipeline, workers
+workers.available_cpus = lambda: 4
 {patch}
 sys.exit(cli.main(sys.argv[1:]))
 """
@@ -65,7 +69,7 @@ pipeline.build_example = slow_in_worker
 @pytest.fixture
 def corpus(tmp_path, rng):
     records = [random_layout_record(rng, image_id=f"img{i:04d}", with_caption=True)
-               for i in range(5 * pipeline.CHUNK_LINES)]
+               for i in range(5 * workers.CHUNK_ITEMS)]
     path = tmp_path / "corpus.jsonl"
     path.write_text("".join(serialize_record(r) + "\n" for r in records), encoding="utf-8")
     return path
@@ -73,16 +77,17 @@ def corpus(tmp_path, rng):
 
 @pytest.fixture
 def pooled(monkeypatch):
-    monkeypatch.setattr(pipeline, "available_cpus", lambda: 4)
+    monkeypatch.setattr(workers, "available_cpus", lambda: 4)
 
 
-def start_cli_in_own_session(tmp_path, argv, patch="", stderr=subprocess.PIPE, stdin=None):
+def start_cli_in_own_session(tmp_path, argv, patch="", stderr=subprocess.PIPE, stdin=None,
+                             stdout=subprocess.DEVNULL):
     """Start the CLI as the leader of a new session, whose id names its
     process group too."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     return subprocess.Popen([sys.executable, "-c", CLI.format(patch=patch), *map(str, argv)],
                             cwd=tmp_path, env=env, start_new_session=True, stdin=stdin,
-                            stdout=subprocess.DEVNULL, stderr=stderr, encoding="utf-8")
+                            stdout=stdout, stderr=stderr, encoding="utf-8")
 
 
 def run_cli_in_own_session(tmp_path, argv, patch="", stdin_text=None):
@@ -187,7 +192,7 @@ def config(corpus, out_dir):
 
 def test_pooled_run_leaves_no_process(corpus, tmp_path, pooled):
     manifest = run(config(corpus, tmp_path / "out"))
-    assert manifest["counters"]["valid_records"] == 5 * pipeline.CHUNK_LINES
+    assert manifest["counters"]["valid_records"] == 5 * workers.CHUNK_ITEMS
     assert_no_child_left()
 
 
@@ -209,7 +214,7 @@ def test_interrupt_during_ingest_stops_the_workers(corpus, tmp_path, pooled, mon
 
     def interrupt(stats, entry):
         seen.append(entry)
-        if len(seen) == pipeline.CHUNK_LINES + 1:
+        if len(seen) == workers.CHUNK_ITEMS + 1:
             raise KeyboardInterrupt
 
     monkeypatch.setattr(pipeline.DatasetStats, "add", interrupt)
@@ -269,3 +274,116 @@ def test_damaged_gzip_input_fails_the_build_cleanly(corpus, tmp_path, damage, th
     assert "Traceback" not in err
     assert list(out_dir.iterdir()) == []
     assert_no_process_left(session)
+
+
+CHUNK = workers.CHUNK_ITEMS
+WORDS = ["stop", "sign", "red", "cafe", "open", "late", "two", "dogs", "park", "a", "the", "taxi"]
+
+
+def write_eval_fixture(directory: Path, rng, task: str, count: int, bad_at: int | None = None):
+    """Prediction and gold files of `count` items for `task`: ten answers
+    per VQA gold (nine for item `bad_at`), five references per caption
+    gold, and predictions that match a gold text, partly or not at all."""
+    directory.mkdir(exist_ok=True)
+    golds, preds = [], []
+    for i in range(count):
+        texts = [" ".join(rng.choices(WORDS, k=rng.randint(1, 6))) for _ in range(5)]
+        if task == "caption":
+            golds.append({"example_id": f"e{i:04d}", "references": texts})
+        else:
+            golds.append({"example_id": f"e{i:04d}",
+                          "answers": rng.choices(texts, k=9 if i == bad_at else 10)})
+        prediction = rng.choice([rng.choice(texts), rng.choice(texts)[1:],
+                                 " ".join(rng.choices(WORDS, k=rng.randint(1, 6)))])
+        preds.append({"example_id": f"e{i:04d}", "prediction": prediction})
+    paths = directory / "pred.jsonl", directory / "gold.jsonl"
+    for path, rows in zip(paths, (preds, golds)):
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    return paths
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids this process forks from now on."""
+    pids, fork = [], os.fork
+
+    def counted_fork():
+        if pid := fork():
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return pids
+
+
+def evaluate_at(capsys, monkeypatch, cpus, argv):
+    """(exit code, stdout, stderr) of `evaluate` with `cpus` CPUs available."""
+    monkeypatch.setattr(workers, "available_cpus", lambda: cpus)
+    code = main(["--json", "evaluate", "--per-item", *map(str, argv)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("task", ["vqa", "vqa_anls", "caption"])
+@pytest.mark.parametrize("count", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 5 * CHUNK + 3])
+def test_evaluate_output_is_the_same_for_any_worker_count(tmp_path, rng, capsys, monkeypatch,
+                                                          forks, task, count):
+    pred, gold = write_eval_fixture(tmp_path, rng, task, count)
+    argv = ["--task", task, "--pred", pred, "--gold", gold]
+    chunks = math.ceil(count / CHUNK)
+    outputs = []
+    for cpus in (1, 2, 3, 4):
+        forks.clear()
+        outputs.append(evaluate_at(capsys, monkeypatch, cpus, argv))
+        # one worker per CPU and chunk at most, and none where that is one,
+        # as for a one-item caption corpus, which is rejected before scoring
+        assert len(forks) == (min(cpus, chunks) if min(cpus, chunks) > 1 else 0)
+        assert_no_child_left()
+    assert outputs == [outputs[0]] * 4
+    if task == "caption" and count == 1:
+        assert outputs[0] == (1, "", "error: CIDEr needs at least 2 items for document frequencies\n")
+    else:
+        assert outputs[0][0] == 0
+        assert len(json.loads(outputs[0][1])["per_item"]) == count
+
+
+@pytest.mark.parametrize("task,bad_at,argv,error", [
+    ("vqa", CHUNK + 5, [], "error: VQA items require exactly 10 answers, got 9\n"),
+    ("vqa_anls", None, ["--tau", 2], "error: ANLS threshold tau must be in [0, 1], got 2.0\n"),
+], ids=["nine-answers", "tau"])
+def test_evaluate_rejects_bad_input_alike_at_any_worker_count(tmp_path, rng, capsys, monkeypatch,
+                                                              forks, task, bad_at, argv, error):
+    pred, gold = write_eval_fixture(tmp_path, rng, task, 3 * CHUNK, bad_at)
+    argv = ["--task", task, "--pred", pred, "--gold", gold, *argv]
+    for cpus in (1, 4):
+        assert evaluate_at(capsys, monkeypatch, cpus, argv) == (1, "", error)
+        assert forks == []
+        assert_no_child_left()
+
+
+# A scorer that kills the worker process it runs in.
+KILL_IN_WORKER = """
+import signal
+from scenetext.metrics import report
+parent = os.getpid()
+anls = report.anls
+def killed_in_worker(*args, **kwargs):
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return anls(*args, **kwargs)
+report.anls = killed_in_worker
+"""
+
+
+def test_worker_killed_mid_run_fails_evaluate_cleanly(tmp_path, rng):
+    pred, gold = write_eval_fixture(tmp_path, rng, "vqa_anls", 3 * CHUNK)
+    proc = start_cli_in_own_session(
+        tmp_path, ["--json", "evaluate", "--task", "vqa_anls", "--per-item", "--pred", pred,
+                   "--gold", gold], patch=KILL_IN_WORKER, stdout=subprocess.PIPE)
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        raise
+    assert (proc.returncode, out, err) == (1, "", "error: a worker process died\n")
+    assert_no_process_left(proc.pid)
