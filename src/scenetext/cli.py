@@ -173,9 +173,8 @@ def main(argv=None) -> int:
 
             counters: Counter = Counter()
             stats = DatasetStats()
-            for _, entry in ingest(args.inputs, counters, args.fraction, args.seed,
-                                   DatasetStats.entry):
-                stats.add(entry)
+            for _ in ingest(args.inputs, counters, args.fraction, args.seed, stats=stats):
+                pass
             payload = {"counters": dict(counters), "stats": stats.to_dict()}
             _emit(f"{stats.record_count} records, "
                   f"empty-OCR fraction {stats.empty_ocr_fraction:.4f}",
@@ -203,22 +202,30 @@ def main(argv=None) -> int:
                   f"-> {args.out_dir}", manifest, args.json)
 
         elif args.command == "subsample":
-            from .pipeline import ingest
+            from contextlib import closing
 
-            counters = Counter()
-            pairs = ingest(args.inputs, counters, args.fraction, args.seed)
+            from .pipeline import ingest, keep_copies
+
+            counters, copies = Counter(), {}
+            pairs = ingest(args.inputs, counters, args.fraction, args.seed, copies=copies)
             # written under a hidden name and renamed once whole, so a failed
             # run leaves no partial sample and keeps an earlier --out file
             head, name = os.path.split(args.out)
-            part = os.path.join(head, f".{name}.{os.getpid()}")
-            out = open(part, "wb")
+            parts = [os.path.join(head, f".{name}.{os.getpid()}")]
             try:
-                with out:
+                with closing(pairs), open(parts[0], "wb") as out:
                     for line, _ in pairs:
                         out.write(line if line.endswith(b"\n") else line + b"\n")
-                os.replace(part, args.out)
+                if copies:  # the duplicate rule is decided once every line is read
+                    parts.append(f"{parts[0]}.deduplicated")
+                    with open(parts[0], "rb") as lines, open(parts[1], "wb") as out:
+                        out.writelines(keep_copies(lines, copies))
+                    os.remove(parts[0])
+                os.replace(parts[-1], args.out)
             except BaseException:
-                os.remove(part)
+                for part in parts:
+                    if os.path.exists(part):
+                        os.remove(part)
                 raise
             total, kept = counters["lines"], counters["subsampled_records"]
             payload = {"total": total, "kept": kept, "counters": dict(counters),

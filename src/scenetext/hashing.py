@@ -36,9 +36,15 @@ def hash64(seed: int, *parts: str) -> int:
 
 def keep_fraction(seed: int, item_id: str, fraction: float) -> bool:
     """Threshold-monotone keep predicate: nested subsets across fractions.
-    A fraction of 1 or more keeps every id and computes no hash: a hash
-    within 2**10 of 2**64 divides to exactly 1.0 in floating point."""
-    return fraction >= 1.0 or hash64(seed, item_id) / _SCALE < fraction
+    A fraction of 1 or more keeps every id and computes no hash."""
+    return fraction >= 1.0 or kept_hash(hash64(seed, item_id), fraction)
+
+
+def kept_hash(value: int, fraction: float) -> bool:
+    """`keep_fraction`'s test on an id's hash64(seed, item_id). A fraction of
+    1 or more keeps every hash: one within 2**10 of 2**64 divides to exactly
+    1.0 in floating point."""
+    return fraction >= 1.0 or value / _SCALE < fraction
 
 
 def derive_rng(seed: int, *parts: str) -> random.Random:

@@ -4,36 +4,42 @@ A build makes one pass over the kept records. A record that passes some
 dataset's eligibility rule (`Objective.eligible`, `Task.eligible`) is
 ordered once (`ordering.order_tokens`) and handed with its ordered OCR
 texts to those datasets' builders, then dropped. Nothing built is held in
-memory: each example goes, as its shuffle key and UTF-8 JSON line
-(`spill_records`), to its dataset's one spill file in the output directory.
-After the pass each dataset's spill file is split by its key range into
-parts of about SPILL_BUCKET_BYTES, as many as its size asks for, within
-the descriptors the process may still open (its soft RLIMIT_NOFILE). The
-parts are read back once each, in key order, sorted and dealt
-round-robin, each shard's lines appended to its hidden shard file; then
-the shards are finalized one at a time, so a build holds one part, or one
-shard's compressor, at a time. Hidden files (`.{dataset}-spill`, a part
-adds `-{part}`, and `.{dataset}-{i}-of-{n}.jsonl`) take about the
-uncompressed shard bytes of free disk beside the shards and never outlive
-a build: each is removed or renamed once done, and all are removed if the
-build fails. A build that succeeds removes every shard of the datasets it
-owns that its manifest does not list: a pre-training build owns every
-stage dataset (`stage{i}_{objective}`), since only its manifest.json
-lists them, and a fine-tuning build its task's.
+memory: each example goes, as its shuffle key, UTF-8 JSON line and the
+digest of its input line (`spill_records`), to its dataset's one spill
+file in the output directory, and each valid line's image_id to the id
+spill (`ingest`), from which the duplicate rule is decided after the pass.
+Each spill file is then split by its key range into parts of about
+SPILL_BUCKET_BYTES, as many as its size asks for, within the descriptors
+the process may still open (its soft RLIMIT_NOFILE). The parts are read
+back once each, in key order, and sorted; the examples' parts, less the
+losing duplicate copies' records, are dealt round-robin, each shard's
+lines appended to its hidden shard file; then the shards are finalized
+one at a time, so a build holds one part, or one shard's compressor, at a
+time, and nothing per image_id. Hidden files (`.ids-spill` and
+`.{dataset}-spill`, a part adds `-{part}`, and
+`.{dataset}-{i}-of-{n}.jsonl`) take about the uncompressed shard bytes of
+free disk beside the shards and never outlive a build: each is removed or
+renamed once done, and all are removed if the build fails. A build that
+succeeds removes every shard of the datasets it owns that its manifest
+does not list: a pre-training build owns every stage dataset
+(`stage{i}_{objective}`), since only its manifest.json lists them, and a
+fine-tuning build its task's.
 
 The per-line work (decode, parse, the per-record validation rules, the
 keep test, ordering, building and serializing) runs on chunks of lines.
 With `threads` > 1 it runs in up to that many forked worker processes,
 capped at the CPUs available, that read regular-file inputs themselves
 (`workers.map`); with 1 it runs in this process. Either way this process
-reads the lines, applies the duplicate rule and the counters in line
-order, and shuffles and writes, so the chunking changes nothing.
+reads the lines, applies the counters in line order, writes the spills,
+decides the duplicate rule, and shuffles and writes the shards, so the
+chunking changes nothing.
 
-Every output is a pure function of (inputs, config): subsampling and
-shuffling key off stable hashes of record ids, per-record RNGs are derived
-from (seed, image_id), and shards plus manifest are byte-reproducible
-across reruns and worker counts, and across input orderings when no two
-records share an image_id.
+Every output is a pure function of (inputs, config), and of the inputs
+only through the set of their lines: subsampling and shuffling key off
+stable hashes of record ids, per-record RNGs are derived from (seed,
+image_id), the duplicate rule picks a copy by its line's digest, and
+shards plus manifest are byte-reproducible across reruns, worker counts
+and input orderings.
 """
 
 import dataclasses
@@ -44,16 +50,18 @@ import os
 import re
 import zlib
 from collections import Counter
-from contextlib import ExitStack
+from contextlib import ExitStack, closing
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
+from itertools import groupby, islice
+from json.encoder import encode_basestring_ascii
+from operator import eq, itemgetter
 from typing import Iterable, Iterator
 
 from . import __version__, workers
 from .errors import ConfigError, ParseError, SceneTextError, SchemaError
 from .finetune import Task, build_caption_examples, build_vqa_examples, layout
-from .hashing import hash64, keep_fraction, sha256
+from .hashing import blake2b, hash64, kept_hash, sha256
 from .ordering import order_tokens
 from .pretrain import Objective, build_example, build_stage_plan, fragments, layouts
 from .records import Record, parse_record, record_violations
@@ -126,6 +134,16 @@ class DatasetStats:
             self.caption_length_histogram[caption_words] += 1
         self.eligible.update(eligible)
 
+    def remove(self, entry) -> None:
+        """Uncount one record counted by `add`. A count that falls to 0 goes,
+        so the stats equal those of the records that stay."""
+        ocr_count, caption_words, eligible = entry
+        self.record_count -= 1
+        self.ocr_token_histogram -= Counter([ocr_count])
+        if caption_words is not None:
+            self.caption_length_histogram -= Counter([caption_words])
+        self.eligible -= Counter(eligible)
+
     @property
     def empty_ocr_count(self) -> int:
         return self.ocr_token_histogram[0]
@@ -166,13 +184,26 @@ def _chunks(paths: Iterable[str]) -> Iterator[list[bytes]]:
         yield chunk
 
 
-def _check_chunk(lines: list[bytes], work, seed: int, fraction: float) -> list:
-    """The per-line work of an ingest, on one chunk. One entry per line: None
-    if it does not decode or parse, else (image_id, violations, output), where
-    violations are the record's `record_violations` and output is
-    work(record) when there are none and the keep test keeps the record,
-    else None. Runs in a worker process when the ingest has more than one."""
-    results = []
+def line_digest(line: bytes) -> str:
+    """A line's 16-byte blake2b digest, as 32 hex digits, of its bytes
+    without the CR and LF bytes that end it: a CRLF copy of an LF line is
+    the same line."""
+    return blake2b(line.rstrip(b"\r\n"), digest_size=16).hexdigest()
+
+
+def _check_chunk(lines: list[bytes], work, seed: int, fraction: float,
+                 with_stats: bool) -> tuple[bytes, list]:
+    """The per-line work of an ingest, on one chunk: (notes, results). One
+    result per line: None if it does not decode or parse, else (violations,
+    output, entry), where violations are the record's `record_violations`,
+    and output is work(record, line_digest(line)) and entry its
+    `DatasetStats.entry` (None unless with_stats) when there are none and
+    the keep test keeps the record, else None. notes holds the id record of
+    each valid line: hash64(seed, image_id) as 16 hex digits, the image_id
+    as an ASCII JSON string, and for a kept line its digest and, with
+    stats, its entry as JSON; one line each. Runs in a worker process when
+    the ingest has more than one."""
+    results, notes = [], []
     for raw in lines:
         try:
             record = parse_record(raw.decode("utf-8"))
@@ -180,69 +211,181 @@ def _check_chunk(lines: list[bytes], work, seed: int, fraction: float) -> list:
             results.append(None)
             continue
         violations = record_violations(record)
-        kept = not violations and keep_fraction(seed, record.image_id, fraction)
-        results.append((record.image_id, violations, work(record) if kept else None))
-    return results
+        if violations:
+            results.append((violations, None, None))
+            continue
+        key = hash64(seed, record.image_id)
+        note = f"{key:016x}{encode_basestring_ascii(record.image_id)}"
+        output = entry = None
+        if kept_hash(key, fraction):
+            digest = line_digest(raw)
+            output = work(record, digest)
+            note += digest
+            if with_stats:
+                entry = DatasetStats.entry(record)
+                note += json.dumps(entry)
+        notes.append(note)
+        results.append(((), output, entry))
+    return "".join([f"{note}\n" for note in notes]).encode("ascii"), results
 
 
-def _same(record: Record) -> Record:
+def _same(record: Record, digest: str) -> Record:
     return record
 
 
 def ingest(paths: Iterable[str], counters: Counter, fraction: float = 1.0, seed: int = 0,
-           work=_same, violations: Counter | None = None,
-           threads: int = 1) -> Iterator[tuple[bytes, object]]:
-    """Yield (line, work(record)) for each valid record of the inputs that
-    the subsample keeps, in line order; `work` must not return None.
+           work=_same, violations: Counter | None = None, threads: int = 1,
+           stats: DatasetStats | None = None, copies: dict[str, int] | None = None,
+           spill_dir: str | None = None) -> Iterator[tuple[bytes, object]]:
+    """Yield (line, work(record, line_digest(line))) for each valid record of
+    the inputs that the subsample keeps, in line order, every copy of an
+    image_id included; `work` must not return None. Once the last is
+    yielded, the duplicate rule has set the counters, `violations`, `stats`
+    and `copies`.
 
     The one loop over input lines. Each line is decoded on its own, so a
     bad byte costs one line. A line that does not decode or parse counts as
-    a parse error; a record with `record_violations` findings, or whose
-    image_id an earlier line had (the first line read wins), counts as a
-    validation skip. Neither stops the stream. `violations`, when given,
-    counts the findings by name, a repeat as `duplicate_image_id`. A valid
-    record is kept iff `keep_fraction(seed, image_id, fraction)`, so
-    subsamples are order-independent and nested across fractions.
+    a parse error; a record with `record_violations` findings counts as a
+    validation skip, and `violations`, when given, counts the findings by
+    name. Neither stops the stream. A valid record is kept iff
+    `keep_fraction(seed, image_id, fraction)`, so subsamples are
+    order-independent and nested across fractions; `stats`, when given,
+    counts each kept record's `DatasetStats.entry`.
+
+    The duplicate rule: among the valid lines that share an image_id, the
+    one with the smallest `line_digest` stays, and every other counts once
+    as a validation skip and as `duplicate_image_id` (a counter, when
+    nonzero, and a violation); a copy with the same digest is the same line
+    and builds the same output. The rule is decided after the pass, from one
+    id record per valid line (`_check_chunk`), appended to the hidden file
+    `.ids-spill` in `spill_dir` (a temporary directory of its own if None),
+    split by key range like the example spills and read back one part at a
+    time. So it is a function of the set of lines and holds no state per
+    image_id. Its decisions on kept lines go into `copies`: the digest of a
+    losing copy maps to 0, and that of a winning line with byte-identical
+    copies to 1, so it is empty when no two kept lines share an image_id.
+    A caller drops every output whose digest maps to 0 and keeps one of
+    those whose digest maps to 1 (`keep_copies`). The losing copies' counts
+    and stats entries are taken back; a count that falls to 0 goes.
 
     The fraction is checked at once, before any line is read. Parsing, the
-    per-record rules, the keep test and `work` run on chunks of lines: in up
-    to `threads` forked processes (`workers.map`) when every input is a
-    regular file, which each worker reads itself, else here; the duplicate
-    rule and the counters run here, in line order, so neither depends on
-    the chunking. A kept duplicate's work is done and dropped. This is the
-    one place that sets `valid_records` and `subsampled_records`, both
-    reported even when no line is valid.
+    per-record rules, the keep test, the digest and `work` run on chunks of
+    lines: in up to `threads` forked processes (`workers.map`) when every
+    input is a regular file, which each worker reads itself, else here; the
+    counters and the id spill run here, in line order, so nothing depends
+    on the chunking. This is the one place that sets `valid_records` and
+    `subsampled_records`, both reported even when no line is valid. No
+    file it makes outlives it.
     """
     _check_fraction(fraction)
     paths = tuple(paths)
-    job = partial(_check_chunk, work=work, seed=seed, fraction=fraction)
+    job = partial(_check_chunk, work=work, seed=seed, fraction=fraction,
+                  with_stats=stats is not None)
     if not all(map(os.path.isfile, paths)):  # a pipe is read once, here
         threads = 1
-    return _ingest(workers.map(job, partial(_chunks, paths), threads), counters, violations)
+    return _ingest(workers.map(job, partial(_chunks, paths), threads), counters, violations,
+                   stats, copies, spill_dir)
 
 
-def _ingest(chunk_results, counters: Counter, violations: Counter | None):
+def _ingest(chunk_results, counters: Counter, violations: Counter | None,
+            stats: DatasetStats | None, copies: dict[str, int] | None, spill_dir: str | None):
     counters.update(valid_records=0, subsampled_records=0)
-    seen: set[str] = set()
-    for lines, results in chunk_results:
-        for line, result in zip(lines, results):
-            counters["lines"] += 1
-            if result is None:
-                counters["parse_errors"] += 1
-                continue
-            image_id, found, output = result
-            if image_id in seen:
-                found = ["duplicate_image_id", *found]
-            seen.add(image_id)
-            if found:
-                counters["validation_skips"] += 1
-                if violations is not None:
-                    violations.update(found)
-                continue
-            counters["valid_records"] += 1
-            if output is not None:
-                counters["subsampled_records"] += 1
-                yield line, output
+    written: list[str] = []
+    with ExitStack() as stack:
+        stack.callback(_remove, written)
+        if spill_dir is None:
+            import tempfile
+
+            spill_dir = stack.enter_context(tempfile.TemporaryDirectory())
+        stack.enter_context(closing(chunk_results))  # kills and reaps any workers first
+        spill = os.path.join(spill_dir, ".ids-spill")
+        # opened before the workers fork, which leave by os._exit: they flush nothing
+        with open(spill, "wb") as ids:
+            written.append(spill)
+            for lines, (notes, results) in chunk_results:
+                ids.write(notes)
+                for line, result in zip(lines, results):
+                    counters["lines"] += 1
+                    if result is None:
+                        counters["parse_errors"] += 1
+                        continue
+                    found, output, entry = result
+                    if found:
+                        counters["validation_skips"] += 1
+                        if violations is not None:
+                            violations.update(found)
+                        continue
+                    counters["valid_records"] += 1
+                    if output is not None:
+                        counters["subsampled_records"] += 1
+                        if stats is not None:
+                            stats.add(entry)
+                        yield line, output
+        _resolve(_split_oversized(spill, written), counters, violations, stats,
+                 {} if copies is None else copies)
+
+
+def keep_copies(lines: Iterable[bytes], copies: dict[str, int]) -> Iterator[bytes]:
+    """The kept lines that the duplicate rule keeps, of those `ingest`
+    yielded, given its `copies`: a line whose digest maps to 0 goes, and of
+    the lines whose digest maps to 1 the first stays (`copies` then maps it
+    to 0)."""
+    for line in lines:
+        digest = line_digest(line)
+        if copies.get(digest, 1):
+            if digest in copies:
+                copies[digest] = 0
+            yield line
+
+
+_DECODER = json.JSONDecoder()
+
+
+def _id_and_rest(note: bytes) -> tuple[str, str]:
+    """An id record's image_id literal, and what follows it."""
+    text = note.decode("ascii")
+    end = _DECODER.raw_decode(text, 16)[1]
+    return text[16:end], text[end:-1]
+
+
+def _resolve(parts: list[str], counters: Counter, violations: Counter | None,
+             stats: DatasetStats | None, copies: dict[str, int]) -> None:
+    """The duplicate rule (see `ingest`), on the id spill's parts, each read
+    once and removed. Sorted, a part holds the records of an image_id next to
+    each other and in digest order; only in a part where keys repeat are
+    the records grouped, and only where they repeat is a record's image_id
+    read back."""
+    duplicates = kept_duplicates = 0
+    key = itemgetter(slice(0, 16))
+    for part in parts:
+        notes = _read_spill(part)
+        os.remove(part)
+        notes.sort()
+        if any(map(eq, map(key, notes), map(key, islice(notes, 1, None)))):
+            for _, same_key in groupby(notes, key=key):
+                if len(same_key := list(same_key)) == 1:
+                    continue
+                for _, same_id in groupby(map(_id_and_rest, same_key), key=itemgetter(0)):
+                    winner, *others = [rest for _, rest in same_id]
+                    duplicates += len(others)
+                    for rest in others:
+                        if rest:  # the copies of a kept image_id
+                            kept_duplicates += 1
+                            copies[rest[:32]] = int(rest[:32] == winner[:32])
+                            if stats is not None:
+                                stats.remove(json.loads(rest[32:]))
+        notes = same_key = None  # freed before the next part is read
+    if duplicates:
+        counters.update(validation_skips=duplicates, duplicate_image_id=duplicates)
+        counters.subtract(valid_records=duplicates, subsampled_records=kept_duplicates)
+        if violations is not None:
+            violations["duplicate_image_id"] += duplicates
+
+
+def _remove(paths: Iterable[str]) -> None:
+    for path in paths:
+        if os.path.exists(path):
+            os.remove(path)
 
 
 def _check_fraction(fraction: float) -> None:
@@ -250,16 +393,20 @@ def _check_fraction(fraction: float) -> None:
         raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
 
 
-def spill_records(keyed: Iterable[tuple[int, str]]) -> bytes:
-    """(shuffle key, JSON line) pairs as spill records, encoded at once: each
-    key as 16 hex digits, then its line and a newline, in UTF-8. A JSON line
-    holds no raw CR or LF, so each record is one line of its spill file."""
-    return "".join([f"{key:016x}{json_line}\n" for key, json_line in keyed]).encode("utf-8")
+def spill_records(keyed: Iterable[tuple[int, str]], digest: str) -> bytes:
+    """(shuffle key, JSON line) pairs of the examples of one input line, whose
+    `line_digest` is `digest`, as spill records, encoded at once: each key as
+    16 hex digits, then its line, the digest and a newline, in UTF-8. A JSON
+    line holds no raw CR or LF, so each record is one line of its spill
+    file. No JSON line is a prefix of another, so the digest after it
+    changes no order of records with different lines."""
+    return "".join([f"{key:016x}{json_line}{digest}\n"
+                    for key, json_line in keyed]).encode("utf-8")
 
 
 def _key_id_line(record: bytes) -> tuple[bytes, str, bytes]:
     """A spill record's whole sort key: its key, example_id and line."""
-    return record[:16], json.loads(record[16:])["example_id"], record[16:]
+    return record[:16], json.loads(record[16:-33])["example_id"], record[16:]
 
 
 def shuffle_and_shard(records: list[bytes], shard_count: int, start: int = 0) -> list[list[bytes]]:
@@ -273,7 +420,7 @@ def shuffle_and_shard(records: list[bytes], shard_count: int, start: int = 0) ->
     records = sorted(records)
     if len({record[:16] for record in records}) < len(records):
         records.sort(key=_key_id_line)
-    lines = [record[16:] for record in records]
+    lines = [record[16:-33] + b"\n" for record in records]
     return [lines[(i - start) % shard_count::shard_count] for i in range(shard_count)]
 
 
@@ -288,7 +435,7 @@ def _create(paths: Iterable[str], written: list[str], stack: ExitStack) -> list:
 
 
 SPILL_BUCKET_BYTES = 1 << 17  # spill bytes of a part read back; a file over twice this is split
-OPEN_FILES_MAX = 512  # spill parts a split opens at once, each with an 8 KiB write buffer
+OPEN_FILES_MAX = 128  # spill parts a split opens at once, each with a file block of write buffer
 
 
 def _free_descriptors() -> int:
@@ -333,16 +480,18 @@ def _split_oversized(path: str, written: list[str], parts: int = 1, index: int =
 
 
 def _read_spill(path: str) -> list[bytes]:
-    """The spill records of one spill file."""
+    """The spill records of one spill file, read without one buffer of the
+    whole file beside them."""
     with open(path, "rb") as fh:
-        return fh.read().splitlines(keepends=True)
+        return fh.readlines()
 
 
 def _write_shards(spills: list[str], out_dir: str, dataset: str, shard_count: int,
-                  compress: bool, written: list[str]) -> list[dict]:
+                  compress: bool, written: list[str], copies: dict[str, int]) -> list[dict]:
     """Write shard file i of a dataset as the i-th line list of each of its
-    spill parts (`spills`, in key order), each read once and removed, then
-    dealt by `shuffle_and_shard` from where the previous part stopped: the
+    spill parts (`spills`, in key order), each read once and removed, less
+    the records of the duplicate copies that `copies` drops (see `ingest`),
+    then dealt by `shuffle_and_shard` from where the previous part stopped: the
     shards of the whole dataset sorted at once. Each line list is appended
     to its shard's hidden file `.{name}`. Then, one shard at a time, that
     file is renamed to `name`, or under `compress` read in blocks into a
@@ -360,6 +509,9 @@ def _write_shards(spills: list[str], out_dir: str, dataset: str, shard_count: in
     for spill in spills:
         examples = _read_spill(spill)
         os.remove(spill)
+        if copies:  # byte-identical copies make identical records, which the set collapses
+            examples = list({record for record in examples
+                             if copies.get(record[-33:-1].decode("ascii"), 1)})
         for i, lines in enumerate(shuffle_and_shard(examples, shard_count, dealt)):
             if lines:
                 data = b"".join(lines)
@@ -369,6 +521,7 @@ def _write_shards(spills: list[str], out_dir: str, dataset: str, shard_count: in
                 with open(hidden[i], "ab") as fh:
                     fh.write(data)
         dealt += len(examples)
+        examples = lines = data = None  # freed before the next part is read
     suffix = ".gz" if compress else ""
     for name, path, digest in zip(names, hidden, digests):
         final = os.path.join(out_dir, name + suffix)
@@ -396,60 +549,60 @@ def _config_hash(config: PipelineConfig) -> str:
 
 def _build(config: PipelineConfig, datasets, manifest_name: str, describe, owned: str,
            stats: DatasetStats | None = None, order_ocr: bool = True) -> dict:
-    """The one build path. One pass over the kept records adds each to the
-    stats, if given, and keeps the (name, eligible, build) datasets whose
-    eligible(record) holds; if any, it orders the record's OCR once into
-    texts (None unless order_ocr), escapes its `fragments` once, and
-    appends the (example_id, JSON line) pairs of build(record, fragments)
-    to each dataset's spill file, keyed hash64(seed, "shuffle",
-    example_id). Then each dataset's spill file, split into parts by
-    `_split_oversized`, is dealt to its shards, and the manifest is
-    written: the common head plus describe([(example_count, shard_infos),
-    ...]). Every file this run wrote, spill files included, is removed if
-    any step fails; once the manifest is written, every shard file that it
-    does not list of a dataset whose name fully matches the regex `owned`
-    is removed.
+    """The one build path. One pass over the kept records (`ingest`, which
+    adds each to the stats, if given) keeps the (name, eligible, build)
+    datasets whose eligible(record) holds; if any, it orders the record's
+    OCR once into texts (None unless order_ocr), escapes its `fragments`
+    once, and appends the (example_id, JSON line) pairs of build(record,
+    fragments) to each dataset's spill file, keyed hash64(seed, "shuffle",
+    example_id) and marked with the record's line digest. Then each
+    dataset's spill file, split into parts by `_split_oversized`, is dealt
+    to its shards, less the records of duplicate copies the duplicate rule
+    drops, and the manifest is written: the common head plus
+    describe([(example_count, shard_infos), ...]). Every file this run
+    wrote, spill files included, is removed if any step fails; once the
+    manifest is written, every shard file that it does not list of a
+    dataset whose name fully matches the regex `owned` is removed.
 
     Ordering, building and serializing are the per-record `work` of the
     ingest, so they run in its worker processes; the stats, the spill
     writes and everything after the pass stay in this one."""
-    seed, with_stats = config.seed, stats is not None
+    seed = config.seed
     os.makedirs(config.out_dir, exist_ok=True)
     written: list[str] = []
     try:
-        def work(record):
-            """The record's stats entry (None without stats) and, for each
-            dataset, its examples' spill records joined (b"" for a dataset
-            that does not want the record)."""
+        def work(record, digest):
+            """For each dataset, the record's examples' spill records joined
+            (b"" for a dataset that does not want the record)."""
             builds = [build if eligible(record) else None for _, eligible, build in datasets]
-            spilled = [b""] * len(builds)
-            if any(builds):
-                texts = None
-                if order_ocr:
-                    texts = [t.text for t in order_tokens(record.ocr, config.overlap_threshold)]
-                frags = fragments(record.image_id, texts)
-                spilled = [spill_records([(hash64(seed, "shuffle", example_id), line)
-                                          for example_id, line in build(record, frags)])
-                           if build else b"" for build in builds]
-            return (DatasetStats.entry(record) if with_stats else None), spilled
+            if not any(builds):
+                return [b""] * len(builds)
+            texts = None
+            if order_ocr:
+                texts = [t.text for t in order_tokens(record.ocr, config.overlap_threshold)]
+            frags = fragments(record.image_id, texts)
+            return [spill_records([(hash64(seed, "shuffle", example_id), line)
+                                   for example_id, line in build(record, frags)], digest)
+                    if build else b"" for build in builds]
 
         spills = [os.path.join(config.out_dir, f".{name}-spill") for name, _, _ in datasets]
         counters: Counter = Counter()
+        copies: dict[str, int] = {}
         # Forked workers inherit these files with empty buffers (they fork at
         # the first chunk, before any write) and leave by os._exit, which flushes nothing.
         with ExitStack() as stack:
             writes = [fh.write for fh in _create(spills, written, stack)]
-            for _, (entry, spilled) in ingest(config.inputs, counters, config.fraction, seed,
-                                              work, threads=config.threads):
-                if with_stats:
-                    stats.add(entry)
+            kept = stack.enter_context(closing(ingest(
+                config.inputs, counters, config.fraction, seed, work, threads=config.threads,
+                stats=stats, copies=copies, spill_dir=config.out_dir)))
+            for _, spilled in kept:
                 for write, records in zip(writes, spilled):
                     if records:
                         write(records)
         built = []
         for (name, _, _), path in zip(datasets, spills):
             infos = _write_shards(_split_oversized(path, written), config.out_dir, name,
-                                  config.shard_count, config.compress, written)
+                                  config.shard_count, config.compress, written, copies)
             built.append((sum(info["examples"] for info in infos), infos))
         manifest = {
             "tool": "scenetext",
@@ -466,9 +619,7 @@ def _build(config: PipelineConfig, datasets, manifest_name: str, describe, owned
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
     except BaseException:
-        for path in written:
-            if os.path.exists(path):
-                os.remove(path)
+        _remove(written)
         raise
     # an earlier build's shards of the datasets this build owns, which a
     # loader that globs a dataset's shards would read with this build's

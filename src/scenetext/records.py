@@ -10,7 +10,7 @@ and `_parse_qa` apply every schema rule while they walk the decoded JSON,
 testing exact JSON types, so the token and QA types below are plain named
 tuples with no checks of their own. `record_violations` holds the rules
 that a well-formed record can still break; the duplicate rule, which needs
-the records read before, lives in `pipeline.ingest`.
+every record of the corpus, lives in `pipeline.ingest`.
 """
 
 import json

@@ -731,7 +731,7 @@ def oracle_hold_and_sort_build(config, datasets, manifest_name, describe, owned,
         obj_config = old.ObjectiveConfig(fmt=config.fmt)
         builders = [lambda record, texts: builder(record, texts, obj_config)]
 
-    def work(record):
+    def work(record, digest):
         builds = [build if eligible(record) else None
                   for (_, eligible, _), build in zip(datasets, builders)]
         texts = None
@@ -778,3 +778,61 @@ def oracle_hold_and_sort_build(config, datasets, manifest_name, describe, owned,
             if os.path.exists(path):
                 os.remove(path)
         raise
+
+
+def oracle_duplicate_rule(lines):
+    """The duplicate rule from its definition, held in memory: of the valid
+    lines (they decode, parse and break no per-record rule) that share an
+    image_id, the one whose bytes less their trailing CR and LF have the
+    smallest 16-byte blake2b digest stays, and a copy with that digest is
+    the same line. Returns the lines that stay, in their order, and how
+    many valid copies go."""
+    from scenetext.errors import ParseError, SchemaError
+
+    copies = {}
+    for index, line in enumerate(lines):
+        try:
+            record = oracle_parse_record(line.decode("utf-8"))
+        except (UnicodeDecodeError, ParseError, SchemaError):
+            continue
+        if not oracle_record_violations(record):
+            digest = hashlib.blake2b(line.rstrip(b"\r\n"), digest_size=16).digest()
+            copies.setdefault(record.image_id, []).append((digest, index))
+    gone = {index for same_id in copies.values() for _, index in sorted(same_id)[1:]}
+    return [line for index, line in enumerate(lines) if index not in gone], len(gone)
+
+
+def oracle_dedup_build(config, datasets, manifest_name, describe, owned, stats=None,
+                       order_ocr=True):
+    """`oracle_hold_and_sort_build` on the lines `oracle_duplicate_rule`
+    keeps of the inputs (plain or gzip, blank lines left out), written to a
+    temporary file; its manifest then echoes the real inputs and counts the
+    copies that went as lines, validation skips and `duplicate_image_id`."""
+    import dataclasses
+    import gzip
+    import os
+    import tempfile
+
+    from scenetext import pipeline
+
+    lines = []
+    for path in config.inputs:
+        with (gzip.open if path.endswith(".gz") else open)(path, "rb") as fh:
+            lines += [line for line in fh if line.strip()]
+    kept, gone = oracle_duplicate_rule(lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = os.path.join(tmp, "deduplicated.jsonl")
+        with open(corpus, "wb") as fh:
+            fh.writelines(line if line.endswith(b"\n") else line + b"\n" for line in kept)
+        manifest = oracle_hold_and_sort_build(dataclasses.replace(config, inputs=(corpus,)),
+                                              datasets, manifest_name, describe, owned, stats,
+                                              order_ocr)
+    counters = Counter(manifest["counters"])
+    if gone:
+        counters.update(lines=gone, validation_skips=gone, duplicate_image_id=gone)
+    manifest.update(config=config.to_dict(), config_hash=pipeline._config_hash(config),
+                    counters=dict(counters))
+    with open(os.path.join(config.out_dir, manifest_name), "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return manifest

@@ -1,0 +1,180 @@
+"""The duplicate rule on hostile corpora: of the valid lines that share an
+image_id, the line with the smallest digest stays, so every output is a
+function of the set of lines, and no memory is held per image_id.
+
+Builds run in-process through the CLI, with the CPU cap lifted
+(`workers.available_cpus`) so `--threads` 2 and 3 fork their workers on
+any machine.
+"""
+
+import random
+import tempfile
+import tracemalloc
+from dataclasses import replace
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from scenetext import pipeline, workers
+from scenetext.cli import main
+from scenetext.records import QaAnnotation, serialize_record
+
+from conftest import make_token, random_layout_record, write_damaged_gzip
+from oracles import oracle_dedup_build
+
+BUILDS = {
+    "pretrain": ["build-pretrain", "--stages", "ocr,splitocr,cap,splitcap", "--passes", "2",
+                 "--shards", "3"],
+    "vqa": ["build-finetune", "--task", "vqa", "--shards", "2"],
+}
+
+
+def hostile_lines(rng: random.Random, n: int) -> list[bytes]:
+    """n lines, each ended by LF or CRLF: records over a pool of about n/3
+    image_ids, some with QA or a confidence out of range, byte-identical
+    copies of earlier lines (some with the other line ending), bad JSON,
+    0xff bytes, NaN boxes, lone-surrogate escapes and blank lines. The first
+    id always has two valid copies with other content."""
+    ids = [f"im{i}" for i in range(max(2, n // 3))]
+
+    def record(image_id, valid=False):
+        r = random_layout_record(rng, image_id=image_id, max_tokens=5,
+                                 with_caption=rng.random() < 0.7)
+        if rng.random() < 0.4:
+            r = replace(r, qa=(QaAnnotation(f"q{rng.randrange(9)}", ("a",) * 10),))
+        if not valid and rng.random() < 0.08:
+            r = replace(r, ocr=(make_token("x", confidence=1.5),))
+        return serialize_record(r).encode("utf-8")
+
+    lines = [record(ids[0], valid=True), record(ids[0], valid=True)]
+    while len(lines) < n:
+        kind = rng.random()
+        if kind < 0.05:
+            line = b"{not json"
+        elif kind < 0.08:
+            line = b'{"image_id": "%s", "caption": "\xff"}' % rng.choice(ids).encode()
+        elif kind < 0.11:
+            line = b'{"image_id": "%s", "ocr": [{"text": "x", "bbox": [NaN, 0, 5, 5]}]}' % (
+                rng.choice(ids).encode())
+        elif kind < 0.14:
+            line = b'{"image_id": "%s", "caption": "a\\uD800b"}' % rng.choice(ids).encode()
+        elif kind < 0.17:
+            line = rng.choice([b"", b"  ", b"\t"])
+        elif kind < 0.35:
+            line = rng.choice(lines)
+        else:
+            line = record(rng.choice(ids))
+        lines.append(line)
+    return [line + rng.choice([b"\n", b"\n", b"\r\n"]) for line in lines]
+
+
+def build(kind: str, corpus: Path, out_dir: Path, *flags) -> dict[str, bytes]:
+    """Every file one build leaves in an emptied out_dir, by name."""
+    for path in out_dir.glob("*") if out_dir.exists() else ():
+        path.unlink()
+    assert main([*BUILDS[kind], "--seed", "13", *flags, "--in", str(corpus),
+                 "--out-dir", str(out_dir)]) == 0
+    return {path.name: path.read_bytes() for path in out_dir.iterdir()}
+
+
+def shards(files: dict[str, bytes]) -> dict[str, bytes]:
+    return {name: data for name, data in files.items() if "-of-" in name}
+
+
+def shard_lines(files: dict[str, bytes]) -> set[bytes]:
+    return {line for data in shards(files).values() for line in data.splitlines()}
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(0, 2**32 - 1), st.integers(40, 170), st.sampled_from(list(BUILDS)))
+def test_outputs_are_a_function_of_the_set_of_lines(monkeypatch, seed, n, kind):
+    monkeypatch.setattr(workers, "available_cpus", lambda: 4)
+    rng = random.Random(seed)
+    lines = hostile_lines(rng, n)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        corpus, out = tmp / "corpus.jsonl", tmp / "out"
+        corpus.write_bytes(b"".join(lines))
+        built = build(kind, corpus, out)
+        [manifest] = [data for name, data in built.items() if name.endswith(".json")]
+        assert b'"duplicate_image_id"' in manifest
+        # a rerun, and the lines in another order
+        assert build(kind, corpus, out) == built
+        shuffled = lines[:]
+        rng.shuffle(shuffled)
+        corpus.write_bytes(b"".join(shuffled))
+        assert build(kind, corpus, out) == built
+        corpus.write_bytes(b"".join(lines))
+        # any worker count
+        for threads in ("2", "3"):
+            assert shards(build(kind, corpus, out, "--threads", threads)) == shards(built)
+        # the rule from its definition, held in memory
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "_build", oracle_dedup_build)
+            assert build(kind, corpus, out) == built
+        # a subsample builds the shards of its fraction, and fractions nest
+        sample = tmp / "sample.jsonl"
+        by_fraction = {}
+        for fraction in ("0.3", "0.7"):
+            by_fraction[fraction] = build(kind, corpus, out, "--fraction", fraction)
+            assert main(["subsample", "--in", str(corpus), "--out", str(sample),
+                         "--fraction", fraction, "--seed", "13"]) == 0
+            assert shards(build(kind, sample, out)) == shards(by_fraction[fraction])
+        assert shard_lines(by_fraction["0.3"]) <= shard_lines(by_fraction["0.7"])
+        assert shard_lines(by_fraction["0.7"]) <= shard_lines(built)
+
+
+def traced_peak(argv) -> int:
+    """The tracemalloc peak of one in-process CLI run, after an untraced one
+    has loaded the modules and filled their caches."""
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_does_not_grow_with_distinct_ids(tmp_path):
+    sizes = (2000, 8000)
+    # what a set of the image_ids adds, as the rule's state would
+    tracemalloc.start()
+    try:
+        held = {f"image-{i:07d}" for i in range(sizes[0])}
+        small = tracemalloc.get_traced_memory()[0]
+        held = {f"image-{i:07d}" for i in range(sizes[1])}
+        per_set = tracemalloc.get_traced_memory()[0] - small
+    finally:
+        tracemalloc.stop()
+    del held
+    peaks = {"validate": [], "build": []}
+    for n in sizes:
+        corpus = tmp_path / f"corpus-{n}.jsonl"
+        corpus.write_text("".join(f'{{"image_id": "image-{i:07d}", "caption": "a red sign", '
+                                  f'"ocr": [{{"text": "STOP", "bbox": [1, 2, 3, 4]}}]}}\n'
+                                  for i in range(n)), encoding="utf-8")
+        peaks["validate"].append(traced_peak(["validate", "--in", str(corpus)]))
+        peaks["build"].append(traced_peak(["build-finetune", "--task", "caption", "--shards", "2",
+                                           "--in", str(corpus),
+                                           "--out-dir", str(tmp_path / "out")]))
+    for command, (small_peak, large_peak) in peaks.items():
+        assert large_peak - small_peak < per_set / 4, (command, small_peak, large_peak, per_set)
+
+
+def test_no_id_spill_outlives_a_command(tmp_path, monkeypatch):
+    # validate, stats and subsample spill the ids to a temporary directory,
+    # removed when the command ends, also when a damaged input fails it
+    spills = tmp_path / "tmp"
+    spills.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spills))
+    corpus, damaged = tmp_path / "corpus.jsonl", tmp_path / "damaged.jsonl.gz"
+    corpus.write_bytes(b"".join(hostile_lines(random.Random(3), 300)))
+    write_damaged_gzip(damaged, corpus.read_bytes(), "truncated")
+    for path, code in ((corpus, 0), (damaged, 1)):
+        for argv in (["validate"], ["stats"],
+                     ["subsample", "--out", str(tmp_path / "sample.jsonl"), "--fraction", "0.5"]):
+            assert main([*argv, "--in", str(path)]) == code
+            assert list(spills.iterdir()) == []
+            assert not [p.name for p in tmp_path.iterdir() if p.name.startswith(".")]

@@ -82,7 +82,7 @@ def spilled(seed, pairs):
     building or encoding them raised."""
     try:
         return spill_records([(hash64(seed, "shuffle", example_id), line)
-                              for example_id, line in pairs()])
+                              for example_id, line in pairs()], "0" * 32)
     except UnicodeEncodeError as exc:
         return repr(exc)
 

@@ -31,7 +31,7 @@ from scenetext.pretrain import Objective
 from scenetext.records import QaAnnotation, serialize_record
 
 from conftest import make_record, make_token, random_layout_record
-from oracles import oracle_hash64, oracle_hold_and_sort_build
+from oracles import oracle_dedup_build, oracle_hash64, oracle_hold_and_sort_build
 
 
 def write_corpus(path: Path, records):
@@ -171,10 +171,13 @@ def example_line(example_id, text):
     return json.dumps({"example_id": example_id, "text": text}, ensure_ascii=False)
 
 
+DIGEST = "0123456789abcdef" * 2  # a line digest: 32 hex digits
+
+
 def keyed(examples, seed):
     """(example_id, text) pairs as the spill records of their examples."""
     return spill_records([(hash64(seed, "shuffle", ex_id), example_line(ex_id, text))
-                          for ex_id, text in examples]).splitlines(keepends=True)
+                          for ex_id, text in examples], DIGEST).splitlines(keepends=True)
 
 
 def lines_of(examples):
@@ -205,14 +208,16 @@ def test_shuffle_and_shard_deterministic():
 
 
 @given(st.lists(st.tuples(st.sampled_from([0, 1, 2**63, 2**64 - 1]), st.text(max_size=3),
-                          st.text(max_size=3)), max_size=40))
+                          st.text(max_size=3), st.sampled_from(["0" * 32, "f" * 32, DIGEST])),
+                max_size=40))
 def test_shuffle_and_shard_orders_colliding_keys_by_example_id(examples):
     # few keys, so most collide; ids and texts share prefixes and hold any
-    # code point, and an id's order differs from its JSON-escaped order
-    records = spill_records([(key, example_line(ex_id, text))
-                             for key, ex_id, text in examples]).splitlines(keepends=True)
+    # code point, and an id's order differs from its JSON-escaped order;
+    # the line digest a record carries changes no order
+    records = [record for key, ex_id, text, digest in examples
+               for record in spill_records([(key, example_line(ex_id, text))], digest).splitlines(True)]
     expected = sorted((key, ex_id, f"{example_line(ex_id, text)}\n".encode())
-                      for key, ex_id, text in examples)
+                      for key, ex_id, text, _ in examples)
     assert shuffle_and_shard(records, 1) == [[line for _, _, line in expected]]
 
 
@@ -220,7 +225,7 @@ def test_shuffle_and_shard_orders_colliding_keys_by_example_id(examples):
        st.lists(st.integers(0, 2**64 - 1), max_size=4))
 def test_shuffle_and_shard_dealt_by_key_range_equals_one_deal(keys, shard_count, cuts):
     # keys may repeat; ties on the key fall back to example_id order
-    examples = [(key, spill_records([(key, example_line(f"id{i % 7}", f"line{i}"))]))
+    examples = [(key, spill_records([(key, example_line(f"id{i % 7}", f"line{i}"))], DIGEST))
                 for i, key in enumerate(keys)]
     whole = shuffle_and_shard([record for _, record in examples], shard_count)
     edges = [0, *sorted(cuts), 2**64]
@@ -270,9 +275,10 @@ def test_run_is_byte_identical_across_reruns(corpus, tmp_path):
 
 def _hostile_corpus(path: Path, rng, seed, fraction):
     """A corpus of several chunks with one line of each kind a build skips:
-    bad JSON, a 0xff byte, a schema error, each per-record rule, and later
-    copies of image_ids (in the first copy's chunk and in later chunks) with
-    other content. Returns the counters every build of it must report."""
+    bad JSON, a 0xff byte, a schema error, each per-record rule, and copies
+    of image_ids (in one chunk and in later chunks) with other content, with
+    the same bytes and with a CRLF ending. Returns the counters every build
+    of it must report."""
     chunk = workers.CHUNK_ITEMS
     records = [random_layout_record(rng, image_id=f"img{i:04d}", with_caption=i % 2 == 0)
                for i in range(4 * chunk + 17)]
@@ -296,13 +302,16 @@ def _hostile_corpus(path: Path, rng, seed, fraction):
     put(4 * chunk + 3, dataclasses.replace(first[2], ocr=records[0].ocr))
     put(chunk + 20, make_record("conf", ocr=[make_token("x", confidence=-0.5)]))
     put(3 * chunk + 30, make_record("bbox", ocr=[make_token("x", x=95, w=10)], image_size=(100, 100)))
+    lines[4 * chunk + 10] = lines[3]
+    lines[chunk + 30] = lines[2 * chunk + 1] + b"\r"
     lines[chunk - 1] = b"{not json"
     lines[2 * chunk + 40] = b'{"image_id": "bad-byte", "caption": "\xff"}'
     lines[3 * chunk] = b'{"ocr": []}'
     path.write_bytes(b"".join(line + b"\n" for line in lines))
-    # skipped: 4 later copies, the first copy with a bad confidence, conf, bbox
-    return {"lines": len(lines), "parse_errors": 3, "validation_skips": 7,
-            "valid_records": len(lines) - 10}
+    # skipped: the first copy with a bad confidence, conf and bbox under
+    # their own rules, and all but one valid copy of each id: 3 + 0 + 2
+    return {"lines": len(lines), "parse_errors": 3, "validation_skips": 8,
+            "valid_records": len(lines) - 11, "duplicate_image_id": 5}
 
 
 def test_run_thread_count_does_not_change_output(tmp_path, rng, monkeypatch):
@@ -536,12 +545,13 @@ SPILL_BUILDS = {
 
 def spill_splits(monkeypatch) -> list[tuple[str, int, int]]:
     """Wrap pipeline._split_oversized; each call's (file name, parts, file
-    size), the recursive calls included."""
+    size) on an examples' spill file, the recursive calls included."""
     calls = []
     split = pipeline._split_oversized
 
     def recording(path, written, parts=1, index=0):
-        calls.append((os.path.basename(path), parts, os.path.getsize(path)))
+        if not os.path.basename(path).startswith(".ids-spill"):  # the examples' spills only
+            calls.append((os.path.basename(path), parts, os.path.getsize(path)))
         return split(path, written, parts, index)
 
     monkeypatch.setattr(pipeline, "_split_oversized", recording)
@@ -549,13 +559,16 @@ def spill_splits(monkeypatch) -> list[tuple[str, int, int]]:
 
 
 def spill_reads(monkeypatch) -> list[list[bytes]]:
-    """Wrap pipeline._read_spill; the records of each read."""
+    """Wrap pipeline._read_spill; the records of each read of an examples'
+    spill part."""
     reads = []
     read_spill = pipeline._read_spill
 
     def recording(path):
-        reads.append(read_spill(path))
-        return reads[-1]
+        records = read_spill(path)
+        if not os.path.basename(path).startswith(".ids-spill"):
+            reads.append(records)
+        return records
 
     monkeypatch.setattr(pipeline, "_read_spill", recording)
     return reads
@@ -570,13 +583,14 @@ def assert_reads_bounded(reads) -> None:
 
 
 def spill_bytes(files: dict[str, bytes]) -> dict[str, int]:
-    """What a build spills per dataset, from its shards: each example line
-    after its 16-digit key."""
+    """What a build spills per dataset, from the shards of a build that
+    keeps every copy of an image_id: each example line after its 16-digit
+    key and before its 32-digit line digest."""
     sizes = Counter()
     for name, data in files.items():
         if "-of-" in name:
             lines = gzip.decompress(data) if name.endswith(".gz") else data
-            sizes[name.split("-")[0]] += len(lines) + 16 * lines.count(b"\n")
+            sizes[name.split("-")[0]] += len(lines) + (16 + 32) * lines.count(b"\n")
     return dict(sizes)
 
 
@@ -594,9 +608,12 @@ def test_spilled_build_is_byte_identical_to_hold_and_sort(tmp_path, rng, monkeyp
     command = [*argv, "--seed", "13", "--threads", str(threads), "--in", str(path),
                "--out-dir", str(out_dir)]
     with monkeypatch.context() as patch:
-        patch.setattr(pipeline, "_build", oracle_hold_and_sort_build)
+        patch.setattr(pipeline, "_build", oracle_dedup_build)
         held = _build_files(lambda: main(command), out_dir)
-    sizes = spill_bytes(held)
+        # the hold-and-sort build alone holds every kept copy's examples,
+        # as the spill files do before the duplicate rule drops some
+        patch.setattr(pipeline, "_build", oracle_hold_and_sort_build)
+        sizes = spill_bytes(_build_files(lambda: main(command), out_dir))
     if split == "capped":
         # at most two ways per split, so each spill file is split again and
         # again until its parts are at most twice the target
@@ -652,7 +669,7 @@ def test_build_with_more_shards_than_free_descriptors(tmp_path, rng, monkeypatch
         resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
     spilled = _build_files(lambda: None, tmp_path / "out")
     with monkeypatch.context() as patch:
-        patch.setattr(pipeline, "_build", oracle_hold_and_sort_build)
+        patch.setattr(pipeline, "_build", oracle_dedup_build)
         codes.append(main(argv))
         held = _build_files(lambda: None, tmp_path / "out")
     assert codes == [0, 0]
@@ -723,7 +740,7 @@ def test_spill_split_fits_the_free_descriptors(tmp_path, rng, monkeypatch):
     assert 1 < min(first) < 8 < min(math.ceil(size / target) for size in roots)
     assert_reads_bounded(reads)
     with monkeypatch.context() as patch:
-        patch.setattr(pipeline, "_build", oracle_hold_and_sort_build)
+        patch.setattr(pipeline, "_build", oracle_dedup_build)
         assert _build_files(lambda: main(argv), tmp_path / "out") == spilled
 
 
@@ -756,7 +773,7 @@ def test_spilled_build_keeps_key_then_id_order_when_keys_collide(tmp_path, rng, 
     assert_reads_bounded(reads)
     assert sorted(len({record[:16] for record in records}) for records in reads) == [0] * 48 + [1] * 16
     with monkeypatch.context() as patch:
-        patch.setattr(pipeline, "_build", oracle_hold_and_sort_build)
+        patch.setattr(pipeline, "_build", oracle_dedup_build)
         held = _build_files(lambda: run(config), out_dir)
     assert spilled == held
     # the first line of shard 0 has the smallest example_id keyed 0
@@ -809,7 +826,7 @@ def test_build_failing_mid_pass_leaves_the_out_dir_as_it_was(tmp_path, rng, monk
     # many times over SPILL_BUCKET_BYTES the input is
     assert path.stat().st_size * fraction > 40 * pipeline.SPILL_BUCKET_BYTES
     assert at_failure.read_text().split("\n") == [
-        ".stage0_ocr-spill", ".stage1_splitocr-spill", ".stage2_cap-spill", ".stage3_splitcap-spill",
+        ".ids-spill", ".stage0_ocr-spill", ".stage1_splitocr-spill", ".stage2_cap-spill", ".stage3_splitcap-spill",
         "keep.txt"]
     assert [p.name for p in out_dir.iterdir()] == ["keep.txt"]
     assert (out_dir / "keep.txt").read_text() == "not the build's"

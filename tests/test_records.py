@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from scenetext.errors import ParseError, SchemaError
 from scenetext.ordering import order_tokens
-from scenetext.pipeline import ingest
+from scenetext.pipeline import ingest, keep_copies, line_digest
 from scenetext.records import (
     parse_record,
     record_violations,
@@ -106,19 +106,24 @@ def test_validate_confidence_range():
 
 
 def test_validator_flags_duplicate_image_id(tmp_path):
-    # the first line read with an id wins; each later copy is skipped, and a
-    # copy that also breaks a per-record rule counts every finding
+    # of the valid copies of an id, the line with the smallest digest stays
+    # and every other is skipped once as a duplicate, in either line order;
+    # a copy that breaks a per-record rule is skipped under that rule alone
     path = tmp_path / "dups.jsonl"
     records = [make_record(image_id="dup", caption="first"), make_record(image_id="other"),
                make_record(image_id="dup", caption="second"),
                make_record(image_id="dup", ocr=[make_token("x", confidence=1.3)])]
-    path.write_text("".join(serialize_record(r) + "\n" for r in records), encoding="utf-8")
-    counters, violations = Counter(), Counter()
-    kept = [record for _, record in ingest([str(path)], counters, violations=violations)]
-    assert kept == records[:2]
-    assert violations == {"duplicate_image_id": 2, "confidence_range": 1}
-    assert counters == {"lines": 4, "valid_records": 2, "subsampled_records": 2,
-                        "validation_skips": 2}
+    lines = [serialize_record(r) + "\n" for r in records]
+    winner = min(records[0], records[2], key=lambda r: line_digest(serialize_record(r).encode()))
+    for order in (lines, lines[::-1]):
+        path.write_text("".join(order), encoding="utf-8")
+        counters, violations, copies = Counter(), Counter(), {}
+        pairs = list(ingest([str(path)], counters, violations=violations, copies=copies))
+        stay = set(keep_copies([line for line, _ in pairs], copies))
+        assert {record for line, record in pairs if line in stay} == {winner, records[1]}
+        assert violations == {"duplicate_image_id": 1, "confidence_range": 1}
+        assert counters == {"lines": 4, "valid_records": 2, "subsampled_records": 2,
+                            "validation_skips": 2, "duplicate_image_id": 1}
 
 
 def test_token_rejects_interior_newline():
