@@ -13,7 +13,6 @@ does the corpus-wide work and scores one item at a time, and
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from ..errors import ContractError
@@ -22,14 +21,16 @@ from ..kernels import lcs_length
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
 
 
-@dataclass(frozen=True)
 class CaptionItem:
-    candidate: str
-    references: tuple[str, ...]
+    """A candidate caption and its gold references, at least one."""
 
-    def __post_init__(self):
-        if not self.references:
+    __slots__ = ("candidate", "references")
+
+    def __init__(self, candidate: str, references: tuple[str, ...]):
+        if not references:
             raise ContractError("caption items require at least one reference")
+        self.candidate = candidate
+        self.references = references
 
 
 class CaptionScores(NamedTuple):

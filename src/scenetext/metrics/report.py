@@ -1,7 +1,6 @@
 """Prediction/gold alignment and task-level metric reports."""
 
 import json
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .. import workers
@@ -16,10 +15,12 @@ class EvalTask(str, Enum):
     CAPTION = "CAPTION"
 
 
-@dataclass
 class MetricReport:
-    aggregate: dict[str, float]
-    per_item: list[dict] = field(default_factory=list)
+    __slots__ = ("aggregate", "per_item")
+
+    def __init__(self, aggregate: dict[str, float], per_item: list[dict] | None = None):
+        self.aggregate = aggregate
+        self.per_item = [] if per_item is None else per_item
 
     @property
     def n_items(self) -> int:

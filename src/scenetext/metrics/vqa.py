@@ -8,7 +8,6 @@ lowercase + trim.
 """
 
 import re
-from dataclasses import dataclass
 
 from ..errors import ContractError
 from ..kernels import levenshtein
@@ -23,14 +22,16 @@ _PUNCT = ".,!?\"'"
 _WS = re.compile(r"\s+")
 
 
-@dataclass(frozen=True)
 class VqaItem:
-    prediction: str
-    answers: tuple[str, ...]
+    """A prediction and its ten gold answers."""
 
-    def __post_init__(self):
-        if len(self.answers) != 10:
-            raise ContractError(f"VQA items require exactly 10 answers, got {len(self.answers)}")
+    __slots__ = ("prediction", "answers")
+
+    def __init__(self, prediction: str, answers: tuple[str, ...]):
+        if len(answers) != 10:
+            raise ContractError(f"VQA items require exactly 10 answers, got {len(answers)}")
+        self.prediction = prediction
+        self.answers = answers
 
 
 def normalize_answer(text: str) -> str:

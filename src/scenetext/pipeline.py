@@ -42,7 +42,6 @@ shards plus manifest are byte-reproducible across reruns, worker counts
 and input orderings.
 """
 
-import dataclasses
 import gzip
 import json
 import math
@@ -51,12 +50,11 @@ import re
 import zlib
 from collections import Counter
 from contextlib import ExitStack, closing
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import groupby, islice
 from json.encoder import encode_basestring_ascii
 from operator import eq, itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import __version__, workers
 from .errors import ConfigError, ParseError, SceneTextError, SchemaError
@@ -68,8 +66,7 @@ from .records import Record, parse_record, record_violations
 from .textformat import TextFormat
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class _ConfigFields(NamedTuple):
     inputs: tuple[str, ...]
     out_dir: str
     stages: tuple[Objective, ...] = (Objective.SPLITOCR,)
@@ -83,7 +80,15 @@ class PipelineConfig:
     compress: bool = False
     resolution: int | None = None  # image-resolution tag in pixels, manifest metadata only
 
-    def __post_init__(self):
+
+class PipelineConfig(_ConfigFields):
+    """A build's settings: a named tuple, checked whenever one is made, by
+    the constructor or by `_replace`, which copies one with changes."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.threads < 1:
@@ -100,23 +105,35 @@ class PipelineConfig:
             raise ConfigError("passes must be >= 1")
         if not 0.0 <= self.overlap_threshold <= 1.0:  # NaN fails too
             raise ConfigError(f"overlap threshold must be in [0, 1], got {self.overlap_threshold}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        """The named tuple's `_replace` builds its copy here, which would
+        skip `__new__`: checked like any new config."""
+        return cls(*iterable)
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
+        """The fields as the manifest's JSON values: the format as a dict,
+        the inputs and stage values as lists."""
+        d = self._asdict()
         d["inputs"] = list(self.inputs)
         d["stages"] = [s.value for s in self.stages]
+        d["fmt"] = self.fmt._asdict()
         return d
 
 
 _ELIGIBILITY = tuple((objective.value, objective.eligible) for objective in Objective)
 
 
-@dataclass
 class DatasetStats:
-    record_count: int = 0
-    eligible: Counter = field(default_factory=Counter)
-    ocr_token_histogram: Counter = field(default_factory=Counter)
-    caption_length_histogram: Counter = field(default_factory=Counter)
+    __slots__ = ("record_count", "eligible", "ocr_token_histogram", "caption_length_histogram")
+
+    def __init__(self):
+        self.record_count = 0
+        self.eligible = Counter()
+        self.ocr_token_histogram = Counter()
+        self.caption_length_histogram = Counter()
 
     @staticmethod
     def entry(record: Record) -> tuple[int, int | None, tuple[str, ...]]:
@@ -192,17 +209,17 @@ def line_digest(line: bytes) -> str:
 
 
 def _check_chunk(lines: list[bytes], work, seed: int, fraction: float,
-                 with_stats: bool) -> tuple[bytes, list]:
+                 with_digest: bool, with_stats: bool) -> tuple[bytes, list]:
     """The per-line work of an ingest, on one chunk: (notes, results). One
     result per line: None if it does not decode or parse, else (violations,
     output, entry), where violations are the record's `record_violations`,
-    and output is work(record, line_digest(line)) and entry its
-    `DatasetStats.entry` (None unless with_stats) when there are none and
-    the keep test keeps the record, else None. notes holds the id record of
-    each valid line: hash64(seed, image_id) as 16 hex digits, the image_id
-    as an ASCII JSON string, and for a kept line its digest and, with
-    stats, its entry as JSON; one line each. Runs in a worker process when
-    the ingest has more than one."""
+    and output is work(record, digest) and entry its `DatasetStats.entry`
+    (None unless with_stats) when there are none and the keep test keeps
+    the record, else None; digest is the line's `line_digest` with_digest,
+    else "". notes holds the id record of each valid line: hash64(seed,
+    image_id) as 16 hex digits, the image_id as an ASCII JSON string, and
+    for a kept line its digest and, with stats, its entry as JSON; one line
+    each. Runs in a worker process when the ingest has more than one."""
     results, notes = [], []
     for raw in lines:
         try:
@@ -218,7 +235,7 @@ def _check_chunk(lines: list[bytes], work, seed: int, fraction: float,
         note = f"{key:016x}{encode_basestring_ascii(record.image_id)}"
         output = entry = None
         if kept_hash(key, fraction):
-            digest = line_digest(raw)
+            digest = line_digest(raw) if with_digest else ""
             output = work(record, digest)
             note += digest
             if with_stats:
@@ -269,26 +286,29 @@ def ingest(paths: Iterable[str], counters: Counter, fraction: float = 1.0, seed:
     and stats entries are taken back; a count that falls to 0 goes.
 
     The fraction is checked at once, before any line is read. Parsing, the
-    per-record rules, the keep test, the digest and `work` run on chunks of
-    lines: in up to `threads` forked processes (`workers.map`) when every
-    input is a regular file, which each worker reads itself, else here; the
-    counters and the id spill run here, in line order, so nothing depends
-    on the chunking. This is the one place that sets `valid_records` and
-    `subsampled_records`, both reported even when no line is valid. No
-    file it makes outlives it.
+    per-record rules, the keep test, the digest (computed only for `copies`,
+    `stats` or a `work` of the caller's: the default `work` ignores it) and
+    `work` run on chunks of lines: in up to `threads` forked processes
+    (`workers.map`) when every input is a regular file, which each worker
+    reads itself, else here; the counters and the id spill run here, in
+    line order, so nothing depends on the chunking. This is the one place
+    that sets `valid_records` and `subsampled_records`, both reported even
+    when no line is valid. No file it makes outlives it.
     """
     _check_fraction(fraction)
     paths = tuple(paths)
+    with_digest = copies is not None or stats is not None or work is not _same
     job = partial(_check_chunk, work=work, seed=seed, fraction=fraction,
-                  with_stats=stats is not None)
+                  with_digest=with_digest, with_stats=stats is not None)
     if not all(map(os.path.isfile, paths)):  # a pipe is read once, here
         threads = 1
     return _ingest(workers.map(job, partial(_chunks, paths), threads), counters, violations,
-                   stats, copies, spill_dir)
+                   stats, copies, spill_dir, fraction)
 
 
 def _ingest(chunk_results, counters: Counter, violations: Counter | None,
-            stats: DatasetStats | None, copies: dict[str, int] | None, spill_dir: str | None):
+            stats: DatasetStats | None, copies: dict[str, int] | None, spill_dir: str | None,
+            fraction: float):
     counters.update(valid_records=0, subsampled_records=0)
     written: list[str] = []
     with ExitStack() as stack:
@@ -322,7 +342,7 @@ def _ingest(chunk_results, counters: Counter, violations: Counter | None,
                             stats.add(entry)
                         yield line, output
         _resolve(_split_oversized(spill, written), counters, violations, stats,
-                 {} if copies is None else copies)
+                 {} if copies is None else copies, fraction)
 
 
 def keep_copies(lines: Iterable[bytes], copies: dict[str, int]) -> Iterator[bytes]:
@@ -349,12 +369,13 @@ def _id_and_rest(note: bytes) -> tuple[str, str]:
 
 
 def _resolve(parts: list[str], counters: Counter, violations: Counter | None,
-             stats: DatasetStats | None, copies: dict[str, int]) -> None:
+             stats: DatasetStats | None, copies: dict[str, int], fraction: float) -> None:
     """The duplicate rule (see `ingest`), on the id spill's parts, each read
     once and removed. Sorted, a part holds the records of an image_id next to
     each other and in digest order; only in a part where keys repeat are
     the records grouped, and only where they repeat is a record's image_id
-    read back."""
+    read back. The keep test is of the key alone, so every copy of an
+    image_id is kept or none is, with or without digests in its records."""
     duplicates = kept_duplicates = 0
     key = itemgetter(slice(0, 16))
     for part in parts:
@@ -362,15 +383,17 @@ def _resolve(parts: list[str], counters: Counter, violations: Counter | None,
         os.remove(part)
         notes.sort()
         if any(map(eq, map(key, notes), map(key, islice(notes, 1, None)))):
-            for _, same_key in groupby(notes, key=key):
+            for hex_key, same_key in groupby(notes, key=key):
                 if len(same_key := list(same_key)) == 1:
                     continue
+                kept = kept_hash(int(hex_key, 16), fraction)
                 for _, same_id in groupby(map(_id_and_rest, same_key), key=itemgetter(0)):
                     winner, *others = [rest for _, rest in same_id]
                     duplicates += len(others)
+                    if kept:
+                        kept_duplicates += len(others)
                     for rest in others:
-                        if rest:  # the copies of a kept image_id
-                            kept_duplicates += 1
+                        if rest:  # the digests of a kept image_id's copies
                             copies[rest[:32]] = int(rest[:32] == winner[:32])
                             if stats is not None:
                                 stats.remove(json.loads(rest[32:]))
@@ -434,7 +457,7 @@ def _create(paths: Iterable[str], written: list[str], stack: ExitStack) -> list:
     return files
 
 
-SPILL_BUCKET_BYTES = 1 << 17  # spill bytes of a part read back; a file over twice this is split
+SPILL_BUCKET_BYTES = 1 << 17  # spill bytes of a part read back; a spill file over this is split
 OPEN_FILES_MAX = 128  # spill parts a split opens at once, each with a file block of write buffer
 
 
@@ -455,14 +478,15 @@ def _free_descriptors() -> int:
 
 def _split_oversized(path: str, written: list[str], parts: int = 1, index: int = 0) -> list[str]:
     """A dataset's spill file as files in key order, none much over
-    SPILL_BUCKET_BYTES: a file over twice that is split by its key range into
-    parts of about SPILL_BUCKET_BYTES, and each part again as needed. The
-    file holds part `index` of `parts` of the key range, the keys k with
-    k * parts >> 64 == index. Each part joins `written` once created, and a
-    file split is removed. A split that leaves every record in one part
-    (keys that collide) is not split again."""
+    SPILL_BUCKET_BYTES: a file over that is split by its key range into
+    parts of about SPILL_BUCKET_BYTES, and each part again while it is over
+    twice that, which a part of an even split seldom is. The file holds
+    part `index` of `parts` of the key range, the keys k with k * parts >>
+    64 == index. Each part joins `written` once created, and a file split
+    is removed. A split that leaves every record in one part (keys that
+    collide) is not split again."""
     size, ways = os.path.getsize(path), 1
-    if size > 2 * SPILL_BUCKET_BYTES:
+    if size > (1 if parts == 1 else 2) * SPILL_BUCKET_BYTES:
         ways = min(math.ceil(size / SPILL_BUCKET_BYTES), OPEN_FILES_MAX, _free_descriptors() - 2)
     if ways < 2:
         return [path]

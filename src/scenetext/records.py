@@ -7,16 +7,16 @@ Input is one JSON object per line:
 
 This module is the one place input is checked: `_record`, `_parse_tokens`
 and `_parse_qa` apply every schema rule while they walk the decoded JSON,
-testing exact JSON types, so the token and QA types below are plain named
-tuples with no checks of their own. `record_violations` holds the rules
-that a well-formed record can still break; the duplicate rule, which needs
-every record of the corpus, lives in `pipeline.ingest`.
+testing exact JSON types, so the token, QA and record types below are
+plain named tuples with no checks of their own, which the walk builds with
+`tuple.__new__`, past their Python-level constructors. `record_violations`
+holds the rules that a well-formed record can still break; the duplicate
+rule, which needs every record of the corpus, lives in `pipeline.ingest`.
 """
 
 import json
 import math
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ParseError, SchemaError
@@ -45,9 +45,9 @@ class QaAnnotation(NamedTuple):
     answers: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Record:
-    """One corpus entry: image reference, optional caption, OCR, optional QA."""
+class Record(NamedTuple):
+    """One corpus entry: image reference, optional caption, OCR, optional QA.
+    `_replace` copies one with changes."""
 
     image_id: str
     image_uri: str | None = None
@@ -100,7 +100,6 @@ def _parse_tokens(ocr_raw: list) -> tuple[OcrToken, ...]:
             raise SchemaError(f"bbox origin must be non-negative, got {bbox!r}")
         if not (x + w < math.inf and y + h < math.inf):
             raise SchemaError(f"bbox edges must be finite, got {bbox!r}")
-        # tuple.__new__ skips the named tuple's Python-level constructor
         tokens.append(tuple.__new__(OcrToken, (x, y, text, w, h, float(conf))))
     # tuple([...]), not tuple(genexpr): see _record
     return tuple(tokens)
@@ -117,7 +116,7 @@ def _parse_qa(raw) -> QaAnnotation:
         raise SchemaError("answers must be a list of strings")
     if not answers:
         raise SchemaError("answers list must be non-empty")
-    return QaAnnotation(question, tuple(answers))
+    return tuple.__new__(QaAnnotation, (question, tuple(answers)))
 
 
 def _record(obj) -> Record:
@@ -157,14 +156,8 @@ def _record(obj) -> Record:
     if image_uri is not None and type(image_uri) is not str:
         raise SchemaError("image_uri must be a string")
 
-    return Record(
-        image_id=image_id,
-        image_uri=image_uri,
-        image_size=image_size,
-        caption=caption,
-        ocr=_parse_tokens(ocr_raw),
-        qa=qa,
-    )
+    return tuple.__new__(Record, (image_id, image_uri, image_size, caption,
+                                  _parse_tokens(ocr_raw), qa))
 
 
 # A lone surrogate can only come from a \uD800-\uDFFF escape in UTF-8 input.

@@ -9,11 +9,10 @@ input_caption_prefix). Delimiters and prompts are configuration with fixed
 defaults; effective values are recorded in run manifests.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class TextFormat:
+class TextFormat(NamedTuple):
     ocr_prompt: str = "read:"
     caption_prompt: str = "caption:"
     vqa_prompt: str = "answer:"

@@ -808,7 +808,6 @@ def oracle_dedup_build(config, datasets, manifest_name, describe, owned, stats=N
     keeps of the inputs (plain or gzip, blank lines left out), written to a
     temporary file; its manifest then echoes the real inputs and counts the
     copies that went as lines, validation skips and `duplicate_image_id`."""
-    import dataclasses
     import gzip
     import os
     import tempfile
@@ -824,7 +823,7 @@ def oracle_dedup_build(config, datasets, manifest_name, describe, owned, stats=N
         corpus = os.path.join(tmp, "deduplicated.jsonl")
         with open(corpus, "wb") as fh:
             fh.writelines(line if line.endswith(b"\n") else line + b"\n" for line in kept)
-        manifest = oracle_hold_and_sort_build(dataclasses.replace(config, inputs=(corpus,)),
+        manifest = oracle_hold_and_sort_build(config._replace(inputs=(corpus,)),
                                               datasets, manifest_name, describe, owned, stats,
                                               order_ocr)
     counters = Counter(manifest["counters"])

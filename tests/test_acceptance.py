@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines alongside pytest's own verdicts.
 """
 
-import dataclasses
 import gzip
 import hashlib
 import json
@@ -281,7 +280,7 @@ def test_criterion_end_to_end_determinism(tmp_path):
     )
     run(config)
     first = _snapshot(out)
-    run(dataclasses.replace(config))
+    run(config._replace())
     second = _snapshot(out)
     report("End-to-end determinism", first == second and len(first) > 1,
            f"{len(first)} output files byte-identical")

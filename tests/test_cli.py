@@ -12,7 +12,6 @@ from scenetext.records import serialize_record
 
 from conftest import random_layout_record, write_damaged_gzip
 from scenetext.records import QaAnnotation
-import dataclasses
 
 
 @pytest.fixture
@@ -21,9 +20,7 @@ def corpus(tmp_path, rng):
     for i in range(60):
         r = random_layout_record(rng, image_id=f"img{i:03d}", with_caption=True)
         if i % 3 == 0:
-            r = dataclasses.replace(
-                r, qa=(QaAnnotation(f"question {i}", tuple(["ans"] * 10)),)
-            )
+            r = r._replace(qa=(QaAnnotation(f"question {i}", tuple(["ans"] * 10)),))
         records.append(r)
     path = tmp_path / "corpus.jsonl"
     path.write_text("".join(serialize_record(r) + "\n" for r in records), encoding="utf-8")
@@ -568,7 +565,7 @@ def test_damaged_gzip_input_exits_1_naming_the_file(tmp_path, rng, capsys, monke
     monkeypatch.setattr(workers, "available_cpus", lambda: 2)
     records = [random_layout_record(rng, image_id=f"img{i:03d}", with_caption=True)
                for i in range(300)]
-    records = [dataclasses.replace(r, qa=(QaAnnotation("q", ("a",) * 10),)) if i % 3 == 0 else r
+    records = [r._replace(qa=(QaAnnotation("q", ("a",) * 10),)) if i % 3 == 0 else r
                for i, r in enumerate(records)]
     path = tmp_path / "corpus.jsonl.gz"
     write_damaged_gzip(path, "".join(serialize_record(r) + "\n" for r in records).encode("utf-8"),
@@ -616,6 +613,8 @@ def test_failed_subsample_keeps_an_existing_output(tmp_path, rng, capsys, damage
 BUILD_MODULES = {f"scenetext.{name}" for name in
                  ("pipeline", "pretrain", "finetune", "records", "ordering", "hashing", "textformat")}
 METRIC_MODULES = {"scenetext.metrics", "scenetext.kernels"}
+# `dataclasses` loads `inspect`, `ast`, `dis`, `tokenize` and more: ~1 MB of peak RSS
+INTROSPECTION = {"dataclasses", "inspect"}
 
 
 def run_fresh(code: str, *argv):
@@ -630,14 +629,18 @@ def run_fresh(code: str, *argv):
 
 
 def modules_after_main(*argv, setup=""):
-    """Exit code of `main(argv)` in a fresh interpreter that first runs
-    `setup`, and the modules that interpreter then holds."""
+    """Exit code of `main(argv)` (or of its SystemExit, as `--help` raises)
+    in a fresh interpreter that first runs `setup`, and the modules that
+    interpreter then holds."""
     exit_code, modules = run_fresh(
         "import contextlib, io, json, sys\n"
         f"{setup}\n"
         "from scenetext.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-        "    code = main(sys.argv[1:])\n"
+        "    try:\n"
+        "        code = main(sys.argv[1:])\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
         "print(json.dumps([code, sorted(sys.modules)]))\n", *argv)
     return exit_code, set(modules)
 
@@ -668,7 +671,7 @@ def test_evaluate_loads_no_build_module(tmp_path, task, gold_key, count):
     assert ("<forked>" in modules) == (count > workers.CHUNK_ITEMS)
     assert not modules & BUILD_MODULES
     assert not modules & {"hashlib", "_hashlib", "concurrent.futures", "multiprocessing",
-                          "fractions", "decimal"}
+                          "fractions", "decimal", *INTROSPECTION}
 
 
 @pytest.mark.parametrize("argv", [["build-pretrain", "--stages", "ocr,cap", "--out-dir"],
@@ -679,6 +682,7 @@ def test_builds_load_no_metric_module(corpus, tmp_path, argv):
     assert code == 0
     assert "scenetext.pipeline" in modules
     assert not modules & METRIC_MODULES
+    assert not modules & INTROSPECTION
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -690,7 +694,37 @@ def test_builds_load_no_openssl_and_no_process_pool(corpus, tmp_path, threads):
         setup="from scenetext import workers; workers.available_cpus = lambda: 2")
     assert code == 0
     assert len(list((tmp_path / "out").iterdir())) == 3
-    assert not modules & {"hashlib", "_hashlib", "concurrent.futures", "multiprocessing"}
+    assert not modules & {"hashlib", "_hashlib", "concurrent.futures", "multiprocessing",
+                          *INTROSPECTION}
+
+
+@pytest.mark.parametrize("command", ["stats", "subsample", "build-finetune", "evaluate-vqa",
+                                     "--help"])
+def test_no_command_loads_dataclasses_or_inspect(corpus, tmp_path, command):
+    # validate, build-pretrain and evaluate vqa_anls and caption: the tests above
+    gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+    gold.write_text(json.dumps({"example_id": "e0", "answers": ["stop"] * 10}) + "\n")
+    pred.write_text(json.dumps({"example_id": "e0", "prediction": "stop"}) + "\n")
+    argv = {
+        "stats": ["stats", "--in", corpus],
+        "subsample": ["subsample", "--fraction", "0.5", "--in", corpus,
+                      "--out", tmp_path / "sample.jsonl"],
+        "build-finetune": ["build-finetune", "--task", "vqa", "--in", corpus,
+                           "--out-dir", tmp_path / "out"],
+        "evaluate-vqa": ["evaluate", "--task", "vqa", "--pred", pred, "--gold", gold],
+        "--help": ["--help"],
+    }[command]
+    code, modules = modules_after_main(*argv)
+    assert code == 0
+    assert not modules & INTROSPECTION
+
+
+def test_benchmark_setup_import_loads_no_dataclasses_or_inspect():
+    modules = run_fresh("import json, sys, scenetext.cli, scenetext.metrics\n"
+                        "scenetext.cli.build_parser()\n"
+                        "print(json.dumps(sorted(sys.modules)))\n")
+    assert "scenetext.metrics" in modules
+    assert not set(modules) & INTROSPECTION
 
 
 def test_package_reexports_load_on_first_access():

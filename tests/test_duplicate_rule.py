@@ -10,7 +10,6 @@ any machine.
 import random
 import tempfile
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -41,9 +40,9 @@ def hostile_lines(rng: random.Random, n: int) -> list[bytes]:
         r = random_layout_record(rng, image_id=image_id, max_tokens=5,
                                  with_caption=rng.random() < 0.7)
         if rng.random() < 0.4:
-            r = replace(r, qa=(QaAnnotation(f"q{rng.randrange(9)}", ("a",) * 10),))
+            r = r._replace(qa=(QaAnnotation(f"q{rng.randrange(9)}", ("a",) * 10),))
         if not valid and rng.random() < 0.08:
-            r = replace(r, ocr=(make_token("x", confidence=1.5),))
+            r = r._replace(ocr=(make_token("x", confidence=1.5),))
         return serialize_record(r).encode("utf-8")
 
     lines = [record(ids[0], valid=True), record(ids[0], valid=True)]

@@ -86,6 +86,12 @@ def test_cider_matches_oracle_on_toy_corpus():
         assert got == pytest.approx(want, abs=1e-4)
 
 
+def test_caption_item_requires_a_reference():
+    with pytest.raises(ContractError, match="at least one reference"):
+        CaptionItem("a red sign", ())
+    assert CaptionItem("a red sign", ("a sign",)).references == ("a sign",)
+
+
 def test_cider_needs_two_items():
     with pytest.raises(ContractError):
         cider([CaptionItem("a", ("a",))])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import scenetext.metrics.vqa as vqa
 from scenetext.errors import ContractError
 from scenetext.kernels import levenshtein
-from scenetext.metrics import VqaItem, anls, normalize_answer, vqa_accuracy
+from scenetext.metrics import MetricReport, VqaItem, anls, normalize_answer, vqa_accuracy
 
 from oracles import levenshtein_memo, oracle_anls, vqa_accuracy_leave_one_out
 
@@ -58,8 +58,16 @@ def test_vqa_accuracy_normalizes_both_sides():
 
 
 def test_vqa_item_requires_ten_answers():
-    with pytest.raises(ContractError):
-        VqaItem("x", ("a", "b"))
+    for count in (2, 9, 11):
+        with pytest.raises(ContractError):
+            VqaItem("x", ("a",) * count)
+    assert VqaItem("x", ("a",) * 10).answers == ("a",) * 10
+
+
+def test_metric_reports_share_no_per_item_list():
+    first, second = MetricReport({"accuracy": 1.0}), MetricReport({"accuracy": 0.5})
+    first.per_item.append({"example_id": "e0", "accuracy": 1.0})
+    assert (first.n_items, second.n_items) == (1, 0)
 
 
 def test_levenshtein_spot_values():

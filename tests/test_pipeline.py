@@ -9,8 +9,6 @@ from collections import Counter
 from contextlib import suppress
 from pathlib import Path
 
-import dataclasses
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -29,6 +27,7 @@ from scenetext.pipeline import (
 )
 from scenetext.pretrain import Objective
 from scenetext.records import QaAnnotation, serialize_record
+from scenetext.textformat import TextFormat
 
 from conftest import make_record, make_token, random_layout_record
 from oracles import oracle_dedup_build, oracle_hash64, oracle_hold_and_sort_build
@@ -282,7 +281,7 @@ def _hostile_corpus(path: Path, rng, seed, fraction):
     chunk = workers.CHUNK_ITEMS
     records = [random_layout_record(rng, image_id=f"img{i:04d}", with_caption=i % 2 == 0)
                for i in range(4 * chunk + 17)]
-    records = [dataclasses.replace(r, qa=(QaAnnotation(f"q {r.image_id}", ("a",) * 10),))
+    records = [r._replace(qa=(QaAnnotation(f"q {r.image_id}", ("a",) * 10),))
                if i % 3 == 0 else r for i, r in enumerate(records)]
     # duplicated ids that the subsample keeps, so their examples are built
     dup_ids = [i for i in (f"dup{k}" for k in range(100)) if keep_fraction(seed, i, fraction)][:3]
@@ -291,15 +290,15 @@ def _hostile_corpus(path: Path, rng, seed, fraction):
     def put(index, record):
         lines[index] = serialize_record(record).encode("utf-8")
 
-    first = [dataclasses.replace(records[i], image_id=d, caption="first copy")
+    first = [records[i]._replace(image_id=d, caption="first copy")
              for i, d in zip((3, chunk + 5, 2 * chunk + 1), dup_ids)]
     put(3, first[0])
-    put(chunk + 5, dataclasses.replace(first[1], ocr=(make_token("x", confidence=1.5),)))
+    put(chunk + 5, first[1]._replace(ocr=(make_token("x", confidence=1.5),)))
     put(2 * chunk + 1, first[2])
-    put(9, dataclasses.replace(first[0], caption="same chunk"))
-    put(2 * chunk + 7, dataclasses.replace(first[0], caption="later chunk"))
-    put(3 * chunk + 2, dataclasses.replace(first[1], caption="valid later copy"))
-    put(4 * chunk + 3, dataclasses.replace(first[2], ocr=records[0].ocr))
+    put(9, first[0]._replace(caption="same chunk"))
+    put(2 * chunk + 7, first[0]._replace(caption="later chunk"))
+    put(3 * chunk + 2, first[1]._replace(caption="valid later copy"))
+    put(4 * chunk + 3, first[2]._replace(ocr=records[0].ocr))
     put(chunk + 20, make_record("conf", ocr=[make_token("x", confidence=-0.5)]))
     put(3 * chunk + 30, make_record("bbox", ocr=[make_token("x", x=95, w=10)], image_size=(100, 100)))
     lines[4 * chunk + 10] = lines[3]
@@ -397,6 +396,41 @@ def test_config_validation():
             PipelineConfig(inputs=("x",), out_dir="y", stages=stages)
 
 
+def test_config_replace_is_checked_like_a_new_config():
+    # `_replace` builds through `_make`, which skips `__new__` unless overridden
+    config = PipelineConfig(inputs=("x",), out_dir="y")
+    for field, value in (("seed", -1), ("seed", 2**64), ("threads", 0), ("fraction", 0.0),
+                         ("fraction", math.nan)):
+        with pytest.raises(ConfigError, match=field):
+            config._replace(**{field: value})
+    assert config._replace(seed=5) == PipelineConfig(inputs=("x",), out_dir="y", seed=5)
+    assert type(config._replace(seed=5)) is PipelineConfig
+    with pytest.raises(ValueError):
+        config._replace(not_a_field=1)
+
+
+def test_config_dict_and_hash_are_pinned():
+    # golden values: the manifest's "config" and "config_hash" of this
+    # 4-stage config, as the frozen-dataclass config wrote them
+    config = PipelineConfig(
+        inputs=("a.jsonl", "b.jsonl.gz"), out_dir="out",
+        stages=(Objective.OCR, Objective.SPLITOCR, Objective.CAP, Objective.SPLITCAP),
+        seed=7, fraction=0.25, shard_count=8, overlap_threshold=0.4,
+        fmt=TextFormat(token_separator="|"), passes=2, threads=2, compress=True,
+        resolution=384)
+    expected = {
+        "inputs": ["a.jsonl", "b.jsonl.gz"], "out_dir": "out",
+        "stages": ["OCR", "SPLITOCR", "CAP", "SPLITCAP"], "seed": 7, "fraction": 0.25,
+        "shard_count": 8, "overlap_threshold": 0.4,
+        "fmt": {"ocr_prompt": "read:", "caption_prompt": "caption:", "vqa_prompt": "answer:",
+                "token_separator": "|", "segment_separator": " \n ", "ocr_label": "OCR: "},
+        "passes": 2, "threads": 2, "compress": True, "resolution": 384}
+    assert config.to_dict() == expected
+    assert list(config.to_dict()) == list(expected)
+    assert (pipeline._config_hash(config)
+            == "c359425a5aad47a34b72912061353c63e0324a9a0a2f6c18334aa4727a0db70d")
+
+
 def counted(monkeypatch, module, name):
     """Replace module.name with a wrapper that records each call's arguments."""
     calls = []
@@ -440,7 +474,7 @@ def qa_corpus(tmp_path, rng):
     for i in range(60):
         record = random_layout_record(rng, image_id=f"qa{i:03d}", with_caption=True)
         if i % 3 == 0:
-            record = dataclasses.replace(record, qa=(QaAnnotation(f"q{i}", ("a",) * 10),))
+            record = record._replace(qa=(QaAnnotation(f"q{i}", ("a",) * 10),))
         records.append(record)
     path = tmp_path / "qa.jsonl"
     write_corpus(path, records)
@@ -484,8 +518,8 @@ def sparse_corpus(tmp_path, rng):
     for i in range(50):
         record = random_layout_record(rng, image_id=f"sp{i:03d}")
         qa = (QaAnnotation(f"q{i}", ("a",) * 10),) * (i % 3) if i % 4 else None
-        record = dataclasses.replace(record, caption=captions[i % 5], qa=qa,
-                                     ocr=() if i % 7 == 0 else record.ocr)
+        record = record._replace(caption=captions[i % 5], qa=qa,
+                                 ocr=() if i % 7 == 0 else record.ocr)
         records.append(record)
     path = tmp_path / "sparse.jsonl"
     write_corpus(path, records)
