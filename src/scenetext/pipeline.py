@@ -30,9 +30,10 @@ keep test, ordering, building and serializing) runs on chunks of lines.
 With `threads` > 1 it runs in up to that many forked worker processes,
 capped at the CPUs available, that read regular-file inputs themselves
 (`workers.map`); with 1 it runs in this process. Either way this process
-reads the lines, applies the counters in line order, writes the spills,
-decides the duplicate rule, and shuffles and writes the shards, so the
-chunking changes nothing.
+reads the lines, applies the line counters in line order, writes the
+spills, decides the duplicate rule and sets the record counts and stats
+from each image_id's winning copy after the pass, and shuffles and writes
+the shards, so the chunking changes nothing.
 
 Every output is a pure function of (inputs, config), and of the inputs
 only through the set of their lines: subsampling and shuffling key off
@@ -136,30 +137,22 @@ class DatasetStats:
         self.caption_length_histogram = Counter()
 
     @staticmethod
-    def entry(record: Record) -> tuple[int, int | None, tuple[str, ...]]:
-        """What `add` counts of one record: its OCR token count, its caption
-        word count (None without a caption) and its eligible objectives."""
-        return (len(record.ocr), len(record.caption.split()) if record.caption else None,
-                tuple([value for value, eligible in _ELIGIBILITY if eligible(record)]))
+    def entry(record: Record) -> str:
+        """What `add` counts of one record, as words of text: its OCR token
+        count, its caption word count ("-" without a caption, None or "")
+        and its eligible objectives, e.g. "3 5 OCR SPLITOCR"."""
+        words = str(len(record.caption.split())) if record.caption else "-"
+        return " ".join([str(len(record.ocr)), words,
+                         *[value for value, eligible in _ELIGIBILITY if eligible(record)]])
 
-    def add(self, entry: tuple[int, int | None, tuple[str, ...]]) -> None:
+    def add(self, entry: str) -> None:
         """Count one record, given as its `entry`."""
-        ocr_count, caption_words, eligible = entry
+        ocr_count, caption_words, *eligible = entry.split()
         self.record_count += 1
-        self.ocr_token_histogram[ocr_count] += 1
-        if caption_words is not None:
-            self.caption_length_histogram[caption_words] += 1
+        self.ocr_token_histogram[int(ocr_count)] += 1
+        if caption_words != "-":
+            self.caption_length_histogram[int(caption_words)] += 1
         self.eligible.update(eligible)
-
-    def remove(self, entry) -> None:
-        """Uncount one record counted by `add`. A count that falls to 0 goes,
-        so the stats equal those of the records that stay."""
-        ocr_count, caption_words, eligible = entry
-        self.record_count -= 1
-        self.ocr_token_histogram -= Counter([ocr_count])
-        if caption_words is not None:
-            self.caption_length_histogram -= Counter([caption_words])
-        self.eligible -= Counter(eligible)
 
     @property
     def empty_ocr_count(self) -> int:
@@ -212,14 +205,15 @@ def _check_chunk(lines: list[bytes], work, seed: int, fraction: float,
                  with_digest: bool, with_stats: bool) -> tuple[bytes, list]:
     """The per-line work of an ingest, on one chunk: (notes, results). One
     result per line: None if it does not decode or parse, else (violations,
-    output, entry), where violations are the record's `record_violations`,
-    and output is work(record, digest) and entry its `DatasetStats.entry`
-    (None unless with_stats) when there are none and the keep test keeps
-    the record, else None; digest is the line's `line_digest` with_digest,
-    else "". notes holds the id record of each valid line: hash64(seed,
-    image_id) as 16 hex digits, the image_id as an ASCII JSON string, and
-    for a kept line its digest and, with stats, its entry as JSON; one line
-    each. Runs in a worker process when the ingest has more than one."""
+    output), where violations are the record's `record_violations`, and
+    output is work(record, digest) when there are none and the keep test
+    keeps the record, else None; digest is the line's `line_digest`
+    with_digest, else "". notes holds the id record of each valid line:
+    hash64(seed, image_id) as 16 hex digits, the image_id as an ASCII JSON
+    string, and for a kept line its digest and, with stats, its
+    `DatasetStats.entry` text; one line each. Neither the digest nor the
+    entry holds a '"', so the image_id's string ends at the record's last
+    one. Runs in a worker process when the ingest has more than one."""
     results, notes = [], []
     for raw in lines:
         try:
@@ -229,20 +223,19 @@ def _check_chunk(lines: list[bytes], work, seed: int, fraction: float,
             continue
         violations = record_violations(record)
         if violations:
-            results.append((violations, None, None))
+            results.append((violations, None))
             continue
         key = hash64(seed, record.image_id)
         note = f"{key:016x}{encode_basestring_ascii(record.image_id)}"
-        output = entry = None
+        output = None
         if kept_hash(key, fraction):
             digest = line_digest(raw) if with_digest else ""
             output = work(record, digest)
             note += digest
             if with_stats:
-                entry = DatasetStats.entry(record)
-                note += json.dumps(entry)
+                note += DatasetStats.entry(record)
         notes.append(note)
-        results.append(((), output, entry))
+        results.append(((), output))
     return "".join([f"{note}\n" for note in notes]).encode("ascii"), results
 
 
@@ -266,8 +259,11 @@ def ingest(paths: Iterable[str], counters: Counter, fraction: float = 1.0, seed:
     validation skip, and `violations`, when given, counts the findings by
     name. Neither stops the stream. A valid record is kept iff
     `keep_fraction(seed, image_id, fraction)`, so subsamples are
-    order-independent and nested across fractions; `stats`, when given,
-    counts each kept record's `DatasetStats.entry`.
+    order-independent and nested across fractions. The line counters
+    (`lines`, `parse_errors`, `validation_skips`) are set in the read loop;
+    `valid_records`, `subsampled_records` and `stats` (when given, the
+    `DatasetStats.entry` of each kept record) after the pass, from the copy
+    of each image_id that the duplicate rule keeps.
 
     The duplicate rule: among the valid lines that share an image_id, the
     one with the smallest `line_digest` stays, and every other counts once
@@ -282,8 +278,7 @@ def ingest(paths: Iterable[str], counters: Counter, fraction: float = 1.0, seed:
     losing copy maps to 0, and that of a winning line with byte-identical
     copies to 1, so it is empty when no two kept lines share an image_id.
     A caller drops every output whose digest maps to 0 and keeps one of
-    those whose digest maps to 1 (`keep_copies`). The losing copies' counts
-    and stats entries are taken back; a count that falls to 0 goes.
+    those whose digest maps to 1 (`keep_copies`).
 
     The fraction is checked at once, before any line is read. Parsing, the
     per-record rules, the keep test, the digest (computed only for `copies`,
@@ -293,7 +288,8 @@ def ingest(paths: Iterable[str], counters: Counter, fraction: float = 1.0, seed:
     reads itself, else here; the counters and the id spill run here, in
     line order, so nothing depends on the chunking. This is the one place
     that sets `valid_records` and `subsampled_records`, both reported even
-    when no line is valid. No file it makes outlives it.
+    when no line is valid, and neither when the ingest is closed before its
+    end. No file it makes outlives it.
     """
     _check_fraction(fraction)
     paths = tuple(paths)
@@ -309,7 +305,6 @@ def ingest(paths: Iterable[str], counters: Counter, fraction: float = 1.0, seed:
 def _ingest(chunk_results, counters: Counter, violations: Counter | None,
             stats: DatasetStats | None, copies: dict[str, int] | None, spill_dir: str | None,
             fraction: float):
-    counters.update(valid_records=0, subsampled_records=0)
     written: list[str] = []
     with ExitStack() as stack:
         stack.callback(_remove, written)
@@ -329,17 +324,12 @@ def _ingest(chunk_results, counters: Counter, violations: Counter | None,
                     if result is None:
                         counters["parse_errors"] += 1
                         continue
-                    found, output, entry = result
+                    found, output = result
                     if found:
                         counters["validation_skips"] += 1
                         if violations is not None:
                             violations.update(found)
-                        continue
-                    counters["valid_records"] += 1
-                    if output is not None:
-                        counters["subsampled_records"] += 1
-                        if stats is not None:
-                            stats.add(entry)
+                    elif output is not None:
                         yield line, output
         _resolve(_split_oversized(spill, written), counters, violations, stats,
                  {} if copies is None else copies, fraction)
@@ -358,49 +348,44 @@ def keep_copies(lines: Iterable[bytes], copies: dict[str, int]) -> Iterator[byte
             yield line
 
 
-_DECODER = json.JSONDecoder()
-
-
-def _id_and_rest(note: bytes) -> tuple[str, str]:
-    """An id record's image_id literal, and what follows it."""
-    text = note.decode("ascii")
-    end = _DECODER.raw_decode(text, 16)[1]
-    return text[16:end], text[end:-1]
-
-
 def _resolve(parts: list[str], counters: Counter, violations: Counter | None,
              stats: DatasetStats | None, copies: dict[str, int], fraction: float) -> None:
     """The duplicate rule (see `ingest`), on the id spill's parts, each read
-    once and removed. Sorted, a part holds the records of an image_id next to
-    each other and in digest order; only in a part where keys repeat are
-    the records grouped, and only where they repeat is a record's image_id
-    read back. The keep test is of the key alone, so every copy of an
-    image_id is kept or none is, with or without digests in its records."""
-    duplicates = kept_duplicates = 0
+    once and removed, and the record counts and stats of its winners, one
+    per image_id. Sorted, a part holds the records of an image_id next to
+    each other and in digest order, so the first is the winner; only in a
+    part where keys repeat are the records grouped, by key and image_id
+    string, which ends at a record's last '"' (see `_check_chunk`). The keep
+    test is of the key alone, so every copy of an image_id is kept or none
+    is, with or without digests in its records."""
+    valid = subsampled = duplicates = 0
     key = itemgetter(slice(0, 16))
     for part in parts:
         notes = _read_spill(part)
         os.remove(part)
         notes.sort()
+        winners = notes
         if any(map(eq, map(key, notes), map(key, islice(notes, 1, None)))):
-            for hex_key, same_key in groupby(notes, key=key):
-                if len(same_key := list(same_key)) == 1:
-                    continue
-                kept = kept_hash(int(hex_key, 16), fraction)
-                for _, same_id in groupby(map(_id_and_rest, same_key), key=itemgetter(0)):
-                    winner, *others = [rest for _, rest in same_id]
-                    duplicates += len(others)
-                    if kept:
-                        kept_duplicates += len(others)
-                    for rest in others:
-                        if rest:  # the digests of a kept image_id's copies
-                            copies[rest[:32]] = int(rest[:32] == winner[:32])
-                            if stats is not None:
-                                stats.remove(json.loads(rest[32:]))
-        notes = same_key = None  # freed before the next part is read
+            winners = []
+            for head, same_id in groupby(notes, key=lambda note: note[:note.rindex(b'"') + 1]):
+                winner, *others = same_id
+                winners.append(winner)
+                duplicates += len(others)
+                end = len(head)  # the key and the image_id string
+                first = winner[end:end + 32]
+                for other in others:
+                    if digest := other[end:end + 32]:  # the digests of a kept image_id's copies
+                        copies[digest.decode("ascii")] = int(digest == first)
+        valid += len(winners)
+        for note in winners:
+            if kept_hash(int(note[:16], 16), fraction):
+                subsampled += 1
+                if stats is not None:
+                    stats.add(note[note.rindex(b'"') + 33:-1].decode("ascii"))
+        notes = winners = others = None  # freed before the next part is read
+    counters.update(valid_records=valid, subsampled_records=subsampled)
     if duplicates:
         counters.update(validation_skips=duplicates, duplicate_image_id=duplicates)
-        counters.subtract(valid_records=duplicates, subsampled_records=kept_duplicates)
         if violations is not None:
             violations["duplicate_image_id"] += duplicates
 
@@ -574,7 +559,7 @@ def _config_hash(config: PipelineConfig) -> str:
 def _build(config: PipelineConfig, datasets, manifest_name: str, describe, owned: str,
            stats: DatasetStats | None = None, order_ocr: bool = True) -> dict:
     """The one build path. One pass over the kept records (`ingest`, which
-    adds each to the stats, if given) keeps the (name, eligible, build)
+    then counts the stats, if given) keeps the (name, eligible, build)
     datasets whose eligible(record) holds; if any, it orders the record's
     OCR once into texts (None unless order_ocr), escapes its `fragments`
     once, and appends the (example_id, JSON line) pairs of build(record,

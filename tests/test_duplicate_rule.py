@@ -7,19 +7,25 @@ Builds run in-process through the CLI, with the CPU cap lifted
 any machine.
 """
 
+import hashlib
+import io
+import json
 import random
 import tempfile
 import tracemalloc
+from collections import Counter
+from contextlib import redirect_stdout
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from scenetext import pipeline, workers
 from scenetext.cli import main
+from scenetext.pipeline import DatasetStats
 from scenetext.records import QaAnnotation, serialize_record
 
-from conftest import make_token, random_layout_record, write_damaged_gzip
-from oracles import oracle_dedup_build
+from conftest import make_record, make_token, random_layout_record, write_damaged_gzip
+from oracles import oracle_dedup_build, oracle_duplicate_rule
 
 BUILDS = {
     "pretrain": ["build-pretrain", "--stages", "ocr,splitocr,cap,splitcap", "--passes", "2",
@@ -84,6 +90,21 @@ def shard_lines(files: dict[str, bytes]) -> set[bytes]:
     return {line for data in shards(files).values() for line in data.splitlines()}
 
 
+def reported(*argv) -> dict:
+    """The --json payload of one in-process CLI run."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["--json", *argv]) == 0
+    return json.loads(out.getvalue())
+
+
+def reports(corpus: Path) -> list[dict]:
+    """What `stats` at fractions 1 and 0.3, and `validate`, report of a corpus."""
+    return [*(reported("stats", "--seed", "13", "--fraction", fraction, "--in", str(corpus))
+              for fraction in ("1", "0.3")),
+            reported("validate", "--in", str(corpus))]
+
+
 @settings(max_examples=15, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.integers(0, 2**32 - 1), st.integers(40, 170), st.sampled_from(list(BUILDS)))
@@ -98,12 +119,23 @@ def test_outputs_are_a_function_of_the_set_of_lines(monkeypatch, seed, n, kind):
         built = build(kind, corpus, out)
         [manifest] = [data for name, data in built.items() if name.endswith(".json")]
         assert b'"duplicate_image_id"' in manifest
+        stats_and_validate = reports(corpus)
         # a rerun, and the lines in another order
         assert build(kind, corpus, out) == built
+        assert reports(corpus) == stats_and_validate
         shuffled = lines[:]
         rng.shuffle(shuffled)
         corpus.write_bytes(b"".join(shuffled))
         assert build(kind, corpus, out) == built
+        assert reports(corpus) == stats_and_validate
+        # stats count the lines that the rule keeps, and count the others as duplicates
+        kept, gone = oracle_duplicate_rule([line for line in lines if line.strip()])
+        survivors = tmp / "survivors.jsonl"
+        survivors.write_bytes(b"".join(kept))
+        for expected, of_survivors in zip(stats_and_validate, reports(survivors)[:2]):
+            counters = Counter(of_survivors["counters"])
+            counters.update(lines=gone, validation_skips=gone, duplicate_image_id=gone)
+            assert expected == {"counters": dict(counters), "stats": of_survivors["stats"]}
         corpus.write_bytes(b"".join(lines))
         # any worker count
         for threads in ("2", "3"):
@@ -122,6 +154,32 @@ def test_outputs_are_a_function_of_the_set_of_lines(monkeypatch, seed, n, kind):
             assert shards(build(kind, sample, out)) == shards(by_fraction[fraction])
         assert shard_lines(by_fraction["0.3"]) <= shard_lines(by_fraction["0.7"])
         assert shard_lines(by_fraction["0.7"]) <= shard_lines(built)
+
+
+def test_stats_count_the_winning_copy_alone(tmp_path):
+    """Copies of an image_id with a quote, a backslash and non-ASCII in it,
+    which differ in OCR count and caption: `stats` counts the entry of the
+    copy whose line has the smallest digest, in either line order."""
+    image_id = 'im"g\\é東'
+    copies = [make_record(image_id, ocr=[make_token("a")], caption="one"),
+              make_record(image_id, ocr=[make_token("a"), make_token("b", x=50)]),
+              make_record(image_id, caption="three more words"),
+              make_record(image_id, ocr=[make_token("c")], caption="")]
+    other = make_record("other", ocr=[make_token("z")], caption="two words")
+    lines = [serialize_record(r).encode("utf-8") + b"\n" for r in [*copies, other]]
+    [winner] = [r for r, line in zip(copies, lines)
+                if line == min(lines[:-1], key=lambda line: hashlib.blake2b(
+                    line.rstrip(b"\r\n"), digest_size=16).digest())]
+    expected = DatasetStats()
+    for record in (winner, other):
+        expected.add(DatasetStats.entry(record))
+    corpus = tmp_path / "corpus.jsonl"
+    for order in (lines, lines[::-1]):
+        corpus.write_bytes(b"".join(order))
+        payload = reported("stats", "--in", str(corpus))
+        assert payload["stats"] == expected.to_dict()
+        assert payload["counters"] == {"lines": 5, "valid_records": 2, "subsampled_records": 2,
+                                       "validation_skips": 3, "duplicate_image_id": 3}
 
 
 def traced_peak(argv) -> int:

@@ -141,23 +141,39 @@ def test_subsample_binomial_count():
     assert abs(kept - n * fraction) <= 3 * sigma
 
 
-def test_compute_stats():
-    records = [
-        make_record("a", ocr=[make_token("x"), make_token("y", x=50)], caption="two words"),
-        make_record("b", ocr=[]),
-        make_record("c", ocr=[make_token("z")]),
-    ]
+def stats_dict(count, eligible, ocr, caption):
+    """A `DatasetStats.to_dict()`, from its counts and histograms."""
+    empty = ocr.get("0", 0)
+    return {"record_count": count, "eligible": eligible, "ocr_token_histogram": ocr,
+            "caption_length_histogram": caption, "empty_ocr_count": empty,
+            "empty_ocr_fraction": empty / count}
+
+
+ONE_OCR = [make_token("x")]
+
+
+@pytest.mark.parametrize("records, expected", [
+    pytest.param([make_record("a", ocr=[make_token("x"), make_token("y", x=50)],
+                              caption="two words"),
+                  make_record("b", ocr=[]),
+                  make_record("c", ocr=[make_token("z")])],
+                 stats_dict(3, {"CAP": 1, "OCR": 2, "SPLITCAP": 1, "SPLITOCR": 2},
+                            {"0": 1, "1": 1, "2": 1}, {"2": 1}), id="mixed"),
+    # None and "" are no caption; a whitespace-only caption has 0 words
+    pytest.param([make_record("a", ocr=ONE_OCR, caption=None)],
+                 stats_dict(1, {"OCR": 1, "SPLITOCR": 1}, {"1": 1}, {}), id="caption-none"),
+    pytest.param([make_record("a", ocr=ONE_OCR, caption="")],
+                 stats_dict(1, {"OCR": 1, "SPLITOCR": 1}, {"1": 1}, {}), id="caption-empty"),
+    pytest.param([make_record("a", ocr=ONE_OCR, caption="   ")],
+                 stats_dict(1, {"CAP": 1, "OCR": 1, "SPLITOCR": 1}, {"1": 1}, {"0": 1}),
+                 id="caption-blank"),
+    pytest.param([make_record("a")], stats_dict(1, {}, {"0": 1}, {}), id="no-objective"),
+])
+def test_compute_stats(records, expected):
     stats = DatasetStats()
     for record in records:
         stats.add(DatasetStats.entry(record))
-    assert stats.record_count == 3
-    assert stats.empty_ocr_count == 1
-    assert stats.empty_ocr_fraction == pytest.approx(1 / 3)
-    assert stats.eligible["SPLITOCR"] == 2
-    assert stats.eligible["CAP"] == 1
-    assert sum(stats.ocr_token_histogram.values()) == 3
-    assert stats.ocr_token_histogram[2] == 1
-    assert stats.caption_length_histogram == Counter({2: 1})
+    assert stats.to_dict() == expected
 
 
 def test_compute_stats_empty_stream():
