@@ -8,11 +8,25 @@ are views of that pass. The pass is split at the item: `caption_scorer`
 does the corpus-wide work and scores one item at a time, and
 `combine_caption_rows` makes the corpus scores of the items' rows, so
 `evaluate` can score the items in worker processes.
+
+The scores work on ints, not strings. Each distinct token gets an id of 1
+or more, in first-occurrence order, and each n-gram is the int whose
+base-(vocabulary + 1) digits are its ids, so no n-gram tuple is built or
+hashed and no two n-grams of any orders share an int. Every dict fills in
+the order the strings' n-grams occur, as it did with tuple keys, so every
+float is the same operation in the same order. The document frequencies
+keep only the n-grams that two or more items' references share: any other
+n-gram counts as df = 1, as one that no reference holds always did. What
+`caption_scorer` holds for the scoring, and what forked workers inherit, is
+each string's token ids, the vocabulary size, those shared document
+frequencies and the idf table: no token string and no unshared n-gram.
 """
 
+import itertools
 import math
 import re
-from collections import Counter
+from collections import Counter, defaultdict
+from operator import add, mul
 from typing import NamedTuple
 
 from ..errors import ContractError
@@ -44,13 +58,32 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN.findall(text.lower())
 
 
-def _ngrams(tokens: list[str], n: int):
-    return zip(*(tokens[k:] for k in range(n)))
+def _longer(grams, ids, n: int, base: int):
+    """The (n+1)-grams of the token ids `ids`, from its n-grams `grams`:
+    each n-gram's int times `base` plus the id that follows it."""
+    return map(add, map(mul, grams, itertools.repeat(base)), itertools.islice(ids, n, None))
 
 
-def _ngram_counts(tokens: list[str], max_n: int) -> list[Counter]:
-    """Counters for n = 1..max_n (index 0 holds unigrams)."""
-    return [Counter(_ngrams(tokens, n)) for n in range(1, max_n + 1)]
+def _ngrams(ids, n: int, base: int):
+    """The n-grams of token ids, in order, each as the int whose base-`base`
+    digits are its ids: every id is at least 1 and below `base`, so an
+    n-gram's int has exactly n digits and no two n-grams of any orders
+    share one."""
+    grams = ids
+    for k in range(1, n):
+        grams = _longer(grams, ids, k, base)
+    return grams
+
+
+def _ngram_counts(ids, max_n: int, base: int) -> list[Counter]:
+    """Counters of `_ngrams` for n = 1..max_n (index 0 holds unigrams),
+    each order made from the one below."""
+    grams = ids
+    counts = [Counter(grams)]
+    for n in range(1, max_n):
+        grams = list(_longer(grams, ids, n, base))
+        counts.append(Counter(grams))
+    return counts
 
 
 def caption_scores(items, max_n: int = 4, sigma: float = 6.0, beta: float = 1.2) -> CaptionScores:
@@ -73,26 +106,36 @@ def caption_scores(items, max_n: int = 4, sigma: float = 6.0, beta: float = 1.2)
 
 
 def caption_scorer(items, max_n: int = 4, sigma: float = 6.0, beta: float = 1.2):
-    """The corpus-wide part of `caption_scores`: tokenize every string once
-    and count document frequencies. Returns score(i), item i's row: (CIDEr-D,
-    ROUGE-L, BLEU's clipped n-gram matches and n-gram totals for n = 1..max_n,
-    candidate length, closest reference length). A row depends on the corpus
-    only through what this call computed, so rows may be scored in any
-    process that holds it, in any order."""
+    """The corpus-wide part of `caption_scores`: tokenize every string once,
+    encode its tokens as ids, and count the document frequencies. Returns
+    score(i), item i's row: (CIDEr-D, ROUGE-L, BLEU's clipped n-gram matches
+    and n-gram totals for n = 1..max_n, candidate length, closest reference
+    length). A row depends on the corpus only through what this call
+    computed, so rows may be scored in any process that holds it, in any
+    order."""
     if not items:
         raise ContractError("caption metrics need at least one item")
 
-    # one str per distinct token, shared by every string's tokens and n-grams
-    one_copy = {}.setdefault
-    cand_tokens = [[one_copy(t, t) for t in tokenize(it.candidate)] for it in items]
-    ref_tokens = [[[one_copy(t, t) for t in tokenize(r)] for r in it.references] for it in items]
+    # token ids 1, 2, ... in first-occurrence order; the token strings are
+    # freed once every string is encoded
+    ids = defaultdict(itertools.count(1).__next__)
+    encode = ids.__getitem__
+    cand_ids = [tuple(map(encode, tokenize(it.candidate))) for it in items]
+    ref_ids = [[tuple(map(encode, tokenize(r))) for r in it.references] for it in items]
+    base = len(ids) + 1
+    del ids, encode
 
     # document frequency: number of items whose references contain the
-    # n-gram; idf[df] is log(N / df), and an n-gram that no reference
-    # contains counts as df = 1
-    df: Counter = Counter()
-    for refs in ref_tokens:
-        df.update({ng for ref in refs for n in range(1, max_n + 1) for ng in _ngrams(ref, n)})
+    # n-gram; idf[df] is log(N / df). Only the n-grams that two or more
+    # items share are kept; any other counts as df = 1, one that no
+    # reference contains included. Counted one order at a time, so only
+    # one order's distinct n-grams are held at once.
+    df = {}
+    for n in range(1, max_n + 1):
+        order_df = Counter()
+        for refs in ref_ids:
+            order_df.update(set().union(*(_ngrams(ref, n, base) for ref in refs)))
+        df.update((ng, d) for ng, d in order_df.items() if d > 1)
     log_corpus = math.log(float(len(items)))
     idf = [0.0] + [log_corpus - math.log(d) for d in range(1, len(items) + 1)]
 
@@ -101,9 +144,9 @@ def caption_scorer(items, max_n: int = 4, sigma: float = 6.0, beta: float = 1.2)
     # weights are its counts times idf, and the n-grams a reference lacks
     # only add +0.0 terms to the dot product, so they are not visited.
     def score(i: int) -> tuple:
-        cand, refs = cand_tokens[i], ref_tokens[i]
-        cand_counts = _ngram_counts(cand, max_n)
-        ref_counts = [_ngram_counts(r, max_n) for r in refs]
+        cand, refs = cand_ids[i], ref_ids[i]
+        cand_counts = _ngram_counts(cand, max_n, base)
+        ref_counts = [_ngram_counts(r, max_n, base) for r in refs]
 
         cvecs = [{ng: count * idf[df.get(ng, 1)] for ng, count in counts.items()}
                  for counts in cand_counts]
@@ -116,10 +159,10 @@ def caption_scorer(items, max_n: int = 4, sigma: float = 6.0, beta: float = 1.2)
                 if cnorms[n] == 0:
                     continue
                 rc = rcounts[n]
-                rweights = (count * idf[df[ng]] for ng, count in rc.items())
+                rweights = (count * idf[df.get(ng, 1)] for ng, count in rc.items())
                 rnorm = math.sqrt(sum(w * w for w in rweights))
                 if rnorm > 0:
-                    shared = [(w, rc[ng] * idf[df[ng]]) for ng, w in cvecs[n].items() if ng in rc]
+                    shared = [(w, rc[ng] * idf[df.get(ng, 1)]) for ng, w in cvecs[n].items() if ng in rc]
                     dot = sum(min(w, rw) * rw for w, rw in shared)
                     sim += dot / (cnorms[n] * rnorm) * penalty
             total += sim / max_n
@@ -154,7 +197,7 @@ def combine_caption_rows(rows: list[tuple]) -> CaptionScores:
                          bleu, [row[1] for row in rows])
 
 
-def _rouge_l(cand: list[str], refs: list[list[str]], beta: float) -> float:
+def _rouge_l(cand: tuple[int, ...], refs: list[tuple[int, ...]], beta: float) -> float:
     best = 0.0
     for ref in refs:
         if not cand or not ref:

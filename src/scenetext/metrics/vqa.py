@@ -8,6 +8,7 @@ lowercase + trim.
 """
 
 import re
+from collections import Counter
 
 from ..errors import ContractError
 from ..kernels import levenshtein
@@ -57,9 +58,12 @@ _ACCURACY_BY_MATCHES = tuple(
 
 def vqa_accuracy(item: VqaItem) -> float:
     """Mean of min(matches/3, 1) over the ten leave-one-out nine-answer
-    subsets, looked up by the total match count m."""
+    subsets, looked up by the total match count m: the summed counts of the
+    distinct answers whose normal form is the prediction's, each distinct
+    answer normalized once."""
     pred = normalize_answer(item.prediction)
-    m = sum(1 for a in item.answers if normalize_answer(a) == pred)
+    m = sum(count for answer, count in Counter(item.answers).items()
+            if normalize_answer(answer) == pred)
     return _ACCURACY_BY_MATCHES[m]
 
 

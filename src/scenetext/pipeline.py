@@ -213,7 +213,9 @@ def _check_chunk(lines: list[bytes], work, seed: int, fraction: float,
     string, and for a kept line its digest and, with stats, its
     `DatasetStats.entry` text; one line each. Neither the digest nor the
     entry holds a '"', so the image_id's string ends at the record's last
-    one. Runs in a worker process when the ingest has more than one."""
+    one, and a record that ends there is of a dropped line or was made
+    without digests. Runs in a worker process when the ingest has more
+    than one."""
     results, notes = [], []
     for raw in lines:
         try:
@@ -282,7 +284,8 @@ def ingest(paths: Iterable[str], counters: Counter, fraction: float = 1.0, seed:
 
     The fraction is checked at once, before any line is read. Parsing, the
     per-record rules, the keep test, the digest (computed only for `copies`,
-    `stats` or a `work` of the caller's: the default `work` ignores it) and
+    `stats`, a `work` of the caller's, which the default `work` is not, or
+    a fraction below 1, where it marks the kept lines' id records) and
     `work` run on chunks of lines: in up to `threads` forked processes
     (`workers.map`) when every input is a regular file, which each worker
     reads itself, else here; the counters and the id spill run here, in
@@ -293,7 +296,7 @@ def ingest(paths: Iterable[str], counters: Counter, fraction: float = 1.0, seed:
     """
     _check_fraction(fraction)
     paths = tuple(paths)
-    with_digest = copies is not None or stats is not None or work is not _same
+    with_digest = copies is not None or stats is not None or work is not _same or fraction < 1.0
     job = partial(_check_chunk, work=work, seed=seed, fraction=fraction,
                   with_digest=with_digest, with_stats=stats is not None)
     if not all(map(os.path.isfile, paths)):  # a pipe is read once, here
@@ -357,7 +360,9 @@ def _resolve(parts: list[str], counters: Counter, violations: Counter | None,
     part where keys repeat are the records grouped, by key and image_id
     string, which ends at a record's last '"' (see `_check_chunk`). The keep
     test is of the key alone, so every copy of an image_id is kept or none
-    is, with or without digests in its records."""
+    is. The workers made it: at a fraction of 1 every line is kept, and
+    below it a kept line's id record carries its digest, so it does not
+    end at the image_id's string."""
     valid = subsampled = duplicates = 0
     key = itemgetter(slice(0, 16))
     for part in parts:
@@ -377,11 +382,12 @@ def _resolve(parts: list[str], counters: Counter, violations: Counter | None,
                     if digest := other[end:end + 32]:  # the digests of a kept image_id's copies
                         copies[digest.decode("ascii")] = int(digest == first)
         valid += len(winners)
-        for note in winners:
-            if kept_hash(int(note[:16], 16), fraction):
-                subsampled += 1
-                if stats is not None:
-                    stats.add(note[note.rindex(b'"') + 33:-1].decode("ascii"))
+        if fraction < 1.0:
+            winners = [note for note in winners if not note.endswith(b'"\n')]
+        subsampled += len(winners)
+        if stats is not None:
+            for note in winners:
+                stats.add(note[note.rindex(b'"') + 33:-1].decode("ascii"))
         notes = winners = others = None  # freed before the next part is read
     counters.update(valid_records=valid, subsampled_records=subsampled)
     if duplicates:

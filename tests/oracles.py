@@ -257,6 +257,82 @@ def exact_rouge_l(item, beta: float = 1.2) -> float:
     return best
 
 
+# --- `caption_scorer` as it was before token ids and integer n-grams: tuples
+# of token strings as n-gram keys, and a document frequency for every
+# reference n-gram. Copied (renamed), with the oracle tokenizer and LCS
+# above in place of the library's, which they match exactly, so the tests
+# can check that the library gives the same rows, byte for byte, and holds
+# less memory.
+def oracle_caption_scorer(items, max_n: int = 4, sigma: float = 6.0, beta: float = 1.2):
+    """score(i), item i's row, as `scenetext.metrics.captioning.caption_scorer`."""
+    if not items:
+        raise ValueError("caption metrics need at least one item")
+
+    # one str per distinct token, shared by every string's tokens and n-grams
+    one_copy = {}.setdefault
+    cand_tokens = [[one_copy(t, t) for t in oracle_tokenize(it.candidate)] for it in items]
+    ref_tokens = [[[one_copy(t, t) for t in oracle_tokenize(r)] for r in it.references]
+                  for it in items]
+
+    # document frequency: number of items whose references contain the
+    # n-gram; idf[df] is log(N / df), and an n-gram that no reference
+    # contains counts as df = 1
+    df: Counter = Counter()
+    for refs in ref_tokens:
+        df.update({ng for ref in refs for n in range(1, max_n + 1)
+                   for ng in zip(*(ref[k:] for k in range(n)))})
+    log_corpus = math.log(float(len(items)))
+    idf = [0.0] + [log_corpus - math.log(d) for d in range(1, len(items) + 1)]
+
+    def rouge_l(cand, refs) -> float:
+        best = 0.0
+        for ref in refs:
+            if not cand or not ref:
+                continue
+            lcs = oracle_lcs_length(cand, ref)
+            if lcs == 0:
+                continue
+            prec = lcs / len(cand)
+            rec = lcs / len(ref)
+            score = (1 + beta**2) * prec * rec / (rec + beta**2 * prec)
+            best = max(best, score)
+        return best
+
+    def score(i: int) -> tuple:
+        cand, refs = cand_tokens[i], ref_tokens[i]
+        cand_counts = _ngram_counts(cand, max_n)
+        ref_counts = [_ngram_counts(r, max_n) for r in refs]
+
+        cvecs = [{ng: count * idf[df.get(ng, 1)] for ng, count in counts.items()}
+                 for counts in cand_counts]
+        cnorms = [math.sqrt(sum(w * w for w in vec.values())) for vec in cvecs]
+        total = 0.0
+        for ref, rcounts in zip(refs, ref_counts):
+            penalty = math.exp(-((len(cand) - len(ref)) ** 2) / (2 * sigma**2))
+            sim = 0.0
+            for n in range(max_n):
+                if cnorms[n] == 0:
+                    continue
+                rc = rcounts[n]
+                rweights = (count * idf[df[ng]] for ng, count in rc.items())
+                rnorm = math.sqrt(sum(w * w for w in rweights))
+                if rnorm > 0:
+                    shared = [(w, rc[ng] * idf[df[ng]]) for ng, w in cvecs[n].items() if ng in rc]
+                    dot = sum(min(w, rw) * rw for w, rw in shared)
+                    sim += dot / (cnorms[n] * rnorm) * penalty
+            total += sim / max_n
+
+        matched = tuple(sum(min(count, max(rc[n].get(ng, 0) for rc in ref_counts))
+                            for ng, count in counts.items())
+                        for n, counts in enumerate(cand_counts))
+        totals = tuple(sum(counts.values()) for counts in cand_counts)
+        ref_len = min((abs(len(r) - len(cand)), len(r)) for r in refs)[1]
+        return (10.0 * total / len(refs), rouge_l(cand, refs), matched, totals,
+                len(cand), ref_len)
+
+    return score
+
+
 def oracle_anls(prediction: str, gold_answers, tau: float = 0.5) -> float:
     """ANLS with one memoized edit distance per gold, duplicates included."""
     pred = prediction.lower().strip()

@@ -17,15 +17,18 @@ from collections import Counter
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from scenetext import pipeline, workers
 from scenetext.cli import main
+from scenetext.errors import ParseError, SchemaError
 from scenetext.pipeline import DatasetStats
 from scenetext.records import QaAnnotation, serialize_record
 
 from conftest import make_record, make_token, random_layout_record, write_damaged_gzip
-from oracles import oracle_dedup_build, oracle_duplicate_rule
+from oracles import (oracle_dedup_build, oracle_duplicate_rule, oracle_hash64, oracle_parse_record,
+                     oracle_record_violations)
 
 BUILDS = {
     "pretrain": ["build-pretrain", "--stages", "ocr,splitocr,cap,splitcap", "--passes", "2",
@@ -180,6 +183,57 @@ def test_stats_count_the_winning_copy_alone(tmp_path):
         assert payload["stats"] == expected.to_dict()
         assert payload["counters"] == {"lines": 5, "valid_records": 2, "subsampled_records": 2,
                                        "validation_skips": 3, "duplicate_image_id": 3}
+
+
+def counted_from_definition(lines: list[bytes], fraction: float) -> tuple[int, int, dict]:
+    """valid_records, subsampled_records and the stats of the lines, from
+    `oracle_duplicate_rule`'s survivors and the keep test's definition."""
+    kept, _ = oracle_duplicate_rule([line for line in lines if line.strip()])
+    valid = subsampled = 0
+    stats = DatasetStats()
+    for line in kept:
+        try:
+            record = oracle_parse_record(line.decode("utf-8"))
+        except (UnicodeDecodeError, ParseError, SchemaError):
+            continue
+        if oracle_record_violations(record):
+            continue
+        valid += 1
+        if fraction >= 1.0 or oracle_hash64(13, record.image_id) / 2**64 < fraction:
+            subsampled += 1
+            stats.add(DatasetStats.entry(record))
+    return valid, subsampled, stats.to_dict()
+
+
+@pytest.mark.parametrize("fraction", ["0.05", "0.3", "1"])
+def test_record_counts_follow_the_keep_test_of_each_winner(tmp_path, fraction):
+    lines = hostile_lines(random.Random(29), 900)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(b"".join(lines))
+    valid, subsampled, stats = counted_from_definition(lines, float(fraction))
+    assert 0 < subsampled < valid or fraction == "1"
+
+    def counts(counters):
+        return counters["valid_records"], counters["subsampled_records"]
+
+    payload = reported("stats", "--seed", "13", "--fraction", fraction, "--in", str(corpus))
+    assert (*counts(payload["counters"]), payload["stats"]) == (valid, subsampled, stats)
+    assert payload["counters"]["duplicate_image_id"] > 0
+    sampled = reported("subsample", "--seed", "13", "--fraction", fraction, "--in", str(corpus),
+                       "--out", str(tmp_path / "sample.jsonl"))
+    assert counts(sampled["counters"]) == (valid, subsampled)
+    assert sampled["kept"] == subsampled
+    for kind in BUILDS:
+        built = build(kind, corpus, tmp_path / "out", "--fraction", fraction)
+        [manifest] = [data for name, data in built.items() if name.endswith(".json")]
+        assert counts(json.loads(manifest)["counters"]) == (valid, subsampled)
+    # a library call with the default work, which needs no digest of its own
+    counters = Counter()
+    yielded = list(pipeline.ingest([str(corpus)], counters, fraction=float(fraction), seed=13))
+    assert counts(counters) == (valid, subsampled)
+    assert len({record.image_id for _, record in yielded}) == subsampled
+    if fraction == "1":
+        assert reported("validate", "--in", str(corpus))["counts"]["valid"] == valid
 
 
 def traced_peak(argv) -> int:

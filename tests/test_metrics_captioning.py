@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,10 @@ import scenetext.metrics.captioning as captioning
 from scenetext.errors import ContractError
 from scenetext.metrics import (CaptionItem, EvalTask, bleu4, caption_scores, cider,
                                evaluate, rouge_l, tokenize)
+from scenetext.metrics.captioning import caption_scorer
 
 from oracles import (exact_bleu4, exact_cider, exact_rouge_l, oracle_bleu4,
-                     oracle_cider_d, oracle_tokenize)
+                     oracle_caption_scorer, oracle_cider_d, oracle_tokenize)
 
 _POOL = ("a red stop sign on the corner of a street "
          "two dogs play in a green park near the old cafe "
@@ -280,3 +283,105 @@ def test_one_pass_equals_exact_on_document_frequency_edges(make, check):
     assert (scores.cider, scores.cider_per_item) == exact_cider(items)
     assert scores.bleu4 == exact_bleu4(items)
     assert scores.rouge_l == [exact_rouge_l(item) for item in items]
+
+
+def assert_same_rows(items):
+    """caption_scorer's rows are the tuple-keyed oracle's, float for float."""
+    score, oracle = caption_scorer(items), oracle_caption_scorer(items)
+    rows = [score(i) for i in range(len(items))]
+    expected = [oracle(i) for i in range(len(items))]
+    assert rows == expected
+    assert repr(rows) == repr(expected)  # -0.0 and 0.0 differ here
+
+
+@pytest.mark.parametrize("items", [toy_corpus(50), toy_corpus(20, n_refs=5, seed=3),
+                                   toy_corpus(2, n_refs=1, seed=9)],
+                         ids=["toy-50", "toy-20x5", "toy-2"])
+def test_rows_equal_the_tuple_keyed_oracle_on_toy_corpora(items):
+    assert_same_rows(items)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ITEMS)
+def test_rows_equal_the_tuple_keyed_oracle(items):
+    assert_same_rows(items)
+
+
+def test_rows_equal_the_oracle_past_two_to_the_64():
+    # Over 2**16 distinct tokens, all in the first candidates, so the ids of
+    # the words that follow pass 2**16 and their 4-gram ints pass 2**64; the
+    # last items share such 4-grams, so they get document frequencies.
+    filler = [f"w{i}" for i in range(2**16 + 500)]
+    items = [CaptionItem(" ".join(filler[start:start + 10_000]), ("a red sign",))
+             for start in range(0, len(filler), 10_000)]
+    late = "zeta eta theta iota kappa lambda"
+    items += [CaptionItem(late, (late, "kappa lambda zeta eta theta")),
+              CaptionItem("theta iota kappa lambda mu", ("zeta eta theta iota", late + " mu")),
+              CaptionItem("mu nu", (late,))]
+    assert len({t for item in items for s in (item.candidate, *item.references)
+                for t in tokenize(s)}) > 2**16 + 500
+    assert_same_rows(items)
+    assert caption_scores(items).cider_per_item[-3] > 0
+
+
+def test_rows_equal_the_oracle_on_empty_and_repeated_strings():
+    items = [CaptionItem("", ("!?", "a red sign")),
+             CaptionItem("-- ...", ("",)),
+             CaptionItem("a a a a a b a a", ("a a a b", "b a a a a", "")),
+             CaptionItem("b a a a b a a a", ("a a a a a a", "a b a b a b")),
+             CaptionItem("sign sign red", ("red sign sign sign", "a a a"))]
+    assert_same_rows(items)
+    assert_same_rows(items[:2])  # every candidate and every n-gram empty but one
+
+
+def test_one_item_rouge_l_equals_the_oracle():
+    for item in (CaptionItem("a b c d", ("a c d", "x")), CaptionItem("", ("a",)),
+                 CaptionItem("a a b", ("a b a b",))):
+        assert_same_rows([item])
+        assert rouge_l(item) == oracle_caption_scorer([item])(0)[1]
+
+
+def _footprint(make_scorer, items) -> tuple[int, int]:
+    """(retained, peak) tracemalloc bytes of make_scorer(items)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        score = make_scorer(items)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert callable(score)
+    return retained, peak
+
+
+def _same_sized_corpora(n_items=1000, ref_lengths=(9, 11, 13, 15, 17)):
+    """Two corpora whose strings have the same token counts: in one every
+    item has the same five references; in the other, every n-gram beyond a
+    unigram holds the item's own token, so no 3-gram recurs across items."""
+    rng = random.Random(11)
+    words = [f"word{k}" for k in range(300)]
+    cand_lengths = [rng.randint(6, 20) for _ in range(n_items)]
+
+    def common(length):
+        return " ".join(rng.choice(words) for _ in range(length))
+
+    def own(i, length):
+        return " ".join(f"own{i}" if k % 2 else rng.choice(words) for k in range(length))
+
+    shared_refs = tuple(common(length) for length in ref_lengths)
+    shared = [CaptionItem(common(length), shared_refs) for length in cand_lengths]
+    distinct = [CaptionItem(own(i, length), tuple(own(i, r) for r in ref_lengths))
+                for i, length in enumerate(cand_lengths)]
+    return {"shared-references": shared, "no-recurring-3-gram": distinct}
+
+
+@pytest.mark.parametrize("name", ["shared-references", "no-recurring-3-gram"])
+def test_scorer_holds_less_than_the_tuple_keyed_oracle(name):
+    items = _same_sized_corpora()[name]
+    caption_scorer(items[:2])  # any first-call allocations outside the trace
+    retained, peak = _footprint(caption_scorer, items)
+    oracle_retained, oracle_peak = _footprint(oracle_caption_scorer, items)
+    # the oracle is the tuple-keyed design itself, which holds the same as
+    # it to within a few bytes: a tenth less is a saving, not noise
+    assert retained < 0.9 * oracle_retained, (retained, oracle_retained)
+    assert peak < 0.9 * oracle_peak, (peak, oracle_peak)

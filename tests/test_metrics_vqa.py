@@ -57,6 +57,28 @@ def test_vqa_accuracy_normalizes_both_sides():
     assert vqa_accuracy(item) == 1.0
 
 
+_ANSWER = st.sampled_from(["two", "2", "Two.", "the two", "dog", "Dog", "a dog", "", " ", "cat!"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ANSWER, st.lists(_ANSWER, min_size=10, max_size=10))
+def test_vqa_accuracy_normalizes_each_distinct_answer_once(pred, answers):
+    # with the real normal form and with others, so the count does not
+    # depend on what normalize_answer does
+    for normal in (normalize_answer, str.upper, lambda text: text[:1]):
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return normal(text)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(vqa, "normalize_answer", counting)
+            got = vqa_accuracy(VqaItem(pred, tuple(answers)))
+        assert sorted(calls[1:]) == sorted(set(answers))
+        assert got == vqa_accuracy_leave_one_out(normal(pred), [normal(a) for a in answers])
+
+
 def test_vqa_item_requires_ten_answers():
     for count in (2, 9, 11):
         with pytest.raises(ContractError):
