@@ -204,29 +204,26 @@ def main(argv=None) -> int:
         elif args.command == "subsample":
             from contextlib import closing
 
-            from .pipeline import ingest, keep_copies
+            from .pipeline import ingest, keep_copies, work_dir
 
-            counters, copies = Counter(), {}
-            pairs = ingest(args.inputs, counters, args.fraction, args.seed, copies=copies)
-            # written under a hidden name and renamed once whole, so a failed
-            # run leaves no partial sample and keeps an earlier --out file
+            # the id spill and the sample are written in a hidden directory
+            # beside --out, and the sample renamed once whole, so a failed run
+            # leaves no partial sample and keeps an earlier --out file
             head, name = os.path.split(args.out)
-            parts = [os.path.join(head, f".{name}.{os.getpid()}")]
-            try:
-                with closing(pairs), open(parts[0], "wb") as out:
+            hidden = os.path.join(head, f".{name}.scenetext-build")
+            counters, copies = Counter(), {}
+            pairs = ingest(args.inputs, counters, args.fraction, args.seed, copies=copies,
+                           spill_dir=hidden)
+            with work_dir(hidden):
+                sample = os.path.join(hidden, "sample")
+                with closing(pairs), open(sample, "wb") as out:
                     for line, _ in pairs:
                         out.write(line if line.endswith(b"\n") else line + b"\n")
                 if copies:  # the duplicate rule is decided once every line is read
-                    parts.append(f"{parts[0]}.deduplicated")
-                    with open(parts[0], "rb") as lines, open(parts[1], "wb") as out:
+                    with open(sample, "rb") as lines, open(f"{sample}-deduplicated", "wb") as out:
                         out.writelines(keep_copies(lines, copies))
-                    os.remove(parts[0])
-                os.replace(parts[-1], args.out)
-            except BaseException:
-                for part in parts:
-                    if os.path.exists(part):
-                        os.remove(part)
-                raise
+                    sample += "-deduplicated"
+                os.replace(sample, args.out)
             total, kept = counters["lines"], counters["subsampled_records"]
             payload = {"total": total, "kept": kept, "counters": dict(counters),
                        "fraction": args.fraction, "seed": args.seed, "out": args.out}

@@ -34,6 +34,12 @@ from ..kernels import lcs_length
 
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
 
+# The values CIDEr-D, BLEU@4 and ROUGE-L define: n-gram orders 1-4, the
+# CIDEr-D length penalty's sigma, and the ROUGE-L F-measure's recall weight.
+MAX_N = 4
+SIGMA = 6.0
+BETA = 1.2
+
 
 class CaptionItem:
     """A candidate caption and its gold references, at least one."""
@@ -75,18 +81,18 @@ def _ngrams(ids, n: int, base: int):
     return grams
 
 
-def _ngram_counts(ids, max_n: int, base: int) -> list[Counter]:
-    """Counters of `_ngrams` for n = 1..max_n (index 0 holds unigrams),
+def _ngram_counts(ids, base: int) -> list[Counter]:
+    """Counters of `_ngrams` for n = 1..MAX_N (index 0 holds unigrams),
     each order made from the one below."""
     grams = ids
     counts = [Counter(grams)]
-    for n in range(1, max_n):
+    for n in range(1, MAX_N):
         grams = list(_longer(grams, ids, n, base))
         counts.append(Counter(grams))
     return counts
 
 
-def caption_scores(items, max_n: int = 4, sigma: float = 6.0, beta: float = 1.2) -> CaptionScores:
+def caption_scores(items) -> CaptionScores:
     """CIDEr-D (corpus and per item, 0-10 scale), corpus BLEU@4 and
     per-item ROUGE-L in one pass over the items.
 
@@ -101,15 +107,15 @@ def caption_scores(items, max_n: int = 4, sigma: float = 6.0, beta: float = 1.2)
     every CIDEr-D weight and score is 0; `cider` and `evaluate` reject such
     a corpus with `require_cider_corpus`.
     """
-    score = caption_scorer(items, max_n, sigma, beta)
+    score = caption_scorer(items)
     return combine_caption_rows([score(i) for i in range(len(items))])
 
 
-def caption_scorer(items, max_n: int = 4, sigma: float = 6.0, beta: float = 1.2):
+def caption_scorer(items):
     """The corpus-wide part of `caption_scores`: tokenize every string once,
     encode its tokens as ids, and count the document frequencies. Returns
     score(i), item i's row: (CIDEr-D, ROUGE-L, BLEU's clipped n-gram matches
-    and n-gram totals for n = 1..max_n, candidate length, closest reference
+    and n-gram totals for n = 1..MAX_N, candidate length, closest reference
     length). A row depends on the corpus only through what this call
     computed, so rows may be scored in any process that holds it, in any
     order."""
@@ -131,7 +137,7 @@ def caption_scorer(items, max_n: int = 4, sigma: float = 6.0, beta: float = 1.2)
     # reference contains included. Counted one order at a time, so only
     # one order's distinct n-grams are held at once.
     df = {}
-    for n in range(1, max_n + 1):
+    for n in range(1, MAX_N + 1):
         order_df = Counter()
         for refs in ref_ids:
             order_df.update(set().union(*(_ngrams(ref, n, base) for ref in refs)))
@@ -145,17 +151,17 @@ def caption_scorer(items, max_n: int = 4, sigma: float = 6.0, beta: float = 1.2)
     # only add +0.0 terms to the dot product, so they are not visited.
     def score(i: int) -> tuple:
         cand, refs = cand_ids[i], ref_ids[i]
-        cand_counts = _ngram_counts(cand, max_n, base)
-        ref_counts = [_ngram_counts(r, max_n, base) for r in refs]
+        cand_counts = _ngram_counts(cand, base)
+        ref_counts = [_ngram_counts(r, base) for r in refs]
 
         cvecs = [{ng: count * idf[df.get(ng, 1)] for ng, count in counts.items()}
                  for counts in cand_counts]
         cnorms = [math.sqrt(sum(w * w for w in vec.values())) for vec in cvecs]
         total = 0.0
         for ref, rcounts in zip(refs, ref_counts):
-            penalty = math.exp(-((len(cand) - len(ref)) ** 2) / (2 * sigma**2))
+            penalty = math.exp(-((len(cand) - len(ref)) ** 2) / (2 * SIGMA**2))
             sim = 0.0
-            for n in range(max_n):
+            for n in range(MAX_N):
                 if cnorms[n] == 0:
                     continue
                 rc = rcounts[n]
@@ -165,14 +171,14 @@ def caption_scorer(items, max_n: int = 4, sigma: float = 6.0, beta: float = 1.2)
                     shared = [(w, rc[ng] * idf[df.get(ng, 1)]) for ng, w in cvecs[n].items() if ng in rc]
                     dot = sum(min(w, rw) * rw for w, rw in shared)
                     sim += dot / (cnorms[n] * rnorm) * penalty
-            total += sim / max_n
+            total += sim / MAX_N
 
         matched = tuple(sum(min(count, max(rc[n].get(ng, 0) for rc in ref_counts))
                             for ng, count in counts.items())
                         for n, counts in enumerate(cand_counts))
         totals = tuple(sum(counts.values()) for counts in cand_counts)
         ref_len = min((abs(len(r) - len(cand)), len(r)) for r in refs)[1]
-        return (10.0 * total / len(refs), _rouge_l(cand, refs, beta), matched, totals,
+        return (10.0 * total / len(refs), _rouge_l(cand, refs), matched, totals,
                 len(cand), ref_len)
 
     return score
@@ -197,7 +203,7 @@ def combine_caption_rows(rows: list[tuple]) -> CaptionScores:
                          bleu, [row[1] for row in rows])
 
 
-def _rouge_l(cand: tuple[int, ...], refs: list[tuple[int, ...]], beta: float) -> float:
+def _rouge_l(cand: tuple[int, ...], refs: list[tuple[int, ...]]) -> float:
     best = 0.0
     for ref in refs:
         if not cand or not ref:
@@ -207,7 +213,7 @@ def _rouge_l(cand: tuple[int, ...], refs: list[tuple[int, ...]], beta: float) ->
             continue
         prec = lcs / len(cand)
         rec = lcs / len(ref)
-        score = (1 + beta**2) * prec * rec / (rec + beta**2 * prec)
+        score = (1 + BETA**2) * prec * rec / (rec + BETA**2 * prec)
         best = max(best, score)
     return best
 
@@ -217,17 +223,17 @@ def require_cider_corpus(items) -> None:
         raise ContractError("CIDEr needs at least 2 items for document frequencies")
 
 
-def cider(items, max_n: int = 4, sigma: float = 6.0) -> tuple[float, list[float]]:
+def cider(items) -> tuple[float, list[float]]:
     """CIDEr-D corpus score and per-item scores on the 0-10 scale."""
     require_cider_corpus(items)
-    return caption_scores(items, max_n=max_n, sigma=sigma)[:2]
+    return caption_scores(items)[:2]
 
 
-def bleu4(items, max_n: int = 4) -> float:
+def bleu4(items) -> float:
     """Corpus-level BLEU@4."""
-    return caption_scores(items, max_n=max_n).bleu4
+    return caption_scores(items).bleu4
 
 
-def rouge_l(item: CaptionItem, beta: float = 1.2) -> float:
+def rouge_l(item: CaptionItem) -> float:
     """LCS F-measure, max over references."""
-    return caption_scores([item], beta=beta).rouge_l[0]
+    return caption_scores([item]).rouge_l[0]

@@ -6,24 +6,28 @@ ordered once (`ordering.order_tokens`) and handed with its ordered OCR
 texts to those datasets' builders, then dropped. Nothing built is held in
 memory: each example goes, as its shuffle key, UTF-8 JSON line and the
 digest of its input line (`spill_records`), to its dataset's one spill
-file in the output directory, and each valid line's image_id to the id
-spill (`ingest`), from which the duplicate rule is decided after the pass.
-Each spill file is then split by its key range into parts of about
-SPILL_BUCKET_BYTES, as many as its size asks for, within the descriptors
-the process may still open (its soft RLIMIT_NOFILE). The parts are read
-back once each, in key order, and sorted; the examples' parts, less the
-losing duplicate copies' records, are dealt round-robin, each shard's
-lines appended to its hidden shard file; then the shards are finalized
-one at a time, so a build holds one part, or one shard's compressor, at a
-time, and nothing per image_id. Hidden files (`.ids-spill` and
-`.{dataset}-spill`, a part adds `-{part}`, and
-`.{dataset}-{i}-of-{n}.jsonl`) take about the uncompressed shard bytes of
-free disk beside the shards and never outlive a build: each is removed or
-renamed once done, and all are removed if the build fails. A build that
-succeeds removes every shard of the datasets it owns that its manifest
-does not list: a pre-training build owns every stage dataset
-(`stage{i}_{objective}`), since only its manifest.json lists them, and a
-fine-tuning build its task's.
+file, and each valid line's image_id to the id spill (`ingest`), from
+which the duplicate rule is decided after the pass. Each spill file is
+then split by its key range into parts of about SPILL_BUCKET_BYTES, as
+many as its size asks for, within the descriptors the process may still
+open (its soft RLIMIT_NOFILE). The parts are read back once each, in key
+order, and sorted; the examples' parts, less the losing duplicate copies'
+records, are dealt round-robin, each shard's lines appended to its shard
+file; then the shards are finalized one at a time, so a build holds one
+part, or one shard's compressor, at a time, and nothing per image_id.
+
+Every file in flight (the spills and their parts, the shards and the
+manifest) is made in one hidden work directory in the output directory,
+`.scenetext-build` (`work_dir`), which takes about the uncompressed shard
+bytes of free disk. Once all are whole, the shards and then the manifest
+are renamed into the output directory, and the work directory is
+removed however the build ends: a build that fails before those renames
+leaves the output directory as it was, and one that fails during them
+removes the files it had renamed. A build that succeeds removes every
+shard of the datasets it owns that its manifest does not list: a
+pre-training build owns every stage dataset (`stage{i}_{objective}`),
+since only its manifest.json lists them, and a fine-tuning build its
+task's.
 
 The per-line work (decode, parse, the per-record validation rules, the
 keep test, ordering, building and serializing) runs on chunks of lines.
@@ -50,7 +54,7 @@ import os
 import re
 import zlib
 from collections import Counter
-from contextlib import ExitStack, closing
+from contextlib import ExitStack, closing, contextmanager
 from functools import partial
 from itertools import groupby, islice
 from json.encoder import encode_basestring_ascii
@@ -202,20 +206,19 @@ def line_digest(line: bytes) -> str:
 
 
 def _check_chunk(lines: list[bytes], work, seed: int, fraction: float,
-                 with_digest: bool, with_stats: bool) -> tuple[bytes, list]:
+                 with_stats: bool) -> tuple[bytes, list]:
     """The per-line work of an ingest, on one chunk: (notes, results). One
     result per line: None if it does not decode or parse, else (violations,
     output), where violations are the record's `record_violations`, and
     output is work(record, digest) when there are none and the keep test
-    keeps the record, else None; digest is the line's `line_digest`
-    with_digest, else "". notes holds the id record of each valid line:
-    hash64(seed, image_id) as 16 hex digits, the image_id as an ASCII JSON
-    string, and for a kept line its digest and, with stats, its
-    `DatasetStats.entry` text; one line each. Neither the digest nor the
-    entry holds a '"', so the image_id's string ends at the record's last
-    one, and a record that ends there is of a dropped line or was made
-    without digests. Runs in a worker process when the ingest has more
-    than one."""
+    keeps the record, else None; digest is the line's `line_digest`.
+    notes holds the id record of each valid line: hash64(seed, image_id) as
+    16 hex digits, the image_id as an ASCII JSON string, and for a kept
+    line its digest and, with stats, its `DatasetStats.entry` text; one
+    line each. Neither the digest nor the entry holds a '"', so the
+    image_id's string ends at the record's last one, and a record that
+    ends there is of a line the keep test dropped. Runs in a worker process
+    when the ingest has more than one."""
     results, notes = [], []
     for raw in lines:
         try:
@@ -231,7 +234,7 @@ def _check_chunk(lines: list[bytes], work, seed: int, fraction: float,
         note = f"{key:016x}{encode_basestring_ascii(record.image_id)}"
         output = None
         if kept_hash(key, fraction):
-            digest = line_digest(raw) if with_digest else ""
+            digest = line_digest(raw)
             output = work(record, digest)
             note += digest
             if with_stats:
@@ -272,54 +275,49 @@ def ingest(paths: Iterable[str], counters: Counter, fraction: float = 1.0, seed:
     as a validation skip and as `duplicate_image_id` (a counter, when
     nonzero, and a violation); a copy with the same digest is the same line
     and builds the same output. The rule is decided after the pass, from one
-    id record per valid line (`_check_chunk`), appended to the hidden file
-    `.ids-spill` in `spill_dir` (a temporary directory of its own if None),
-    split by key range like the example spills and read back one part at a
-    time. So it is a function of the set of lines and holds no state per
-    image_id. Its decisions on kept lines go into `copies`: the digest of a
-    losing copy maps to 0, and that of a winning line with byte-identical
-    copies to 1, so it is empty when no two kept lines share an image_id.
+    id record per valid line (`_check_chunk`), appended to the file
+    `ids-spill` in `spill_dir`, split by key range like the example spills
+    and read back one part at a time. So it is a function of the set of
+    lines and holds no state per image_id. Its decisions on kept lines go
+    into `copies`: the digest of a losing copy maps to 0, and that of a
+    winning line with byte-identical copies to 1, so it is empty when no
+    two kept lines share an image_id.
     A caller drops every output whose digest maps to 0 and keeps one of
     those whose digest maps to 1 (`keep_copies`).
 
     The fraction is checked at once, before any line is read. Parsing, the
-    per-record rules, the keep test, the digest (computed only for `copies`,
-    `stats`, a `work` of the caller's, which the default `work` is not, or
-    a fraction below 1, where it marks the kept lines' id records) and
-    `work` run on chunks of lines: in up to `threads` forked processes
-    (`workers.map`) when every input is a regular file, which each worker
-    reads itself, else here; the counters and the id spill run here, in
-    line order, so nothing depends on the chunking. This is the one place
-    that sets `valid_records` and `subsampled_records`, both reported even
-    when no line is valid, and neither when the ingest is closed before its
-    end. No file it makes outlives it.
+    per-record rules, the keep test, the digest and `work` run on chunks of
+    lines: in up to `threads` forked processes (`workers.map`) when every
+    input is a regular file, which each worker reads itself, else here; the
+    counters and the id spill run here, in line order, so nothing depends
+    on the chunking. This is the one place that sets `valid_records` and
+    `subsampled_records`, both reported even when no line is valid, and
+    neither when the ingest is closed before its end. With `spill_dir`
+    None, the id spill goes to a temporary directory of its own, removed
+    when the ingest ends; a caller who passes `spill_dir` must remove what
+    an ingest that fails leaves there (`work_dir`).
     """
     _check_fraction(fraction)
     paths = tuple(paths)
-    with_digest = copies is not None or stats is not None or work is not _same or fraction < 1.0
     job = partial(_check_chunk, work=work, seed=seed, fraction=fraction,
-                  with_digest=with_digest, with_stats=stats is not None)
+                  with_stats=stats is not None)
     if not all(map(os.path.isfile, paths)):  # a pipe is read once, here
         threads = 1
     return _ingest(workers.map(job, partial(_chunks, paths), threads), counters, violations,
-                   stats, copies, spill_dir, fraction)
+                   stats, copies, spill_dir)
 
 
 def _ingest(chunk_results, counters: Counter, violations: Counter | None,
-            stats: DatasetStats | None, copies: dict[str, int] | None, spill_dir: str | None,
-            fraction: float):
-    written: list[str] = []
+            stats: DatasetStats | None, copies: dict[str, int] | None, spill_dir: str | None):
     with ExitStack() as stack:
-        stack.callback(_remove, written)
         if spill_dir is None:
             import tempfile
 
             spill_dir = stack.enter_context(tempfile.TemporaryDirectory())
         stack.enter_context(closing(chunk_results))  # kills and reaps any workers first
-        spill = os.path.join(spill_dir, ".ids-spill")
+        spill = os.path.join(spill_dir, "ids-spill")
         # opened before the workers fork, which leave by os._exit: they flush nothing
         with open(spill, "wb") as ids:
-            written.append(spill)
             for lines, (notes, results) in chunk_results:
                 ids.write(notes)
                 for line, result in zip(lines, results):
@@ -334,8 +332,8 @@ def _ingest(chunk_results, counters: Counter, violations: Counter | None,
                             violations.update(found)
                     elif output is not None:
                         yield line, output
-        _resolve(_split_oversized(spill, written), counters, violations, stats,
-                 {} if copies is None else copies, fraction)
+        _resolve(_split_oversized(spill), counters, violations, stats,
+                 {} if copies is None else copies)
 
 
 def keep_copies(lines: Iterable[bytes], copies: dict[str, int]) -> Iterator[bytes]:
@@ -352,7 +350,7 @@ def keep_copies(lines: Iterable[bytes], copies: dict[str, int]) -> Iterator[byte
 
 
 def _resolve(parts: list[str], counters: Counter, violations: Counter | None,
-             stats: DatasetStats | None, copies: dict[str, int], fraction: float) -> None:
+             stats: DatasetStats | None, copies: dict[str, int]) -> None:
     """The duplicate rule (see `ingest`), on the id spill's parts, each read
     once and removed, and the record counts and stats of its winners, one
     per image_id. Sorted, a part holds the records of an image_id next to
@@ -360,9 +358,8 @@ def _resolve(parts: list[str], counters: Counter, violations: Counter | None,
     part where keys repeat are the records grouped, by key and image_id
     string, which ends at a record's last '"' (see `_check_chunk`). The keep
     test is of the key alone, so every copy of an image_id is kept or none
-    is. The workers made it: at a fraction of 1 every line is kept, and
-    below it a kept line's id record carries its digest, so it does not
-    end at the image_id's string."""
+    is. The workers made it: a kept line's id record carries its digest,
+    so it does not end at the image_id's string."""
     valid = subsampled = duplicates = 0
     key = itemgetter(slice(0, 16))
     for part in parts:
@@ -382,8 +379,7 @@ def _resolve(parts: list[str], counters: Counter, violations: Counter | None,
                     if digest := other[end:end + 32]:  # the digests of a kept image_id's copies
                         copies[digest.decode("ascii")] = int(digest == first)
         valid += len(winners)
-        if fraction < 1.0:
-            winners = [note for note in winners if not note.endswith(b'"\n')]
+        winners = [note for note in winners if not note.endswith(b'"\n')]
         subsampled += len(winners)
         if stats is not None:
             for note in winners:
@@ -396,10 +392,23 @@ def _resolve(parts: list[str], counters: Counter, violations: Counter | None,
             violations["duplicate_image_id"] += duplicates
 
 
-def _remove(paths: Iterable[str]) -> None:
-    for path in paths:
-        if os.path.exists(path):
-            os.remove(path)
+def _remove(directory: str, names: Iterable[str]) -> None:
+    for name in names:
+        os.remove(os.path.join(directory, name))
+
+
+@contextmanager
+def work_dir(path: str) -> Iterator[str]:
+    """`path` as an empty directory for a command's files in flight: made,
+    or emptied if a run that was killed left it. When the block exits,
+    however it does, the directory is removed with every file in it."""
+    os.makedirs(path, exist_ok=True)
+    _remove(path, os.listdir(path))
+    try:
+        yield path
+    finally:
+        _remove(path, os.listdir(path))
+        os.rmdir(path)
 
 
 def _check_fraction(fraction: float) -> None:
@@ -438,16 +447,6 @@ def shuffle_and_shard(records: list[bytes], shard_count: int, start: int = 0) ->
     return [lines[(i - start) % shard_count::shard_count] for i in range(shard_count)]
 
 
-def _create(paths: Iterable[str], written: list[str], stack: ExitStack) -> list:
-    """Open each path for binary writing, closed when `stack` exits; each
-    path joins `written` once created."""
-    files = []
-    for path in paths:
-        files.append(stack.enter_context(open(path, "wb")))
-        written.append(path)
-    return files
-
-
 SPILL_BUCKET_BYTES = 1 << 17  # spill bytes of a part read back; a spill file over this is split
 OPEN_FILES_MAX = 128  # spill parts a split opens at once, each with a file block of write buffer
 
@@ -467,15 +466,15 @@ def _free_descriptors() -> int:
     return 1 << 30 if soft == resource.RLIM_INFINITY else soft - used
 
 
-def _split_oversized(path: str, written: list[str], parts: int = 1, index: int = 0) -> list[str]:
+def _split_oversized(path: str, parts: int = 1, index: int = 0) -> list[str]:
     """A dataset's spill file as files in key order, none much over
     SPILL_BUCKET_BYTES: a file over that is split by its key range into
     parts of about SPILL_BUCKET_BYTES, and each part again while it is over
     twice that, which a part of an even split seldom is. The file holds
     part `index` of `parts` of the key range, the keys k with k * parts >>
-    64 == index. Each part joins `written` once created, and a file split
-    is removed. A split that leaves every record in one part (keys that
-    collide) is not split again."""
+    64 == index. A file split is removed, its parts named after it. A split
+    that leaves every record in one part (keys that collide) is not split
+    again."""
     size, ways = os.path.getsize(path), 1
     if size > (1 if parts == 1 else 2) * SPILL_BUCKET_BYTES:
         ways = min(math.ceil(size / SPILL_BUCKET_BYTES), OPEN_FILES_MAX, _free_descriptors() - 2)
@@ -483,7 +482,7 @@ def _split_oversized(path: str, written: list[str], parts: int = 1, index: int =
         return [path]
     split = [f"{path}-{j:05d}" for j in range(ways)]
     with ExitStack() as stack:
-        files = _create(split, written, stack)
+        files = [stack.enter_context(open(part, "wb")) for part in split]
         with open(path, "rb") as fh:
             for record in fh:
                 files[((int(record[:16], 16) * parts * ways) >> 64) - index * ways].write(record)
@@ -491,7 +490,7 @@ def _split_oversized(path: str, written: list[str], parts: int = 1, index: int =
     if any(os.path.getsize(part) == size for part in split):
         return split
     return [kept for j, part in enumerate(split)
-            for kept in _split_oversized(part, written, parts * ways, index * ways + j)]
+            for kept in _split_oversized(part, parts * ways, index * ways + j)]
 
 
 def _read_spill(path: str) -> list[bytes]:
@@ -501,25 +500,23 @@ def _read_spill(path: str) -> list[bytes]:
         return fh.readlines()
 
 
-def _write_shards(spills: list[str], out_dir: str, dataset: str, shard_count: int,
-                  compress: bool, written: list[str], copies: dict[str, int]) -> list[dict]:
-    """Write shard file i of a dataset as the i-th line list of each of its
-    spill parts (`spills`, in key order), each read once and removed, less
-    the records of the duplicate copies that `copies` drops (see `ingest`),
-    then dealt by `shuffle_and_shard` from where the previous part stopped: the
-    shards of the whole dataset sorted at once. Each line list is appended
-    to its shard's hidden file `.{name}`. Then, one shard at a time, that
-    file is renamed to `name`, or under `compress` read in blocks into a
+def _write_shards(spills: list[str], directory: str, dataset: str, shard_count: int,
+                  compress: bool, copies: dict[str, int]) -> list[dict]:
+    """Write shard file i of a dataset, in `directory`, as the i-th line list
+    of each of its spill parts (`spills`, in key order), each read once and
+    removed, less the records of the duplicate copies that `copies` drops
+    (see `ingest`), then dealt by `shuffle_and_shard` from where the
+    previous part stopped: the shards of the whole dataset sorted at once.
+    Each line list is appended to its shard's file `name`. Under `compress`
+    each file is then, one shard at a time, read in blocks into a
     `zlib.compressobj(9, DEFLATED, 31)` writing `name.gz`, and removed. The
     compressor writes zlib's own header (mtime 0) and the same bytes however
     the payload is fed, on every CPython: `gzip.compress(payload, mtime=0)`
-    on 3.11, while 3.10 and 3.13 write 255 in place of zlib's OS byte. Each
-    path joins `written` once created."""
+    on 3.11, while 3.10 and 3.13 write 255 in place of zlib's OS byte."""
     names = [f"{dataset}-{i:05d}-of-{shard_count:05d}.jsonl" for i in range(shard_count)]
-    hidden = [os.path.join(out_dir, f".{name}") for name in names]
-    for path in hidden:
+    paths = [os.path.join(directory, name) for name in names]
+    for path in paths:
         open(path, "wb").close()
-        written.append(path)
     counts, digests, dealt = [0] * shard_count, [sha256() for _ in names], 0
     for spill in spills:
         examples = _read_spill(spill)
@@ -533,26 +530,21 @@ def _write_shards(spills: list[str], out_dir: str, dataset: str, shard_count: in
                 counts[i] += len(lines)
                 if not compress:  # a gzip shard's digest is of its compressed bytes
                     digests[i].update(data)
-                with open(hidden[i], "ab") as fh:
+                with open(paths[i], "ab") as fh:
                     fh.write(data)
         dealt += len(examples)
         examples = lines = data = None  # freed before the next part is read
     suffix = ".gz" if compress else ""
-    for name, path, digest in zip(names, hidden, digests):
-        final = os.path.join(out_dir, name + suffix)
-        if compress:
+    if compress:
+        for path, digest in zip(paths, digests):
             gz = zlib.compressobj(9, zlib.DEFLATED, 31)
-            with open(path, "rb") as fh, open(final, "wb") as out:
-                written.append(final)
+            with open(path, "rb") as fh, open(path + suffix, "wb") as out:
                 for block in iter(partial(fh.read, 1 << 16), b""):
                     out.write(data := gz.compress(block))
                     digest.update(data)
                 out.write(data := gz.flush())
                 digest.update(data)
             os.remove(path)
-        else:
-            os.replace(path, final)
-            written.append(final)
     return [{"file": name + suffix, "examples": count, "sha256": digest.hexdigest()}
             for name, count, digest in zip(names, counts, digests)]
 
@@ -574,50 +566,52 @@ def _build(config: PipelineConfig, datasets, manifest_name: str, describe, owned
     dataset's spill file, split into parts by `_split_oversized`, is dealt
     to its shards, less the records of duplicate copies the duplicate rule
     drops, and the manifest is written: the common head plus
-    describe([(example_count, shard_infos), ...]). Every file this run
-    wrote, spill files included, is removed if any step fails; once the
-    manifest is written, every shard file that it does not list of a
-    dataset whose name fully matches the regex `owned` is removed.
+    describe([(example_count, shard_infos), ...]). All are made in the
+    out-dir's `.scenetext-build` (`work_dir`); once every one is whole, the
+    shards and then the manifest are renamed into the out-dir, and if a
+    rename fails, those already renamed are removed. Once published, every
+    shard file that the manifest does not list of a dataset whose name
+    fully matches the regex `owned` is removed.
 
     Ordering, building and serializing are the per-record `work` of the
     ingest, so they run in its worker processes; the stats, the spill
     writes and everything after the pass stay in this one."""
     seed = config.seed
-    os.makedirs(config.out_dir, exist_ok=True)
-    written: list[str] = []
-    try:
-        def work(record, digest):
-            """For each dataset, the record's examples' spill records joined
-            (b"" for a dataset that does not want the record)."""
-            builds = [build if eligible(record) else None for _, eligible, build in datasets]
-            if not any(builds):
-                return [b""] * len(builds)
-            texts = None
-            if order_ocr:
-                texts = [t.text for t in order_tokens(record.ocr, config.overlap_threshold)]
-            frags = fragments(record.image_id, texts)
-            return [spill_records([(hash64(seed, "shuffle", example_id), line)
-                                   for example_id, line in build(record, frags)], digest)
-                    if build else b"" for build in builds]
 
-        spills = [os.path.join(config.out_dir, f".{name}-spill") for name, _, _ in datasets]
+    def work(record, digest):
+        """For each dataset, the record's examples' spill records joined
+        (b"" for a dataset that does not want the record)."""
+        builds = [build if eligible(record) else None for _, eligible, build in datasets]
+        if not any(builds):
+            return [b""] * len(builds)
+        texts = None
+        if order_ocr:
+            texts = [t.text for t in order_tokens(record.ocr, config.overlap_threshold)]
+        frags = fragments(record.image_id, texts)
+        return [spill_records([(hash64(seed, "shuffle", example_id), line)
+                               for example_id, line in build(record, frags)], digest)
+                if build else b"" for build in builds]
+
+    os.makedirs(config.out_dir, exist_ok=True)
+    with work_dir(os.path.join(config.out_dir, ".scenetext-build")) as hidden:
+        spills = [os.path.join(hidden, f"{name}-spill") for name, _, _ in datasets]
         counters: Counter = Counter()
         copies: dict[str, int] = {}
         # Forked workers inherit these files with empty buffers (they fork at
         # the first chunk, before any write) and leave by os._exit, which flushes nothing.
         with ExitStack() as stack:
-            writes = [fh.write for fh in _create(spills, written, stack)]
+            writes = [stack.enter_context(open(path, "wb")).write for path in spills]
             kept = stack.enter_context(closing(ingest(
                 config.inputs, counters, config.fraction, seed, work, threads=config.threads,
-                stats=stats, copies=copies, spill_dir=config.out_dir)))
+                stats=stats, copies=copies, spill_dir=hidden)))
             for _, spilled in kept:
                 for write, records in zip(writes, spilled):
                     if records:
                         write(records)
         built = []
         for (name, _, _), path in zip(datasets, spills):
-            infos = _write_shards(_split_oversized(path, written), config.out_dir, name,
-                                  config.shard_count, config.compress, written, copies)
+            infos = _write_shards(_split_oversized(path), hidden, name, config.shard_count,
+                                  config.compress, copies)
             built.append((sum(info["examples"] for info in infos), infos))
         manifest = {
             "tool": "scenetext",
@@ -628,18 +622,21 @@ def _build(config: PipelineConfig, datasets, manifest_name: str, describe, owned
             "counters": dict(counters),
             **describe(built),
         }
-        manifest_path = os.path.join(config.out_dir, manifest_name)
-        with open(manifest_path, "w", encoding="utf-8") as fh:
-            written.append(manifest_path)
+        with open(os.path.join(hidden, manifest_name), "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    except BaseException:
-        _remove(written)
-        raise
+        listed = {info["file"] for _, infos in built for info in infos}
+        published = []
+        try:
+            for name in [*sorted(listed), manifest_name]:
+                os.replace(os.path.join(hidden, name), os.path.join(config.out_dir, name))
+                published.append(name)
+        except BaseException:
+            _remove(config.out_dir, published)
+            raise
     # an earlier build's shards of the datasets this build owns, which a
     # loader that globs a dataset's shards would read with this build's
     shard_name = re.compile(r"(?:%s)-[0-9]{5,}-of-[0-9]{5,}\.jsonl(?:\.gz)?" % owned)
-    listed = {info["file"] for _, infos in built for info in infos}
     for name in os.listdir(config.out_dir):
         if shard_name.fullmatch(name) and name not in listed:
             os.remove(os.path.join(config.out_dir, name))

@@ -369,6 +369,21 @@ def test_subsample_bad_fraction_leaves_an_existing_output_untouched(corpus, tmp_
     assert out_file.read_bytes() == b"earlier sample\n"
 
 
+@pytest.mark.parametrize("duplicates", [False, True], ids=["distinct", "duplicates"])
+def test_subsample_failing_after_its_sample_leaves_no_hidden_entry(corpus, tmp_path, capsys,
+                                                                    duplicates):
+    if duplicates:  # the duplicate rule drops a copy: the sample is rewritten first
+        lines = corpus.read_bytes().splitlines(keepends=True)
+        corpus.write_bytes(b"".join([*lines, lines[0].replace(b'"img000"', b'"img001"')]))
+    out = tmp_path / "sub.jsonl"
+    out.mkdir()  # the finished sample cannot be renamed onto a directory
+    code, _, err = run_cli(capsys, "subsample", "--in", corpus, "--out", out, "--fraction", 1)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "sub.jsonl"]
+    assert list(out.iterdir()) == []
+
+
 def test_subsample_removes_its_output_on_failure(tmp_path, capsys):
     out_file = tmp_path / "sub.jsonl"
     code, _, err = run_cli(capsys, "subsample", "--in", tmp_path / "missing.jsonl",
@@ -451,29 +466,87 @@ def test_subsample_output_builds_the_same_shards(corpus_with_bad_lines, tmp_path
     assert digests(from_sub) == digests(from_full)
 
 
-@pytest.mark.parametrize("argv,blocked", [
-    (["build-pretrain", "--stages", "splitocr,cap"], "stage1_cap-00001-of-00002.jsonl"),
-    (["build-finetune", "--task", "vqa"], "finetune_vqa-00001-of-00002.jsonl"),
+@pytest.mark.parametrize("argv,datasets,blocked", [
+    (["build-pretrain", "--stages", "splitocr,cap"], ["stage0_splitocr", "stage1_cap"],
+     "stage1_cap-00001-of-00002.jsonl"),
+    (["build-finetune", "--task", "vqa"], ["finetune_vqa"], "finetune_vqa-00001-of-00002.jsonl"),
 ], ids=["build-pretrain", "build-finetune"])
-def test_failed_build_removes_its_shards(corpus, tmp_path, capsys, monkeypatch, argv, blocked):
+def test_failed_build_removes_its_shards(corpus, tmp_path, capsys, monkeypatch, argv, datasets,
+                                         blocked):
     out_dir = tmp_path / "out"
     (out_dir / blocked).mkdir(parents=True)
-    # the out-dir as each dataset's shards start to be written
-    listings = []
-    write_shards = pipeline._write_shards
+    # the out-dir and its work directory as each dataset's shards start to
+    # be written, and the files renamed into the out-dir
+    listings, published = [], []
+    write_shards, replace = pipeline._write_shards, os.replace
 
     def listing_write_shards(*args):
-        listings.append(sorted(p.name for p in out_dir.iterdir()))
+        listings.append(sorted(p.relative_to(out_dir).as_posix() for p in out_dir.rglob("*")))
         return write_shards(*args)
 
+    def recording_replace(source, target):
+        replace(source, target)
+        published.append(os.path.relpath(target, out_dir))
+
     monkeypatch.setattr(pipeline, "_write_shards", listing_write_shards)
+    monkeypatch.setattr(os, "replace", recording_replace)
     code, _, err = run_cli(capsys, *argv, "--shards", 2, "--in", corpus, "--out-dir", out_dir)
     assert code == 1
     assert err.startswith("error: ")
-    # the failing dataset's hidden spill file was there when its write failed
-    dataset = blocked.split("-")[0]
-    assert f".{dataset}-spill" in listings[-1]
+    # every dataset's shards were written in the work directory, beside its
+    # spill file, with nothing of the build's in the out-dir itself
+    assert len(listings) == len(datasets)
+    for dataset, listing in zip(datasets, listings):
+        assert f".scenetext-build/{dataset}-spill" in listing
+        assert [name for name in listing if not name.startswith(".scenetext-build")] == [blocked]
+    # the rename onto the blocked path failed after the shards sorted
+    # before it were renamed, and those were removed
+    shards = sorted(f"{dataset}-{i:05d}-of-00002.jsonl" for dataset in datasets for i in range(2))
+    assert published == shards[:shards.index(blocked)]
     assert [p.name for p in out_dir.iterdir()] == [blocked]
+
+
+def test_build_clears_the_work_directory_a_killed_build_left(corpus, tmp_path, capsys):
+    build = ["build-pretrain", "--objective", "ocr", "--in", corpus, "--out-dir"]
+    assert run_cli(capsys, *build, tmp_path / "clean")[0] == 0
+    out_dir = tmp_path / "out"
+    (out_dir / ".scenetext-build").mkdir(parents=True)
+    (out_dir / ".scenetext-build" / "stage0_ocr-spill").write_bytes(b"a killed build's\n")
+    assert run_cli(capsys, *build, out_dir)[0] == 0
+    # the manifest names its out-dir, so only the shards compare whole
+    assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.json",
+                                                        "stage0_ocr-00000-of-00001.jsonl"]
+    shard = "stage0_ocr-00000-of-00001.jsonl"
+    assert (out_dir / shard).read_bytes() == (tmp_path / "clean" / shard).read_bytes()
+
+
+@pytest.mark.parametrize("compress", [[], ["--compress"]], ids=["plain", "compress"])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_rebuild_failing_before_publishing_leaves_the_earlier_build(corpus, tmp_path, capsys,
+                                                                   monkeypatch, threads,
+                                                                   compress):
+    monkeypatch.setattr(workers, "available_cpus", lambda: 2)
+    out_dir = tmp_path / "out"
+    build = ["build-pretrain", "--stages", "ocr,cap", "--shards", 2, "--threads", threads,
+             *compress, "--in", corpus, "--out-dir", out_dir]
+    assert run_cli(capsys, *build)[0] == 0
+    earlier = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert len(earlier) == 5
+    calls = []
+    write_shards = pipeline._write_shards
+
+    def second_call_fails(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise OSError("no space left for the second dataset's shards")
+        return write_shards(*args)
+
+    monkeypatch.setattr(pipeline, "_write_shards", second_call_fails)
+    code, _, err = run_cli(capsys, *build, "--seed", 3)
+    assert code == 1
+    assert err.startswith("error: no space left")
+    assert not [p.name for p in out_dir.iterdir() if p.name.startswith(".")]
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == earlier
 
 
 @pytest.mark.parametrize("compress", [[], ["--compress"]], ids=["plain", "compress"])

@@ -275,8 +275,9 @@ def test_memory_does_not_grow_with_distinct_ids(tmp_path):
 
 
 def test_no_id_spill_outlives_a_command(tmp_path, monkeypatch):
-    # validate, stats and subsample spill the ids to a temporary directory,
-    # removed when the command ends, also when a damaged input fails it
+    # validate and stats spill the ids to a temporary directory, and
+    # subsample to its hidden work directory beside --out; each is removed
+    # when the command ends, also when a damaged input fails it
     spills = tmp_path / "tmp"
     spills.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(spills))

@@ -599,10 +599,10 @@ def spill_splits(monkeypatch) -> list[tuple[str, int, int]]:
     calls = []
     split = pipeline._split_oversized
 
-    def recording(path, written, parts=1, index=0):
-        if not os.path.basename(path).startswith(".ids-spill"):  # the examples' spills only
+    def recording(path, parts=1, index=0):
+        if not os.path.basename(path).startswith("ids-spill"):  # the examples' spills only
             calls.append((os.path.basename(path), parts, os.path.getsize(path)))
-        return split(path, written, parts, index)
+        return split(path, parts, index)
 
     monkeypatch.setattr(pipeline, "_split_oversized", recording)
     return calls
@@ -616,7 +616,7 @@ def spill_reads(monkeypatch) -> list[list[bytes]]:
 
     def recording(path):
         records = read_spill(path)
-        if not os.path.basename(path).startswith(".ids-spill"):
+        if not os.path.basename(path).startswith("ids-spill"):
             reads.append(records)
         return records
 
@@ -678,7 +678,7 @@ def test_spilled_build_is_byte_identical_to_hold_and_sort(tmp_path, rng, monkeyp
     assert not [name for name in spilled if name.startswith(".")]
     assert len(read) == len({path for (path,) in read})  # each spill part read once
     # one spill file per dataset, holding what the dataset spilled
-    assert {name[1:-len("-spill")]: size for name, parts, size in splits if parts == 1} == sizes
+    assert {name[:-len("-spill")]: size for name, parts, size in splits if parts == 1} == sizes
     assert_reads_bounded(reads)
     if split == "one":  # no spill file is over twice the target
         assert len(splits) == len(reads) == len(sizes)
@@ -858,11 +858,13 @@ def test_build_failing_mid_pass_leaves_the_out_dir_as_it_was(tmp_path, rng, monk
     def fails_on_the_300th_call(*args):
         calls.append(None)  # per process: each worker counts its own calls
         if len(calls) == 300:
-            # the first failure's whole listing, linked into place: another
-            # worker's may come after the main process has already failed
-            # and cleaned up, and a worker may be killed mid-write
+            # the first failure's whole listing of the out-dir and its work
+            # directory, linked into place: another worker's may come after
+            # the main process has already failed and cleaned up, and a
+            # worker may be killed mid-write
             listing = tmp_path / f"listing-{os.getpid()}.txt"
-            listing.write_text("\n".join(sorted(p.name for p in out_dir.iterdir())))
+            listing.write_text("\n".join(sorted(p.relative_to(out_dir).as_posix()
+                                                for p in out_dir.rglob("*"))))
             with suppress(FileExistsError):
                 os.link(listing, at_failure)
             raise BuilderFailed("builder failed")
@@ -872,11 +874,14 @@ def test_build_failing_mid_pass_leaves_the_out_dir_as_it_was(tmp_path, rng, monk
     with pytest.raises(BuilderFailed):
         run(run_config(path, out_dir, seed=13, stages=ALL_STAGES, passes=2, fraction=fraction,
                        threads=threads))
-    # one spill file per dataset was there when the builder failed, however
-    # many times over SPILL_BUCKET_BYTES the input is
+    # the id spill and one spill file per dataset were in the work directory
+    # when the builder failed, however many times over SPILL_BUCKET_BYTES
+    # the input is, and nothing of the build was in the out-dir itself
     assert path.stat().st_size * fraction > 40 * pipeline.SPILL_BUCKET_BYTES
+    work = ".scenetext-build"
     assert at_failure.read_text().split("\n") == [
-        ".ids-spill", ".stage0_ocr-spill", ".stage1_splitocr-spill", ".stage2_cap-spill", ".stage3_splitcap-spill",
+        work, *(f"{work}/{name}-spill" for name in ("ids", "stage0_ocr", "stage1_splitocr",
+                                                      "stage2_cap", "stage3_splitcap")),
         "keep.txt"]
     assert [p.name for p in out_dir.iterdir()] == ["keep.txt"]
     assert (out_dir / "keep.txt").read_text() == "not the build's"
